@@ -68,6 +68,9 @@ from .geo import (
     EARTH_RADIUS_M,
     DistanceList,
     GeoPoint,
+    condensed_distances,
+    condensed_index,
+    condensed_pairs,
     haversine,
     haversine_matrix,
     pairwise_distances,

@@ -12,14 +12,8 @@ import numpy as np
 
 from .corpus import CloudPoint, DocumentInput, PointCloud, to_point_cloud
 from .errors import EmptyInputError
-from .geo import haversine_matrix, pairwise_distances
-from .kfunction import (
-    DEFAULT_DELTA_D_M,
-    KFunction,
-    compute_k_function,
-    derive_cluster_distance,
-    with_cluster_distance,
-)
+from .geo import condensed_distances, condensed_index, condensed_pairs
+from .kfunction import DEFAULT_DELTA_D_M, KFunction, annular_k_function, with_cluster_distance
 
 
 @dataclass(frozen=True)
@@ -89,25 +83,39 @@ def form_clusters(cloud: PointCloud, cluster_distance: float) -> list[Cluster]:
         raise EmptyInputError("cannot cluster an empty cloud")
     if cluster_distance <= 0:
         raise ValueError(f"cluster_distance must be positive, got {cluster_distance}")
-    n = len(cloud)
+    distances = condensed_distances([p.location for p in cloud.points])
+    groups = _components(distances, len(cloud), cluster_distance)
+    return [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
+
+
+def _components(distances: np.ndarray, n: int, cluster_distance: float) -> list[list[int]]:
+    """Point indices of each single-linkage component, ascending, the
+    components in order of their first point, from the condensed pair
+    distances of n points (see ``geo.condensed_distances``)."""
     uf = _UnionFind(n)
-    if n > 1:
-        matrix = haversine_matrix([p.location for p in cloud.points])
-        ii, jj = np.nonzero(np.triu(matrix <= cluster_distance, k=1))
-        for a, b in zip(ii.tolist(), jj.tolist()):
-            uf.union(a, b)
-    groups: dict[int, list[CloudPoint]] = {}
-    for i, point in enumerate(cloud.points):
-        groups.setdefault(uf.find(i), []).append(point)
-    return [Cluster(members=tuple(members)) for members in groups.values()]
+    ii, jj = condensed_pairs(np.flatnonzero(distances <= cluster_distance), n)
+    for a, b in zip(ii.tolist(), jj.tolist()):
+        uf.union(a, b)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    return list(groups.values())
 
 
 def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
     if len(members) < 2:
         return 0.0
-    matrix = haversine_matrix([p.location for p in members])
-    iu = np.triu_indices(len(members), k=1)
-    return float(np.mean(matrix[iu]))
+    return float(np.mean(condensed_distances([p.location for p in members])))
+
+
+def _condensed_mean(distances: np.ndarray, n: int, members: list[int]) -> float:
+    # _mean_pairwise of the points at the ascending indices ``members``, read
+    # from the cloud's condensed distances: the same values in the same order
+    if len(members) < 2:
+        return 0.0
+    idx = np.array(members, dtype=np.int64)
+    a, b = np.triu_indices(len(idx), k=1)
+    return float(np.mean(distances[condensed_index(idx[a], idx[b], n)]))
 
 
 def rank_clusters(clusters: list[Cluster]) -> list[Cluster]:
@@ -115,11 +123,15 @@ def rank_clusters(clusters: list[Cluster]) -> list[Cluster]:
     tighter cluster (smaller mean pairwise member distance), then to the
     lexicographically smallest member entry_id. Ranks are 1-based.
     """
-    keyed = sorted(
-        clusters,
-        key=lambda c: (-len(c.members), _mean_pairwise(c.members), min(p.entry_id for p in c.members)),
+    return _ranked(clusters, [_mean_pairwise(c.members) for c in clusters])
+
+
+def _ranked(clusters: list[Cluster], spreads: list[float]) -> list[Cluster]:
+    order = sorted(
+        range(len(clusters)),
+        key=lambda k: (-len(clusters[k]), spreads[k], min(p.entry_id for p in clusters[k].members)),
     )
-    return [Cluster(members=c.members, rank=i + 1) for i, c in enumerate(keyed)]
+    return [Cluster(members=clusters[k].members, rank=r + 1) for r, k in enumerate(order)]
 
 
 def disambiguate(doc: DocumentInput, ranked: list[Cluster]) -> DisambiguationResult:
@@ -180,10 +192,14 @@ def densityk_pipeline(
             ranked_clusters=(only,),
         )
 
-    distances = pairwise_distances([p.location for p in cloud.points], upper_bound=upper_bound)
-    kf = with_cluster_distance(compute_k_function(distances, len(cloud), delta_d))
-    clusters = form_clusters(cloud, kf.cluster_distance)
-    ranked = rank_clusters(clusters)
+    # one distance pass: the curve reads the pairs within upper_bound, the
+    # linkage every pair (pairs in (upper_bound, threshold] are still edges)
+    distances = condensed_distances([p.location for p in cloud.points])
+    in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
+    kf = with_cluster_distance(annular_k_function(in_bound, len(cloud), delta_d))
+    groups = _components(distances, len(cloud), kf.cluster_distance)
+    clusters = [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
+    ranked = _ranked(clusters, [_condensed_mean(distances, len(cloud), g) for g in groups])
     result = disambiguate(doc, ranked)
     return DisambiguationResult(
         doc_id=result.doc_id,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from .errors import DocumentParseError, DocumentSchemaError
 from .geo import GeoPoint, haversine
@@ -73,34 +72,50 @@ class PointCloud:
         return len(self.points)
 
 
-def _require(obj: dict, key: str, context: str):
+_TYPE_NAMES = {str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise DocumentParseError(f"{what} must be {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _require(obj: dict, key: str, context: str, kind: type | None = None):
     if key not in obj:
         raise DocumentParseError(f"{context}: missing field '{key}'")
-    return obj[key]
+    if kind is None:
+        return obj[key]
+    return _expect(obj[key], kind, f"{context}: '{key}'")
 
 
 def document_from_dict(raw: dict) -> DocumentInput:
     """Build and validate a DocumentInput from already-parsed JSON."""
-    if not isinstance(raw, dict):
-        raise DocumentParseError("document must be a JSON object")
-    doc_id = _require(raw, "doc_id", "document")
-    mentions_raw = _require(raw, "mentions", f"document {doc_id!r}")
-    if not isinstance(mentions_raw, list):
-        raise DocumentParseError(f"document {doc_id!r}: 'mentions' must be a list")
+    _expect(raw, dict, "document")
+    doc_id = _require(raw, "doc_id", "document", str)
+    mentions_raw = _require(raw, "mentions", f"document {doc_id!r}", list)
 
     mentions: list[PlaceMention] = []
+    seen_names: set[str] = set()
     seen_entry_ids: set[str] = set()
     for mraw in mentions_raw:
+        _expect(mraw, dict, f"document {doc_id!r}: each mention")
         ctx = f"document {doc_id!r}, mention {mraw.get('name', '?')!r}"
-        name = _require(mraw, "name", ctx)
+        name = _require(mraw, "name", ctx, str)
+        if name in seen_names:
+            raise DocumentSchemaError(f"{ctx}: duplicate mention name")
+        seen_names.add(name)
         cands_raw = _require(mraw, "candidates", ctx)
         if not isinstance(cands_raw, list) or len(cands_raw) == 0:
             raise DocumentSchemaError(f"{ctx}: candidate list is empty")
         candidates = []
         for craw in cands_raw:
-            entry_id = _require(craw, "entry_id", ctx)
+            _expect(craw, dict, f"{ctx}: each candidate")
+            entry_id = _require(craw, "entry_id", ctx, str)
             lat = _require(craw, "lat", f"{ctx}, entry {entry_id!r}")
             lon = _require(craw, "lon", f"{ctx}, entry {entry_id!r}")
+            if isinstance(lat, bool) or isinstance(lon, bool):
+                raise DocumentSchemaError(f"{ctx}, entry {entry_id!r}: boolean coordinate")
             try:
                 location = GeoPoint(float(lat), float(lon))
             except (TypeError, ValueError) as exc:
@@ -120,8 +135,10 @@ def document_from_dict(raw: dict) -> DocumentInput:
 
     ground_truth = raw.get("ground_truth")
     if ground_truth is not None:
+        _expect(ground_truth, dict, f"document {doc_id!r}: 'ground_truth'")
         by_name = {m.name: m for m in mentions}
         for gname, gentry in ground_truth.items():
+            _expect(gentry, str, f"document {doc_id!r}: ground_truth for {gname!r}")
             if gname not in by_name:
                 raise DocumentSchemaError(
                     f"document {doc_id!r}: ground_truth key {gname!r} matches no mention"
@@ -226,9 +243,3 @@ def to_point_cloud(doc: DocumentInput) -> PointCloud:
         for c in m.candidates
     )
     return PointCloud(points=points)
-
-
-def iter_candidates(doc: DocumentInput) -> Iterator[tuple[PlaceMention, CandidateEntry]]:
-    for m in doc.mentions:
-        for c in m.candidates:
-            yield m, c

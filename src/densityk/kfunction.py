@@ -60,15 +60,22 @@ def compute_k_function(
 
     ``cluster_distance`` is left unset; see :func:`derive_cluster_distance`.
     """
+    return annular_k_function(distances.values, n_points, delta_d)
+
+
+def annular_k_function(
+    values: np.ndarray, n_points: int, delta_d: float = DEFAULT_DELTA_D_M
+) -> KFunction:
+    """:func:`compute_k_function` on a bare vector of pair distances, which
+    need not be sorted: the ring counts do not depend on their order."""
     if n_points < 2:
         raise InsufficientPointsError(f"need at least 2 points, got {n_points}")
     if delta_d <= 0:
         raise ValueError(f"delta_d must be positive, got {delta_d}")
-    if distances.count == 0:
+    if len(values) == 0:
         raise InsufficientPointsError("distance list is empty")
 
-    rings = _ring_indices(distances.values, delta_d)
-    occupied, counts = np.unique(rings, return_counts=True)
+    occupied, counts = np.unique(_ring_indices(values, delta_d), return_counts=True)
     d = occupied.astype(np.float64) * delta_d
     areas = np.pi * (d**2 - (d - delta_d) ** 2)
     densities = 2.0 * counts / (n_points * areas)

@@ -64,6 +64,31 @@ def _uniform_in_disk(rng: np.random.Generator, center: GeoPoint, radius: float) 
     return _destination(center, bearing, r)
 
 
+def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+    phi, lam = math.radians(p.lat), math.radians(p.lon)
+    return (math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi))
+
+
+def _clear_of(p: GeoPoint, taken: list[GeoPoint], vectors: np.ndarray, separation: float) -> bool:
+    """Whether ``p`` lies at least ``separation`` from every point of
+    ``taken``, decided as the scalar ``haversine`` decides it.
+
+    ``vectors`` holds the unit vectors of ``taken``; the largest dot product
+    gives the nearest one's distance to under a micrometre at 50 km, and to
+    a few centimetres even at distances near zero or half the globe.
+    That settles the question unless the distance lies within 1 m of
+    ``separation``, and only then does the exact scalar loop run.
+    """
+    if not taken:
+        return True
+    dot = float(np.max(vectors[: len(taken)] @ _unit_vector(p)))
+    half_chord = math.sqrt(min(1.0, max(0.0, (1.0 - dot) / 2.0)))
+    nearest = 2.0 * EARTH_RADIUS_M * math.asin(half_chord)
+    if abs(nearest - separation) > 1.0:
+        return nearest > separation
+    return all(haversine(p, q) >= separation for q in taken)
+
+
 def synth_generate(spec: SynthSpec) -> list[DocumentInput]:
     """Generate the corpus; identical spec (incl. seed) gives an identical
     corpus, byte for byte after canonical serialization."""
@@ -76,7 +101,8 @@ def synth_generate(spec: SynthSpec) -> list[DocumentInput]:
     for doc_idx in range(spec.n_docs):
         doc_id = f"doc{doc_idx:04d}"
         center = _uniform_sphere(rng)
-        decoys_so_far: list[GeoPoint] = []
+        taken: list[GeoPoint] = []  # every decoy of the document so far
+        vectors = np.empty((spec.mentions_per_doc * hi, 3))
         mentions: list[PlaceMention] = []
         ground_truth: dict[str, str] = {}
 
@@ -94,11 +120,10 @@ def synth_generate(spec: SynthSpec) -> list[DocumentInput]:
                         < spec.min_decoy_distance_from_context + spec.context_radius
                     ):
                         continue
-                    if any(
-                        haversine(p, q) < spec.min_decoy_separation
-                        for q in decoys_so_far + decoys
-                    ):
+                    if not _clear_of(p, taken, vectors, spec.min_decoy_separation):
                         continue
+                    vectors[len(taken)] = _unit_vector(p)
+                    taken.append(p)
                     decoys.append(p)
                     break
                 else:
@@ -106,8 +131,6 @@ def synth_generate(spec: SynthSpec) -> list[DocumentInput]:
                         f"{doc_id}/{name}: no admissible decoy in "
                         f"{MAX_REJECTION_ATTEMPTS} attempts"
                     )
-            decoys_so_far.extend(decoys)
-
             locations = decoys.copy()
             true_pos = int(rng.integers(0, n_decoys + 1))
             locations.insert(true_pos, planted)

@@ -4,13 +4,26 @@ import pytest
 from densityk import (
     EmptyInputError,
     OutcomeStatus,
+    compute_k_function,
     densityk_pipeline,
     disambiguate,
     form_clusters,
+    pairwise_distances,
     rank_clusters,
+    result_to_dict,
+    to_canonical_json,
+    with_cluster_distance,
+)
+from densityk.clustering import (
+    DisambiguationResult,
+    _components,
+    _condensed_mean,
+    _mean_pairwise,
 )
 from densityk.corpus import PointCloud, to_point_cloud
-from conftest import make_cloud, make_document
+from densityk.geo import BLOCK_ELEMENTS, condensed_distances
+from densityk.synth import SynthSpec, synth_generate
+from conftest import make_cloud, make_document, random_coords
 from oracles import label_propagation_components
 from test_corpus import M_PER_DEG
 
@@ -65,6 +78,18 @@ class TestFormClusters:
             }
             oracle = set(label_propagation_components(coords, threshold))
             assert ours == oracle
+
+
+class TestSharedDistanceVector:
+    def test_spreads_read_from_vector_equal_recomputed_ones(self):
+        rng = np.random.default_rng(17)
+        cloud = make_cloud(random_coords(rng, 700))
+        distances = condensed_distances([p.location for p in cloud.points])
+        groups = _components(distances, len(cloud), 50_000.0)
+        assert max(len(g) for g in groups) > 50
+        for g in groups:
+            members = tuple(cloud.points[i] for i in g)
+            assert _condensed_mean(distances, len(cloud), g) == _mean_pairwise(members)
 
 
 class TestRankClusters:
@@ -227,3 +252,35 @@ class TestDensitykPipeline:
         b = densityk_pipeline(doc)
         assert a.outcomes == b.outcomes
         assert [c.members for c in a.ranked_clusters] == [c.members for c in b.ranked_clusters]
+
+    def test_upper_bound_keeps_edges_beyond_it(self):
+        # pairs within the 150 m bound: a-b 50 m and b-c 70 m (ring 1), a-c
+        # 120 m (ring 2), so the threshold is 200 m; c-d at 180 m lies beyond
+        # the bound but within the threshold and still links d
+        east = {"e": 10_000.0, "a": 0.0, "b": 50.0, "c": 120.0, "d": 300.0}
+        doc = make_document("bounded", {k: [(0.0, x / M_PER_DEG)] for k, x in east.items()})
+        result = densityk_pipeline(doc, upper_bound=150.0)
+        assert result.diagnostics.cluster_distance == 200.0
+        assert partition(result.ranked_clusters) == {
+            frozenset({"a_e0", "b_e0", "c_e0", "d_e0"}),
+            frozenset({"e_e0"}),
+        }
+
+    @pytest.mark.parametrize("upper_bound", [None, 3e6])
+    def test_equals_composed_stages_on_multi_block_cloud(self, upper_bound):
+        spec = SynthSpec(n_docs=1, mentions_per_doc=30, decoys_per_mention=(19, 19), seed=5)
+        doc = synth_generate(spec)[0]
+        cloud = to_point_cloud(doc)
+        assert (len(cloud) - 1) ** 2 > 4 * BLOCK_ELEMENTS  # several row blocks
+        distances = pairwise_distances([p.location for p in cloud.points], upper_bound=upper_bound)
+        kf = with_cluster_distance(compute_k_function(distances, len(cloud)))
+        ranked = rank_clusters(form_clusters(cloud, kf.cluster_distance))
+        staged = disambiguate(doc, ranked)
+        staged = DisambiguationResult(
+            doc_id=staged.doc_id,
+            outcomes=staged.outcomes,
+            ranked_clusters=staged.ranked_clusters,
+            diagnostics=kf,
+        )
+        piped = densityk_pipeline(doc, upper_bound=upper_bound)
+        assert to_canonical_json(result_to_dict(piped)) == to_canonical_json(result_to_dict(staged))

@@ -102,6 +102,48 @@ class TestLoadDocument:
         with pytest.raises(DocumentSchemaError):
             load_document(json.dumps(raw))
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw.update(doc_id=7),
+            lambda raw: raw["mentions"].append(5),
+            lambda raw: raw["mentions"][0].update(name=["alpha"]),
+            lambda raw: raw["mentions"][0]["candidates"].append(5),
+            lambda raw: raw["mentions"][0]["candidates"][0].update(entry_id=["a1"]),
+            lambda raw: raw.update(ground_truth=[["alpha", "a1"]]),
+            lambda raw: raw["ground_truth"].update(alpha=["a1"]),
+        ],
+        ids=[
+            "int-doc-id",
+            "non-object-mention",
+            "list-mention-name",
+            "non-object-candidate",
+            "list-entry-id",
+            "list-ground-truth",
+            "list-ground-truth-entry",
+        ],
+    )
+    def test_wrong_type_is_a_parse_error(self, corrupt):
+        raw = doc_fixture()
+        corrupt(raw)
+        with pytest.raises(DocumentParseError):
+            load_document(json.dumps(raw))
+
+    @pytest.mark.parametrize("field", ["lat", "lon"])
+    def test_boolean_coordinate(self, field):
+        raw = doc_fixture()
+        raw["mentions"][0]["candidates"][0][field] = True
+        with pytest.raises(DocumentSchemaError):
+            load_document(json.dumps(raw))
+
+    def test_duplicate_mention_name(self):
+        # otherwise the second mention's outcome would overwrite the first's
+        raw = doc_fixture()
+        del raw["ground_truth"]
+        raw["mentions"][2]["name"] = "alpha"
+        with pytest.raises(DocumentSchemaError):
+            load_document(json.dumps(raw))
+
     def test_round_trip_idempotent(self):
         doc = load_document(json.dumps(doc_fixture()))
         serialized = document_to_json(doc)

@@ -10,11 +10,16 @@ from densityk import (
     DegenerateCentroidError,
     EmptyInputError,
     GeoPoint,
+    condensed_distances,
+    condensed_index,
+    condensed_pairs,
     haversine,
     haversine_matrix,
     pairwise_distances,
     spherical_centroid,
 )
+from densityk.geo import BLOCK_ELEMENTS
+from conftest import random_coords
 from oracles import slow_haversine, vector_mean_centroid
 
 latitudes = st.floats(min_value=-90.0, max_value=90.0)
@@ -50,6 +55,18 @@ class TestHaversine:
         assert haversine(GeoPoint(0, 0), GeoPoint(0, 1)) == pytest.approx(
             EARTH_RADIUS_M * math.pi / 180.0, abs=0.1
         )
+
+    @pytest.mark.parametrize("dlon", [90.5, 179.0, 179.99609375, 179.9999999, 180.0])
+    def test_equatorial_arc_near_antipode(self, dlon):
+        # an equatorial arc is R times its longitude span; near the antipode
+        # the plain haversine formula lost 2e-5 m of it to cancellation
+        assert haversine(GeoPoint(0, 0), GeoPoint(0, dlon)) == pytest.approx(
+            EARTH_RADIUS_M * math.radians(dlon), abs=1e-6
+        )
+
+    def test_triangle_inequality_near_antipode(self):
+        a, b, c = GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(0, 179.99609375)
+        assert haversine(a, c) <= haversine(a, b) + haversine(b, c) + 1e-6
 
     @given(geo_points, geo_points)
     def test_symmetric(self, a, b):
@@ -114,6 +131,39 @@ class TestPairwiseDistances:
             for j in range(6):
                 assert matrix[i, j] == pytest.approx(haversine(pts[i], pts[j]), abs=1e-6)
 
+
+# the largest cloud condensed_distances computes in one block of rows
+ONE_BLOCK_N = math.isqrt(BLOCK_ELEMENTS) + 1
+
+
+class TestCondensedDistances:
+    @pytest.mark.parametrize(
+        "n", [2, ONE_BLOCK_N - 1, ONE_BLOCK_N, ONE_BLOCK_N + 1, 4 * ONE_BLOCK_N]
+    )
+    def test_bit_identical_to_matrix_upper_triangle(self, n):
+        rng = np.random.default_rng(n)
+        pts = [GeoPoint(lat, lon) for lat, lon in random_coords(rng, n)]
+        expected = haversine_matrix(pts)[np.triu_indices(n, 1)]
+        got = condensed_distances(pts)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 300])
+    def test_index_and_pairs_follow_triu_order(self, n):
+        rows, cols = np.triu_indices(n, 1)
+        positions = np.arange(len(rows))
+        i, j = condensed_pairs(positions, n)
+        assert np.array_equal(i, rows) and np.array_equal(j, cols)
+        assert np.array_equal(condensed_index(rows, cols, n), positions)
+
+    def test_no_pairs(self):
+        assert condensed_distances([]).shape == (0,)
+        assert condensed_distances([GeoPoint(1, 2)]).shape == (0,)
+
+    def test_pairwise_distances_is_the_sorted_kernel(self):
+        rng = np.random.default_rng(3)
+        pts = [GeoPoint(lat, lon) for lat, lon in random_coords(rng, 2 * ONE_BLOCK_N)]
+        assert np.array_equal(pairwise_distances(pts).values, np.sort(condensed_distances(pts)))
 
 class TestSphericalCentroid:
     def test_single_point(self):

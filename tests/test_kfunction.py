@@ -82,6 +82,15 @@ class TestComputeKFunction:
             assert kf.densities.tolist() == pytest.approx([k for _, k in oracle], rel=1e-12)
 
 
+    def test_order_independent(self):
+        rng = np.random.default_rng(8)
+        values = np.concatenate([rng.uniform(0, 3000, 40), rng.uniform(1e5, 1e7, 400)])
+        shuffled = DistanceList(values=rng.permutation(values), n_points=30)
+        ordered = compute_k_function(dl(values, 30), 30)
+        kf = compute_k_function(shuffled, 30)
+        assert kf.distances_m.tobytes() == ordered.distances_m.tobytes()
+        assert kf.densities.tobytes() == ordered.densities.tobytes()
+
 class TestDeriveClusterDistance:
     def test_single_sample_fallback(self):
         kf = compute_k_function(dl([150.0] * 6, 4), 4, delta_d=100.0)

@@ -1,6 +1,10 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from densityk import (
+    GeoPoint,
     OutcomeStatus,
     RejectionOverflowError,
     densityk_pipeline,
@@ -9,7 +13,14 @@ from densityk import (
     score_document,
 )
 from densityk.corpus import document_to_json
-from densityk.synth import SynthSpec, synth_generate, write_corpus
+from densityk.synth import (
+    SynthSpec,
+    _clear_of,
+    _destination,
+    _unit_vector,
+    synth_generate,
+    write_corpus,
+)
 
 SMALL = SynthSpec(n_docs=3, mentions_per_doc=3, decoys_per_mention=(2, 4), seed=7)
 
@@ -25,6 +36,16 @@ class TestDeterminism:
         a = synth_generate(SMALL)
         b = synth_generate(SMALL)
         assert [document_to_json(d) for d in a] == [document_to_json(d) for d in b]
+
+    def test_pinned_output(self):
+        # sha256 of the canonical JSON of a dense corpus (600 decoys a
+        # document), so any change to the rejection sampler's decisions shows
+        spec = SynthSpec(n_docs=4, mentions_per_doc=20, decoys_per_mention=(30, 30), seed=42)
+        blob = "".join(document_to_json(d) for d in synth_generate(spec)).encode()
+        assert (
+            hashlib.sha256(blob).hexdigest()
+            == "b7a17a33785c9a3c9279800668a02e2b7ddd409112d8238336027c417a802ee0"
+        )
 
     def test_different_seed_differs(self):
         a = synth_generate(SMALL)
@@ -76,6 +97,20 @@ class TestSeparationGuarantees:
             for i, a in enumerate(decoys):
                 for b in decoys[i + 1 :]:
                     assert haversine(a, b) >= SMALL.min_decoy_separation
+
+    def test_vector_test_decides_as_the_scalar_haversine(self):
+        # draws placed at the separation, give or take 1 nm to 2 m,
+        # from one of the earlier decoys: the 1 m margin hands these to the
+        # scalar loop, the rest are decided by the vectors
+        rng = np.random.default_rng(4)
+        separation = 50_000.0
+        taken = [GeoPoint(float(rng.uniform(-80, 80)), float(rng.uniform(-180, 180))) for _ in range(40)]
+        vectors = np.array([_unit_vector(q) for q in taken])
+        for offset in [-2.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 2.0] * 20:
+            q = taken[int(rng.integers(len(taken)))]
+            p = _destination(q, float(rng.uniform(0, 360)), separation + offset)
+            expected = all(haversine(p, t) >= separation for t in taken)
+            assert _clear_of(p, taken, vectors, separation) is expected
 
     def test_rejection_overflow(self):
         impossible = SynthSpec(
