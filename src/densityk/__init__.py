@@ -9,7 +9,6 @@ generator round out the package.
 """
 
 from .baselines import (
-    BaselineConfig,
     centroid_heuristic,
     dbscan,
     dbscan_disambiguate,
@@ -17,7 +16,6 @@ from .baselines import (
     kdist_disambiguate,
     kdist_epsilon,
     omd,
-    run_baseline,
 )
 from .clustering import (
     Cluster,

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +35,6 @@ HULL_AREA = "hull_area"
 TIE_TOLERANCE_M = 1e-3
 
 _CHUNK = 1 << 18
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Parameter set for one baseline run; see ``validate``."""
-
-    algorithm: str  # omd | centroid | dtur | dbscan | kdist
-    epsilon: float | None = None
-    min_pts: int | None = None
-    k: int | None = None
-    omd_measure: str = AVG_PAIRWISE
-    combination_cap: int = DEFAULT_COMBINATION_CAP
-
-    def validate(self) -> None:
-        if self.algorithm == "dbscan":
-            if self.epsilon is None or self.min_pts is None:
-                raise ValueError("dbscan requires epsilon and min_pts")
-        elif self.algorithm == "kdist":
-            if self.k is None or self.min_pts is None:
-                raise ValueError("kdist requires k and min_pts")
-        elif self.algorithm == "omd":
-            if self.omd_measure not in (AVG_PAIRWISE, HULL_AREA):
-                raise ValueError(f"unknown omd measure {self.omd_measure!r}")
-        elif self.algorithm not in ("centroid", "dtur"):
-            raise ValueError(f"unknown baseline algorithm {self.algorithm!r}")
 
 
 def _single_cluster_result(doc: DocumentInput, chosen: dict[str, str]) -> DisambiguationResult:
@@ -329,18 +303,3 @@ def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> Disambiguati
     ranked = rank_clusters(dbscan(cloud, epsilon, min_pts))
     return disambiguate(doc, ranked)
 
-
-def run_baseline(doc: DocumentInput, config: BaselineConfig) -> DisambiguationResult:
-    """Dispatch one configured baseline over one document."""
-    config.validate()
-    if config.algorithm == "omd":
-        return omd(doc, measure=config.omd_measure, cap=config.combination_cap)
-    if config.algorithm == "centroid":
-        return centroid_heuristic(doc)
-    if config.algorithm == "dtur":
-        return dtur(doc)
-    if config.algorithm == "dbscan":
-        return dbscan_disambiguate(doc, epsilon=config.epsilon, min_pts=config.min_pts)
-    if config.algorithm == "kdist":
-        return kdist_disambiguate(doc, k=config.k, min_pts=config.min_pts)
-    raise ValueError(f"unknown baseline algorithm {config.algorithm!r}")

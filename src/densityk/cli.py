@@ -12,21 +12,11 @@ from pathlib import Path
 
 import click
 
-from .baselines import BaselineConfig
-from .clustering import densityk_pipeline
+from .baselines import AVG_PAIRWISE, DEFAULT_COMBINATION_CAP, HULL_AREA
 from .corpus import load_corpus, load_document_file, to_point_cloud
-from .errors import (
-    CombinationExplosionError,
-    DegenerateCentroidError,
-    DensityKError,
-    DocumentParseError,
-    DocumentSchemaError,
-    EmptyInputError,
-    InsufficientPointsError,
-    NoAnchorsError,
-    RejectionOverflowError,
-)
+from .errors import DensityKError, DocumentParseError, DocumentSchemaError
 from .evaluation import (
+    ALGORITHMS,
     GRID_PRESETS,
     AlgorithmConfig,
     evaluate_corpus,
@@ -45,14 +35,7 @@ from .kfunction import DEFAULT_DELTA_D_M, compute_k_function, with_cluster_dista
 from .synth import SynthSpec, synth_generate, write_corpus
 
 _INPUT_ERRORS = (DocumentParseError, DocumentSchemaError)
-_ALGORITHM_ERRORS = (
-    CombinationExplosionError,
-    NoAnchorsError,
-    InsufficientPointsError,
-    EmptyInputError,
-    DegenerateCentroidError,
-    RejectionOverflowError,
-)
+_MEASURES = {"avg": AVG_PAIRWISE, "hull": HULL_AREA}
 
 
 def _fail(code: int, message: str) -> None:
@@ -60,34 +43,32 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _build_config(algorithm: str, epsilon, min_pts, k, delta_d, upper_bound, measure, cap) -> AlgorithmConfig:
-    params: list[tuple[str, float | int | str]] = []
-    if algorithm == "densityk":
-        params.append(("delta_d", float(delta_d)))
-        if upper_bound is not None:
-            params.append(("upper_bound", float(upper_bound)))
-    else:
-        try:
-            BaselineConfig(
-                algorithm=algorithm,
-                epsilon=epsilon,
-                min_pts=min_pts,
-                k=k,
-                omd_measure={"avg": "avg_pairwise", "hull": "hull_area"}.get(measure, measure),
-                combination_cap=cap,
-            ).validate()
-        except ValueError as exc:
-            _fail(1, str(exc))
-        if epsilon is not None:
-            params.append(("epsilon", float(epsilon)))
-        if min_pts is not None:
-            params.append(("min_pts", int(min_pts)))
-        if k is not None:
-            params.append(("k", int(k)))
-        if algorithm == "omd":
-            params.append(("measure", {"avg": "avg_pairwise", "hull": "hull_area"}.get(measure, measure)))
-            params.append(("cap", int(cap)))
-    return AlgorithmConfig(algorithm=algorithm, params=tuple(params))
+def _config(algorithm: str, flags: dict) -> AlgorithmConfig:
+    """The flags the algorithm takes, left out when unset, as its config."""
+    params = tuple(
+        (name, flags[name]) for name in ALGORITHMS[algorithm].params if flags[name] is not None
+    )
+    try:
+        return AlgorithmConfig(algorithm=algorithm, params=params)
+    except ValueError as exc:
+        _fail(1, str(exc))
+
+
+def _on_document(input_path: Path, stage):
+    """Load one document and return ``stage(doc)``, exiting 1 on bad input
+    or a bad parameter value and 2 on an algorithm error."""
+    try:
+        doc = load_document_file(input_path)
+    except _INPUT_ERRORS as exc:
+        _fail(1, str(exc))
+    except OSError as exc:
+        _fail(1, f"cannot read {input_path}: {exc}")
+    try:
+        return stage(doc)
+    except ValueError as exc:
+        _fail(1, f"{input_path}: {exc}")
+    except DensityKError as exc:
+        _fail(2, f"{input_path}: {exc}")
 
 
 def _algorithm_options(fn):
@@ -96,8 +77,9 @@ def _algorithm_options(fn):
     fn = click.option("--k", type=int, default=None, help="Neighbor rank for the auto-epsilon rule.")(fn)
     fn = click.option("--delta-d", type=float, default=DEFAULT_DELTA_D_M, show_default=True, help="Density curve discretization step, meters.")(fn)
     fn = click.option("--upper-bound", type=float, default=None, help="Optional pair-distance cutoff, meters.")(fn)
-    fn = click.option("--measure", type=click.Choice(["avg", "hull"]), default="avg", show_default=True, help="Minimum-distance objective.")(fn)
-    fn = click.option("--cap", type=int, default=BaselineConfig.combination_cap, show_default=True, help="Combination cap for the exhaustive search.")(fn)
+    fn = click.option("--measure", type=click.Choice(list(_MEASURES)), default="avg", show_default=True, callback=lambda _ctx, _param, value: _MEASURES[value], help="Minimum-distance objective.")(fn)
+    fn = click.option("--cap", type=int, default=DEFAULT_COMBINATION_CAP, show_default=True, help="Combination cap for the exhaustive search.")(fn)
+    fn = click.option("--algorithm", type=click.Choice(list(ALGORITHMS)), default="densityk", show_default=True)(fn)
     return fn
 
 
@@ -108,23 +90,13 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--algorithm", type=click.Choice(["densityk", "dbscan", "kdist", "omd", "centroid", "dtur"]), default="densityk", show_default=True)
 @click.option("--input", "input_path", type=click.Path(path_type=Path), required=True)
 @click.option("--output", "output_path", type=click.Path(path_type=Path), required=True)
 @_algorithm_options
-def disambiguate(algorithm, input_path, output_path, epsilon, min_pts, k, delta_d, upper_bound, measure, cap) -> None:
+def disambiguate(algorithm, input_path, output_path, **flags) -> None:
     """Resolve one document to a result JSON with one outcome per mention."""
-    config = _build_config(algorithm, epsilon, min_pts, k, delta_d, upper_bound, measure, cap)
-    try:
-        doc = load_document_file(input_path)
-    except _INPUT_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(1, f"cannot read {input_path}: {exc}")
-    try:
-        result = run_algorithm(doc, config)
-    except _ALGORITHM_ERRORS as exc:
-        _fail(2, f"document {doc.doc_id!r}: {exc}")
+    config = _config(algorithm, flags)
+    result = _on_document(input_path, lambda doc: run_algorithm(doc, config))
     payload = result_to_dict(result)
     payload["algorithm"] = config.algorithm
     payload["params"] = config.param_dict
@@ -164,7 +136,10 @@ def evaluate(corpus_path, output_path, grid_name, cells, csv_path, workers) -> N
     missing = [d.doc_id for d in docs if not d.ground_truth]
     if missing:
         _fail(1, f"documents without ground truth cannot be evaluated: {missing[:5]}")
-    report = evaluate_corpus(docs, configs, workers=workers)
+    try:
+        report = evaluate_corpus(docs, configs, workers=workers)
+    except ValueError as exc:
+        _fail(1, str(exc))
     output_path.write_text(to_canonical_json(report_to_dict(report)), encoding="utf-8")
     if csv_path is not None:
         csv_path.write_text(report_to_csv(report), encoding="utf-8")
@@ -198,39 +173,23 @@ def _parse_cell(text: str) -> AlgorithmConfig:
 @click.option("--upper-bound", type=float, default=None)
 def kfunction(input_path, output_path, delta_d, upper_bound) -> None:
     """Export a document's density curve and derived threshold as CSV."""
-    try:
-        doc = load_document_file(input_path)
-    except _INPUT_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(1, f"cannot read {input_path}: {exc}")
-    cloud = to_point_cloud(doc)
-    try:
+
+    def curve(doc):
+        cloud = to_point_cloud(doc)
         distances = pairwise_distances([p.location for p in cloud.points], upper_bound=upper_bound)
-        kf = with_cluster_distance(compute_k_function(distances, len(cloud), delta_d))
-    except _ALGORITHM_ERRORS as exc:
-        _fail(2, f"document {doc.doc_id!r}: {exc}")
-    output_path.write_text(kfunction_to_csv(kf), encoding="utf-8")
+        return with_cluster_distance(compute_k_function(distances, len(cloud), delta_d))
+
+    output_path.write_text(kfunction_to_csv(_on_document(input_path, curve)), encoding="utf-8")
 
 
 @main.command()
-@click.option("--algorithm", type=click.Choice(["densityk", "dbscan", "kdist", "omd", "centroid", "dtur"]), default="densityk", show_default=True)
 @click.option("--input", "input_path", type=click.Path(path_type=Path), required=True)
 @click.option("--output", "output_path", type=click.Path(path_type=Path), required=True)
 @_algorithm_options
-def clusters(algorithm, input_path, output_path, epsilon, min_pts, k, delta_d, upper_bound, measure, cap) -> None:
+def clusters(algorithm, input_path, output_path, **flags) -> None:
     """Export the clusters an algorithm derives for a document as GeoJSON."""
-    config = _build_config(algorithm, epsilon, min_pts, k, delta_d, upper_bound, measure, cap)
-    try:
-        doc = load_document_file(input_path)
-    except _INPUT_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(1, f"cannot read {input_path}: {exc}")
-    try:
-        result = run_algorithm(doc, config)
-    except _ALGORITHM_ERRORS as exc:
-        _fail(2, f"document {doc.doc_id!r}: {exc}")
+    config = _config(algorithm, flags)
+    result = _on_document(input_path, lambda doc: run_algorithm(doc, config))
     output_path.write_text(to_canonical_json(clusters_to_geojson(result)), encoding="utf-8")
 
 
@@ -259,7 +218,7 @@ def synth(output_dir, n_docs, mentions, decoys_min, decoys_max, context_radius, 
     )
     try:
         docs = synth_generate(spec)
-    except _ALGORITHM_ERRORS as exc:
+    except DensityKError as exc:
         _fail(2, str(exc))
     write_corpus(docs, output_dir)
     click.echo(f"wrote {len(docs)} documents to {output_dir}")

@@ -1,4 +1,5 @@
-"""Ground-truth scoring and corpus-level grid evaluation.
+"""The algorithm registry, ground-truth scoring and corpus-level grid
+evaluation.
 
 Precision per document is the fraction of ground-truth mentions resolved
 to their true entry; failures count against precision. Distance error is
@@ -9,25 +10,109 @@ macro (unweighted per-document) averages.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .baselines import BaselineConfig, run_baseline
+from .baselines import (
+    AVG_PAIRWISE,
+    HULL_AREA,
+    centroid_heuristic,
+    dbscan_disambiguate,
+    dtur,
+    kdist_disambiguate,
+    omd,
+)
 from .clustering import DisambiguationResult, densityk_pipeline
 from .corpus import DocumentInput
 from .errors import DensityKError, MissingTruthError
 from .geo import haversine
-from .kfunction import DEFAULT_DELTA_D_M
 
 ParamsTuple = tuple[tuple[str, float | int | str], ...]
 
 
 @dataclass(frozen=True)
+class Param:
+    """One algorithm parameter. A run receives ``kind(value)``, or the value
+    itself when ``as_given``; range checks are the algorithm's own."""
+
+    kind: type  # float, int or str
+    required: bool = False
+    choices: tuple[str, ...] = ()  # the values a str parameter may take
+    as_given: bool = False
+
+    def check(self, where: str, value) -> None:
+        if self.kind is str:
+            if value not in self.choices:
+                raise ValueError(f"{where} must be one of {', '.join(self.choices)}; got {value!r}")
+            return
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{where} must be a finite number, got {value!r}")
+        if self.kind is int and value != int(value):
+            raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """An entry point, called as ``run(doc, **params)``, and its parameters."""
+
+    run: Callable[..., DisambiguationResult]
+    params: dict[str, Param]
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "densityk": Algorithm(
+        densityk_pipeline, {"delta_d": Param(float), "upper_bound": Param(float, as_given=True)}
+    ),
+    "dbscan": Algorithm(
+        dbscan_disambiguate,
+        {"epsilon": Param(float, required=True), "min_pts": Param(int, required=True)},
+    ),
+    "kdist": Algorithm(
+        kdist_disambiguate, {"k": Param(int, required=True), "min_pts": Param(int, required=True)}
+    ),
+    "omd": Algorithm(omd, {"measure": Param(str, choices=(AVG_PAIRWISE, HULL_AREA)), "cap": Param(int)}),
+    "centroid": Algorithm(centroid_heuristic, {}),
+    "dtur": Algorithm(dtur, {}),
+}
+
+
+@dataclass(frozen=True)
 class AlgorithmConfig:
-    """One grid cell: an algorithm name plus its parameter values."""
+    """One grid cell: an algorithm name plus its parameter values.
+
+    Construction checks the name and every parameter against ``ALGORITHMS``
+    and raises ``ValueError`` for an unknown name or parameter, a parameter
+    given twice, a missing required parameter or a value of the wrong type.
+    """
 
     algorithm: str
     params: ParamsTuple = ()
+
+    def __post_init__(self) -> None:
+        entry = ALGORITHMS.get(self.algorithm)
+        if entry is None:
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; known: {', '.join(ALGORITHMS)}"
+            )
+        seen: set[str] = set()
+        for name, value in self.params:
+            spec = entry.params.get(name)
+            if spec is None:
+                takes = ", ".join(entry.params) or "none"
+                raise ValueError(f"{self.algorithm} has no parameter {name!r}; it takes: {takes}")
+            if name in seen:
+                raise ValueError(f"{self.algorithm} parameter {name!r} is given twice")
+            seen.add(name)
+            spec.check(f"{self.algorithm} {name}", value)
+        missing = [name for name, spec in entry.params.items() if spec.required and name not in seen]
+        if missing:
+            raise ValueError(f"{self.algorithm} requires {' and '.join(missing)}")
 
     @property
     def param_dict(self) -> dict:
@@ -117,22 +202,12 @@ def score_document(result: DisambiguationResult, doc: DocumentInput) -> Document
 
 def run_algorithm(doc: DocumentInput, config: AlgorithmConfig) -> DisambiguationResult:
     """Run one configured algorithm (density pipeline or a baseline)."""
-    params = config.param_dict
-    if config.algorithm == "densityk":
-        return densityk_pipeline(
-            doc,
-            delta_d=float(params.get("delta_d", DEFAULT_DELTA_D_M)),
-            upper_bound=params.get("upper_bound"),
-        )
-    baseline = BaselineConfig(
-        algorithm=config.algorithm,
-        epsilon=float(params["epsilon"]) if "epsilon" in params else None,
-        min_pts=int(params["min_pts"]) if "min_pts" in params else None,
-        k=int(params["k"]) if "k" in params else None,
-        omd_measure=str(params.get("measure", "avg_pairwise")),
-        combination_cap=int(params.get("cap", BaselineConfig.combination_cap)),
-    )
-    return run_baseline(doc, baseline)
+    entry = ALGORITHMS[config.algorithm]
+    kwargs = {}
+    for name, value in config.params:
+        spec = entry.params[name]
+        kwargs[name] = value if spec.as_given else spec.kind(value)
+    return entry.run(doc, **kwargs)
 
 
 def _evaluate_cell(
@@ -143,6 +218,8 @@ def _evaluate_cell(
             return score_document(run_algorithm(doc, config), doc), None
         except DensityKError as exc:
             return None, (doc.doc_id, f"{type(exc).__name__}: {exc}")
+        except ValueError as exc:  # a parameter value out of the algorithm's range
+            raise ValueError(f"cell {config.key}: {exc}") from exc
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from densityk import (
-    BaselineConfig,
     CombinationExplosionError,
     InsufficientPointsError,
     NoAnchorsError,
@@ -15,7 +14,6 @@ from densityk import (
     kdist_disambiguate,
     kdist_epsilon,
     omd,
-    run_baseline,
 )
 from conftest import make_cloud, make_document, random_coords
 from oracles import exhaustive_min_combination, kth_neighbor_distances, reference_dbscan
@@ -24,24 +22,6 @@ from test_corpus import M_PER_DEG
 
 def chosen_ids(result) -> dict[str, str]:
     return {name: o.entry_id for name, o in result.outcomes.items() if o.resolved}
-
-
-class TestBaselineConfig:
-    def test_dbscan_requires_epsilon_and_min_pts(self):
-        with pytest.raises(ValueError):
-            BaselineConfig("dbscan", epsilon=100.0).validate()
-
-    def test_kdist_requires_k(self):
-        with pytest.raises(ValueError):
-            BaselineConfig("kdist", min_pts=5).validate()
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            BaselineConfig("voronoi").validate()
-
-    def test_bad_omd_measure(self):
-        with pytest.raises(ValueError):
-            BaselineConfig("omd", omd_measure="perimeter").validate()
 
 
 class TestOmd:
@@ -302,18 +282,3 @@ class TestDisambiguatingWrappers:
         doc = self.planted()
         result = kdist_disambiguate(doc, k=3, min_pts=2)
         assert chosen_ids(result) == doc.ground_truth
-
-    def test_run_baseline_dispatch(self):
-        doc = self.planted()
-        for config in (
-            BaselineConfig("omd"),
-            BaselineConfig("centroid"),
-            BaselineConfig("dbscan", epsilon=2000.0, min_pts=2),
-            BaselineConfig("kdist", k=3, min_pts=2),
-        ):
-            result = run_baseline(doc, config)
-            assert set(result.outcomes) == {f"pl{m}" for m in range(4)}
-
-    def test_run_baseline_validates(self):
-        with pytest.raises(ValueError):
-            run_baseline(self.planted(), BaselineConfig("dbscan"))

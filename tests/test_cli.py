@@ -2,9 +2,12 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densityk.cli import main
 from densityk.corpus import document_to_json
+from densityk.evaluation import ALGORITHMS
 from conftest import make_document
 from test_corpus import M_PER_DEG
 
@@ -42,6 +45,15 @@ def corpus_dir(tmp_path):
         doc = planted_doc(doc_id=f"cdoc{i}")
         (directory / f"cdoc{i}.json").write_text(document_to_json(doc))
     return directory
+
+
+_FLAG_CASES = [
+    (["--algorithm", "dbscan", "--epsilon", "2000", "--min-pts", "2", "--k", "4"],
+     {"epsilon": 2000.0, "min_pts": 2}),
+    (["--algorithm", "omd", "--measure", "hull", "--k", "3"], {"measure": "hull_area", "cap": 1000000}),
+    (["--algorithm", "centroid", "--min-pts", "3"], {}),
+    (["--epsilon", "5", "--upper-bound", "1e6"], {"delta_d": 100.0, "upper_bound": 1e6}),
+]
 
 
 class TestDisambiguateCommand:
@@ -86,6 +98,15 @@ class TestDisambiguateCommand:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("args, params", _FLAG_CASES, ids=[" ".join(a) for a, _ in _FLAG_CASES])
+    def test_params_list_only_the_flags_the_algorithm_takes(self, runner, doc_path, tmp_path, args, params):
+        out = tmp_path / "result.json"
+        result = runner.invoke(
+            main, ["disambiguate", *args, "--input", str(doc_path), "--output", str(out)]
+        )
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["params"] == params
+
     def test_malformed_document_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -107,6 +128,48 @@ class TestDisambiguateCommand:
             ],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--algorithm", "omd", "--cap", "0"], ["--algorithm", "dtur"]],
+        ids=" ".join,
+    )
+    def test_exit_2_names_the_document_once(self, runner, doc_path, tmp_path, args):
+        result = runner.invoke(
+            main,
+            ["disambiguate", *args, "--input", str(doc_path), "--output", str(tmp_path / "x.json")],
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {doc_path}: ")
+        assert result.output.count("cli-doc") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evaluate", "--cell", "voronoi"],
+        ["evaluate", "--cell", "dbscan:epsilon=2000"],
+        ["evaluate", "--cell", "dbscan:epsilon=abc,min_pts=5"],
+        ["evaluate", "--cell", "omd:measure=hull"],
+        ["evaluate", "--cell", "densityk:delta=50"],
+        ["evaluate", "--cell", "dbscan:epsilon=2000,min_pts=2.5"],
+        ["evaluate", "--cell", "densityk:delta_d=0"],
+        ["disambiguate", "--algorithm", "dbscan", "--epsilon", "-5", "--min-pts", "5"],
+        ["disambiguate", "--algorithm", "kdist", "--k", "0", "--min-pts", "5"],
+        ["kfunction", "--delta-d", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_value_exits_1_with_one_error_line(runner, corpus_dir, doc_path, tmp_path, args):
+    if args[0] == "evaluate":
+        args = args + ["--corpus", str(corpus_dir)]
+    else:
+        args = args + ["--input", str(doc_path)]
+    result = runner.invoke(main, args + ["--output", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error:")
+    assert result.output.count("\n") == 1
 
 
 class TestEvaluateCommand:
@@ -201,6 +264,52 @@ class TestEvaluateCommand:
             ["evaluate", "--corpus", str(corpus_dir), "--output", str(tmp_path / "r.json")],
         )
         assert result.exit_code == 1
+
+
+@pytest.fixture(scope="module")
+def one_doc_corpus(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("one") / "corpus"
+    directory.mkdir()
+    (directory / "cdoc0.json").write_text(document_to_json(planted_doc(doc_id="cdoc0")))
+    return directory
+
+
+_CELL_VALUES = st.one_of(
+    st.integers(min_value=-5, max_value=10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["abc", "", "avg_pairwise", "hull_area", "hull", "1e400", "nan", "-inf"]),
+    st.text(max_size=4),
+)
+_CELL_PIECES = st.one_of(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(["delta_d", "upper_bound", "epsilon", "min_pts", "k", "measure", "cap", "delta", ""]),
+        _CELL_VALUES,
+    ),
+    st.sampled_from(["", "=", ",", ":", "x"]),
+    st.text(max_size=4),
+)
+_CELLS = st.builds(
+    lambda name, pieces: name + (":" + ",".join(pieces) if pieces is not None else ""),
+    st.sampled_from(sorted(ALGORITHMS) + ["voronoi", "", " omd", "DBSCAN"]),
+    st.none() | st.lists(_CELL_PIECES, max_size=3),
+)
+
+
+@given(_CELLS)
+@settings(max_examples=50, deadline=None)
+def test_any_cell_exits_cleanly(one_doc_corpus, cell):
+    result = CliRunner().invoke(
+        main,
+        [
+            "evaluate",
+            "--corpus", str(one_doc_corpus),
+            "--output", str(one_doc_corpus.parent / "r.json"),
+            "--cell", cell,
+        ],
+    )
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestKFunctionCommand:

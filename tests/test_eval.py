@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densityk import (
     AlgorithmConfig,
+    DensityKError,
     MentionOutcome,
     MissingTruthError,
     OutcomeStatus,
@@ -11,7 +14,7 @@ from densityk import (
     table1_grid,
 )
 from densityk.clustering import DisambiguationResult
-from densityk.evaluation import report_to_csv, report_to_dict
+from densityk.evaluation import ALGORITHMS, report_to_csv, report_to_dict
 from conftest import make_document
 from test_corpus import M_PER_DEG
 
@@ -197,17 +200,110 @@ class TestTable1Grid:
         assert len(keys) == len(set(keys))
 
 
+class TestAlgorithmConfig:
+    def test_dbscan_requires_epsilon_and_min_pts(self):
+        with pytest.raises(ValueError):
+            AlgorithmConfig("dbscan", (("epsilon", 100.0),))
+
+    def test_kdist_requires_k(self):
+        with pytest.raises(ValueError):
+            AlgorithmConfig("kdist", (("min_pts", 5),))
+
+    def test_unknown_algorithm(self):
+        with pytest.raises(ValueError):
+            AlgorithmConfig("voronoi")
+
+    def test_bad_omd_measure(self):
+        with pytest.raises(ValueError):
+            AlgorithmConfig("omd", (("measure", "perimeter"),))
+
+    def test_unknown_parameter(self):
+        with pytest.raises(ValueError, match="no parameter 'delta'"):
+            AlgorithmConfig("densityk", (("delta", 50),))
+
+    def test_non_integral_min_pts(self):
+        with pytest.raises(ValueError, match="integer"):
+            AlgorithmConfig("dbscan", (("epsilon", 2000), ("min_pts", 2.5)))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (("epsilon", "abc"), ("min_pts", 5)),
+            (("epsilon", True), ("min_pts", 5)),
+            (("epsilon", float("nan")), ("min_pts", 5)),
+            (("epsilon", 2000), ("min_pts", 10**400)),
+            (("epsilon", 1), ("epsilon", 2), ("min_pts", 5)),
+        ],
+    )
+    def test_bad_values(self, params):
+        with pytest.raises(ValueError):
+            AlgorithmConfig("dbscan", params)
+
+    def test_key_keeps_the_given_spelling(self):
+        config = AlgorithmConfig("dbscan", (("epsilon", 2000), ("min_pts", 2.0)))
+        assert config.key == "dbscan:epsilon=2000,min_pts=2.0"
+
+    @given(
+        st.sampled_from(sorted(ALGORITHMS) + ["voronoi", ""]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["delta_d", "upper_bound", "epsilon", "min_pts", "k", "measure", "cap", "x"]),
+                st.one_of(
+                    st.none(),
+                    st.booleans(),
+                    st.integers(min_value=-10, max_value=10**12),
+                    st.floats(),
+                    st.sampled_from(["avg_pairwise", "hull_area", "hull", ""]),
+                    st.text(max_size=4),
+                ),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constructs_or_raises_value_error(self, algorithm, params):
+        try:
+            config = AlgorithmConfig(algorithm, tuple(params))
+        except ValueError:
+            return
+        # a config that exists runs, or fails with a range or algorithm error
+        try:
+            run_algorithm(planted_corpus()[0], config)
+        except (ValueError, DensityKError):
+            pass
+
+
 class TestRunAlgorithm:
     def test_densityk_params(self):
         doc = planted_corpus()[0]
-        result = run_algorithm(doc, AlgorithmConfig("densityk", (("delta_d", 250.0),)))
+        result = run_algorithm(doc, AlgorithmConfig("densityk", (("delta_d", 250),)))
         assert result.diagnostics is not None
         assert result.diagnostics.delta_d == 250.0
+        assert isinstance(result.diagnostics.delta_d, float)
 
     def test_baseline_dispatch(self):
         doc = planted_corpus()[0]
         result = run_algorithm(doc, AlgorithmConfig("omd", (("measure", "avg_pairwise"),)))
         assert all(o.resolved for o in result.outcomes.values())
+
+    def test_dispatch_each_baseline(self):
+        doc = planted_corpus()[0]
+        for config in (
+            AlgorithmConfig("omd"),
+            AlgorithmConfig("centroid"),
+            AlgorithmConfig("dbscan", (("epsilon", 2000.0), ("min_pts", 2))),
+            AlgorithmConfig("kdist", (("k", 3), ("min_pts", 2))),
+        ):
+            result = run_algorithm(doc, config)
+            assert set(result.outcomes) == {f"pl{m}" for m in range(3)}
+
+    def test_validates_before_the_run(self):
+        with pytest.raises(ValueError):
+            run_algorithm(planted_corpus()[0], AlgorithmConfig("dbscan"))
+
+    def test_range_error_names_the_cell(self):
+        with pytest.raises(ValueError, match="cell densityk:delta_d=0"):
+            evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("delta_d", 0),))])
 
 
 class TestReportSerialization:
