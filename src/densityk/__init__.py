@@ -70,7 +70,6 @@ from .geo import (
     condensed_index,
     condensed_pairs,
     haversine,
-    haversine_matrix,
     pairwise_distances,
     spherical_centroid,
 )

@@ -15,6 +15,7 @@ from .clustering import (
     DisambiguationResult,
     MentionOutcome,
     OutcomeStatus,
+    _dbscan_groups,
     disambiguate,
     rank_clusters,
 )
@@ -25,7 +26,14 @@ from .errors import (
     InsufficientPointsError,
     NoAnchorsError,
 )
-from .geo import EARTH_RADIUS_M, GeoPoint, haversine, haversine_matrix, spherical_centroid
+from .geo import (
+    EARTH_RADIUS_M,
+    GeoPoint,
+    condensed_distances,
+    condensed_index,
+    haversine,
+    spherical_centroid,
+)
 
 DEFAULT_COMBINATION_CAP = 10**6
 AVG_PAIRWISE = "avg_pairwise"
@@ -99,13 +107,17 @@ def _convex_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 def _omd_avg_pairwise(doc: DocumentInput, n_combos: int, sizes: list[int]) -> int:
     """Index of the first combination minimizing mean pairwise distance."""
+    # one distance vector over every candidate, mention after mention; the
+    # block of a mention pair (a, b) holds its candidates' distances
+    distances = condensed_distances([c.location for m in doc.mentions for c in m.candidates])
+    n = sum(sizes)
+    starts = np.cumsum([0] + sizes)
     matrices: dict[tuple[int, int], np.ndarray] = {}
     for a in range(len(sizes)):
+        rows = np.arange(starts[a], starts[a + 1])[:, None]
         for b in range(a + 1, len(sizes)):
-            pts_a = [c.location for c in doc.mentions[a].candidates]
-            pts_b = [c.location for c in doc.mentions[b].candidates]
-            full = haversine_matrix(pts_a + pts_b)
-            matrices[(a, b)] = full[: sizes[a], sizes[a] :]
+            cols = np.arange(starts[b], starts[b + 1])[None, :]
+            matrices[(a, b)] = distances[condensed_index(rows, cols, n)]
 
     best_idx = 0
     best_val = math.inf
@@ -230,47 +242,26 @@ def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
     within ``epsilon``. Clusters are the connected components of core
     points; a border point joins the cluster of its first core neighbor in
     input order; everything else is noise and belongs to no cluster.
+    Clusters come in order of their first point, members in input order.
     """
     if len(cloud) == 0:
         raise EmptyInputError("cannot cluster an empty cloud")
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    n = len(cloud)
-    matrix = haversine_matrix([p.location for p in cloud.points])
-    within = matrix <= epsilon
-    core = within.sum(axis=1) >= min_pts
+    distances = condensed_distances([p.location for p in cloud.points])
+    groups = _dbscan_groups(distances, len(cloud), epsilon, min_pts)
+    return [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
 
-    labels = [-1] * n
-    next_label = 0
-    for i in range(n):
-        if not core[i] or labels[i] != -1:
-            continue
-        labels[i] = next_label
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for nb in np.nonzero(within[j])[0]:
-                if core[nb] and labels[nb] == -1:
-                    labels[nb] = next_label
-                    stack.append(int(nb))
-        next_label += 1
 
-    # border points: first core neighbor in input order decides the cluster
-    for i in range(n):
-        if core[i]:
-            continue
-        for nb in np.nonzero(within[i])[0]:
-            if core[nb]:
-                labels[i] = labels[nb]
-                break
-
-    groups: dict[int, list[CloudPoint]] = {}
-    for i, point in enumerate(cloud.points):
-        if labels[i] != -1:
-            groups.setdefault(labels[i], []).append(point)
-    return [Cluster(members=tuple(members)) for members in groups.values()]
+def _neighbour_matrix(distances: np.ndarray, n: int) -> np.ndarray:
+    # the n-by-n matrix of the condensed pair distances of n points, with an
+    # infinite diagonal so that no point counts as its own neighbour
+    upper = np.arange(n) > np.arange(n)[:, None]  # row-major, the condensed order
+    matrix = np.full((n, n), np.inf)
+    matrix[upper] = matrix.T[upper] = distances
+    return matrix
 
 
 def kdist_epsilon(cloud: PointCloud, k: int) -> float:
@@ -283,9 +274,8 @@ def kdist_epsilon(cloud: PointCloud, k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cloud) <= k:
         raise InsufficientPointsError(f"need more than {k} points, got {len(cloud)}")
-    matrix = haversine_matrix([p.location for p in cloud.points])
-    np.fill_diagonal(matrix, np.inf)
-    kth = np.sort(matrix, axis=1)[:, k - 1]
+    distances = _neighbour_matrix(condensed_distances([p.location for p in cloud.points]), len(cloud))
+    kth = np.sort(distances, axis=1)[:, k - 1]
     return float(np.mean(kth) + 2.0 * np.std(kth))
 
 
@@ -300,6 +290,11 @@ def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> Disambiguati
     """DBSCAN with the auto-derived epsilon."""
     cloud = to_point_cloud(doc)
     epsilon = kdist_epsilon(cloud, k)
+    if epsilon == 0:
+        raise InsufficientPointsError(
+            f"document {doc.doc_id!r}: every point has {k} or more coincident "
+            f"neighbours, so the k={k} auto-epsilon is 0"
+        )
     ranked = rank_clusters(dbscan(cloud, epsilon, min_pts))
     return disambiguate(doc, ranked)
 

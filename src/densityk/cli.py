@@ -205,17 +205,18 @@ def clusters(algorithm, input_path, output_path, **flags) -> None:
 @click.option("--seed", type=int, default=SynthSpec.seed, show_default=True)
 def synth(output_dir, n_docs, mentions, decoys_min, decoys_max, context_radius, decoy_separation, decoy_distance, seed) -> None:
     """Generate a seeded synthetic corpus with planted ground truth."""
-    if decoys_min > decoys_max or decoys_min < 0:
-        _fail(1, f"bad decoy range ({decoys_min}, {decoys_max})")
-    spec = SynthSpec(
-        n_docs=n_docs,
-        mentions_per_doc=mentions,
-        decoys_per_mention=(decoys_min, decoys_max),
-        context_radius=context_radius,
-        min_decoy_separation=decoy_separation,
-        min_decoy_distance_from_context=decoy_distance,
-        seed=seed,
-    )
+    try:
+        spec = SynthSpec(
+            n_docs=n_docs,
+            mentions_per_doc=mentions,
+            decoys_per_mention=(decoys_min, decoys_max),
+            context_radius=context_radius,
+            min_decoy_separation=decoy_separation,
+            min_decoy_distance_from_context=decoy_distance,
+            seed=seed,
+        )
+    except ValueError as exc:
+        _fail(1, str(exc))
     try:
         docs = synth_generate(spec)
     except DensityKError as exc:

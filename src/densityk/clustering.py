@@ -1,6 +1,7 @@
-"""Single-linkage cluster formation, cluster ranking, and ranked-cluster
-disambiguation, plus the end-to-end pipeline that derives its own
-distance threshold from the density curve.
+"""Cluster formation (one DBSCAN routine, of which single linkage is the
+``min_pts=1`` case), cluster ranking, and ranked-cluster disambiguation,
+plus the end-to-end pipeline that derives its own distance threshold from
+the density curve.
 """
 
 from __future__ import annotations
@@ -84,21 +85,39 @@ def form_clusters(cloud: PointCloud, cluster_distance: float) -> list[Cluster]:
     if cluster_distance <= 0:
         raise ValueError(f"cluster_distance must be positive, got {cluster_distance}")
     distances = condensed_distances([p.location for p in cloud.points])
-    groups = _components(distances, len(cloud), cluster_distance)
+    groups = _dbscan_groups(distances, len(cloud), cluster_distance, 1)
     return [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
 
 
-def _components(distances: np.ndarray, n: int, cluster_distance: float) -> list[list[int]]:
-    """Point indices of each single-linkage component, ascending, the
-    components in order of their first point, from the condensed pair
-    distances of n points (see ``geo.condensed_distances``)."""
+def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) -> list[list[int]]:
+    """Point indices of each DBSCAN cluster, ascending, the clusters in
+    order of their first point, from the condensed pair distances of n
+    points (see ``geo.condensed_distances``); noise points are in none.
+
+    A point is core when it and at least ``min_pts - 1`` others lie within
+    ``epsilon``. Core points within epsilon of each other share a cluster;
+    a point that is not core joins the cluster of its smallest-index core
+    neighbour, or is noise if it has none. At ``min_pts`` 1 every point is
+    core and the clusters are the single-linkage components at epsilon.
+    """
+    ii, jj = condensed_pairs(np.flatnonzero(distances <= epsilon), n)
+    joins = range(n)  # the point whose cluster each point joins; n for noise
+    if min_pts > 1:
+        core = np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n) + 1 >= min_pts
+        anchor = np.where(core, np.arange(n), n)
+        i_border, j_border = core[jj] & ~core[ii], core[ii] & ~core[jj]
+        np.minimum.at(anchor, ii[i_border], jj[i_border])
+        np.minimum.at(anchor, jj[j_border], ii[j_border])
+        joins = anchor.tolist()
+        linked = core[ii] & core[jj]
+        ii, jj = ii[linked], jj[linked]
     uf = _UnionFind(n)
-    ii, jj = condensed_pairs(np.flatnonzero(distances <= cluster_distance), n)
     for a, b in zip(ii.tolist(), jj.tolist()):
         uf.union(a, b)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+    for i, j in enumerate(joins):
+        if j < n:
+            groups.setdefault(uf.find(j), []).append(i)
     return list(groups.values())
 
 
@@ -197,7 +216,7 @@ def densityk_pipeline(
     distances = condensed_distances([p.location for p in cloud.points])
     in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
     kf = with_cluster_distance(annular_k_function(in_bound, len(cloud), delta_d))
-    groups = _components(distances, len(cloud), kf.cluster_distance)
+    groups = _dbscan_groups(distances, len(cloud), kf.cluster_distance, 1)
     clusters = [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
     ranked = _ranked(clusters, [_condensed_mean(distances, len(cloud), g) for g in groups])
     result = disambiguate(doc, ranked)

@@ -87,17 +87,6 @@ def _haversine_arc(dphi, dlam, cos_a, cos_b) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
 
 
-def haversine_matrix(points: Sequence[GeoPoint]) -> np.ndarray:
-    """Full symmetric n-by-n distance matrix, in meters."""
-    if len(points) == 0:
-        raise EmptyInputError("haversine_matrix needs at least one point")
-    lat, lon = _to_radian_array(points)
-    cos_lat = np.cos(lat)
-    return _haversine_arc(
-        lat[:, None] - lat[None, :], lon[:, None] - lon[None, :], cos_lat[:, None], cos_lat[None, :]
-    )
-
-
 # Elements of one row block of condensed_distances. It bounds the block's
 # temporaries to about 0.5 MB each, whatever the number of points; smaller
 # blocks stay in cache and ran faster than blocks of a few 10^5 elements
@@ -109,9 +98,10 @@ def condensed_distances(points: Sequence[GeoPoint]) -> np.ndarray:
     """The n(n-1)/2 unordered-pair distances in ``np.triu_indices(n, 1)``
     order (row-major upper triangle), in meters.
 
-    Bit-identical to ``haversine_matrix(points)[np.triu_indices(n, 1)]``,
-    but computed on blocks of rows of at most about ``BLOCK_ELEMENTS``
-    entries, so no n-by-n array is held: memory is the result plus one block.
+    Bit-identical to the upper triangle of the full n-by-n evaluation of
+    the same formula, but computed on blocks of rows of at most about
+    ``BLOCK_ELEMENTS`` entries, so no n-by-n array is held: memory is the
+    result plus one block.
     """
     n = len(points)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)

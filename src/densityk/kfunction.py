@@ -19,6 +19,7 @@ falls to at most mean + 2 * std of all sampled densities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import InsufficientPointsError
 from .geo import DistanceList
 
 DEFAULT_DELTA_D_M = 100.0
+MAX_RING_INDEX = 2**53
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,21 @@ class KFunction:
     @property
     def samples(self) -> list[tuple[float, float]]:
         return list(zip(self.distances_m.tolist(), self.densities.tolist()))
+
+
+def _check_curve_input(values: np.ndarray, n_points: int, delta_d: float) -> None:
+    if n_points < 2:
+        raise InsufficientPointsError(f"need at least 2 points, got {n_points}")
+    if not (math.isfinite(delta_d) and delta_d > 0):
+        raise ValueError(f"delta_d must be a positive finite number, got {delta_d}")
+    if len(values) == 0:
+        raise InsufficientPointsError("distance list is empty")
+    # float64 holds every integer ring index only up to 2**53, int64 to 2**63
+    if float(np.max(values)) / delta_d > MAX_RING_INDEX:
+        raise ValueError(
+            f"delta_d {delta_d} is too small: the largest distance would fall in a ring "
+            f"beyond {MAX_RING_INDEX}"
+        )
 
 
 def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
@@ -68,13 +85,7 @@ def annular_k_function(
 ) -> KFunction:
     """:func:`compute_k_function` on a bare vector of pair distances, which
     need not be sorted: the ring counts do not depend on their order."""
-    if n_points < 2:
-        raise InsufficientPointsError(f"need at least 2 points, got {n_points}")
-    if delta_d <= 0:
-        raise ValueError(f"delta_d must be positive, got {delta_d}")
-    if len(values) == 0:
-        raise InsufficientPointsError("distance list is empty")
-
+    _check_curve_input(values, n_points, delta_d)
     occupied, counts = np.unique(_ring_indices(values, delta_d), return_counts=True)
     d = occupied.astype(np.float64) * delta_d
     areas = np.pi * (d**2 - (d - delta_d) ** 2)
@@ -92,13 +103,7 @@ def compute_circular_k_function(
     the largest pair distance. Used for comparison against the annular
     curve; the annular one is what the pipeline uses.
     """
-    if n_points < 2:
-        raise InsufficientPointsError(f"need at least 2 points, got {n_points}")
-    if delta_d <= 0:
-        raise ValueError(f"delta_d must be positive, got {delta_d}")
-    if distances.count == 0:
-        raise InsufficientPointsError("distance list is empty")
-
+    _check_curve_input(distances.values, n_points, delta_d)
     values = np.sort(distances.values)
     last_ring = int(_ring_indices(values[-1:], delta_d)[0])
     d = np.arange(1, last_ring + 1, dtype=np.float64) * delta_d

@@ -36,6 +36,23 @@ class SynthSpec:
     min_decoy_distance_from_context: float = 100_000.0
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        lo, hi = self.decoys_per_mention
+        if self.n_docs < 1:
+            raise ValueError(f"n_docs must be >= 1, got {self.n_docs}")
+        if self.mentions_per_doc < 1:
+            raise ValueError(f"mentions_per_doc must be >= 1, got {self.mentions_per_doc}")
+        if lo > hi or lo < 0:
+            raise ValueError(
+                f"decoys_per_mention must be (lo, hi) with 0 <= lo <= hi, got {self.decoys_per_mention}"
+            )
+        if not (math.isfinite(self.context_radius) and self.context_radius > 0):
+            raise ValueError(f"context_radius must be positive and finite, got {self.context_radius}")
+        for name in ("min_decoy_separation", "min_decoy_distance_from_context"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 def _uniform_sphere(rng: np.random.Generator) -> GeoPoint:
     lat = math.degrees(math.asin(2.0 * rng.random() - 1.0))
@@ -94,8 +111,6 @@ def synth_generate(spec: SynthSpec) -> list[DocumentInput]:
     corpus, byte for byte after canonical serialization."""
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.decoys_per_mention
-    if lo > hi or lo < 0:
-        raise ValueError(f"bad decoy range {spec.decoys_per_mention}")
 
     docs: list[DocumentInput] = []
     for doc_idx in range(spec.n_docs):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from densityk import (
     CombinationExplosionError,
+    GeoPoint,
     InsufficientPointsError,
     NoAnchorsError,
     OutcomeStatus,
@@ -15,9 +18,12 @@ from densityk import (
     kdist_epsilon,
     omd,
 )
+from densityk.baselines import _neighbour_matrix
+from densityk.geo import BLOCK_ELEMENTS, condensed_distances
 from conftest import make_cloud, make_document, random_coords
 from oracles import exhaustive_min_combination, kth_neighbor_distances, reference_dbscan
 from test_corpus import M_PER_DEG
+from test_geo import haversine_matrix
 
 
 def chosen_ids(result) -> dict[str, str]:
@@ -201,6 +207,23 @@ class TestDbscan:
         assert len(clusters) == 1
         assert {p.entry_id for p in clusters[0].members} == {"p000", "p001", "p002", "p003"}
 
+    @pytest.mark.parametrize(
+        "min_pts, expected",
+        [
+            (1, [["p000", "p002", "p004", "p006"], ["p001", "p003", "p005"], ["p007"]]),
+            (3, [["p000", "p002", "p004", "p006"], ["p001", "p003", "p005"]]),
+        ],
+    )
+    def test_clusters_in_order_of_first_member(self, min_pts, expected):
+        # two interleaved chains 40 m apart within each; p000 lies 90 m from
+        # p006 alone, so at min_pts 3 it is a border point whose index
+        # precedes every core of its cluster; p007 is isolated
+        a = [(0, x / M_PER_DEG) for x in (0, 40, 80)]
+        b = [(10, 10 + x / M_PER_DEG) for x in (0, 40, 80)]
+        coords = [(0, 170 / M_PER_DEG), b[0], a[0], b[1], a[1], b[2], a[2], (50, 50)]
+        clusters = dbscan(make_cloud(coords), epsilon=100.0, min_pts=min_pts)
+        assert [[p.entry_id for p in c.members] for c in clusters] == expected
+
     def test_min_pts_one_equals_single_linkage(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
@@ -234,6 +257,8 @@ class TestDbscan:
             dbscan(cloud, epsilon=-1.0, min_pts=1)
         with pytest.raises(ValueError):
             dbscan(cloud, epsilon=100.0, min_pts=0)
+        with pytest.raises(ValueError):
+            dbscan(cloud, epsilon=math.nan, min_pts=1)
 
 
 class TestKdistEpsilon:
@@ -252,6 +277,26 @@ class TestKdistEpsilon:
             kth = kth_neighbor_distances(coords, k)
             want = float(np.mean(kth) + 2.0 * np.std(kth))
             assert kdist_epsilon(make_cloud(coords), k) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 2 * math.isqrt(BLOCK_ELEMENTS)])
+    def test_matrix_from_vector_is_the_full_matrix_in_both_triangles(self, n):
+        # the lower triangle is read from the upper one, so this also pins
+        # the exact symmetry of the full evaluation
+        rng = np.random.default_rng(100 + n)
+        pts = [GeoPoint(lat, lon) for lat, lon in random_coords(rng, n)]
+        expected = haversine_matrix(pts)
+        np.fill_diagonal(expected, np.inf)
+        got = _neighbour_matrix(condensed_distances(pts), n)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 25])
+    def test_bit_identical_to_full_matrix_sort(self, k):
+        rng = np.random.default_rng(k)
+        cloud = make_cloud(random_coords(rng, 60))
+        matrix = haversine_matrix([p.location for p in cloud.points])
+        np.fill_diagonal(matrix, np.inf)
+        kth = np.sort(matrix, axis=1)[:, k - 1]
+        assert kdist_epsilon(cloud, k) == float(np.mean(kth) + 2.0 * np.std(kth))
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientPointsError):
@@ -282,3 +327,10 @@ class TestDisambiguatingWrappers:
         doc = self.planted()
         result = kdist_disambiguate(doc, k=3, min_pts=2)
         assert chosen_ids(result) == doc.ground_truth
+
+    def test_kdist_zero_epsilon_is_an_insufficient_document(self):
+        # every point has 6 coincident neighbours: the k=5 epsilon is 0
+        doc = make_document("coincident", {f"m{i}": [(10, 20), (11, 20)] for i in range(7)})
+        with pytest.raises(InsufficientPointsError, match="'coincident'.*k=5"):
+            kdist_disambiguate(doc, k=5, min_pts=1)
+        assert kdist_disambiguate(doc, k=10, min_pts=1).ranked_clusters

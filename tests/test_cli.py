@@ -157,6 +157,9 @@ class TestDisambiguateCommand:
         ["disambiguate", "--algorithm", "dbscan", "--epsilon", "-5", "--min-pts", "5"],
         ["disambiguate", "--algorithm", "kdist", "--k", "0", "--min-pts", "5"],
         ["kfunction", "--delta-d", "0"],
+        ["kfunction", "--delta-d", "nan"],
+        ["kfunction", "--delta-d", "1e-300"],
+        ["evaluate", "--cell", "densityk:delta_d=1e-300"],
     ],
     ids=" ".join,
 )
@@ -264,6 +267,29 @@ class TestEvaluateCommand:
             ["evaluate", "--corpus", str(corpus_dir), "--output", str(tmp_path / "r.json")],
         )
         assert result.exit_code == 1
+
+
+def test_zero_kdist_epsilon_is_annotated_not_fatal(runner, tmp_path):
+    # every point has 6 coincident neighbours, so the k=5 epsilon is 0
+    doc = make_document(
+        "coincident",
+        {f"m{i}": [(10, 20), (11, 20)] for i in range(7)},
+        ground_truth={f"m{i}": f"m{i}_e0" for i in range(7)},
+    )
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(json.loads(document_to_json(doc))) + "\n")
+    out = tmp_path / "r.json"
+    result = runner.invoke(
+        main, ["evaluate", "--corpus", str(corpus), "--grid", "table1", "--output", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    cells = {cell["key"]: cell for cell in json.loads(out.read_text())["cells"]}
+    for min_pts in (1, 5, 10):
+        [error] = cells[f"kdist:k=5,min_pts={min_pts}"]["errors"]
+        assert error["doc_id"] == "coincident"
+        assert error["error"].startswith("InsufficientPointsError: ")
+        assert "k=5" in error["error"]
+    assert cells["kdist:k=10,min_pts=1"]["documents"]
 
 
 @pytest.fixture(scope="module")
@@ -378,3 +404,19 @@ class TestSynthCommand:
             ["synth", "--output", str(tmp_path / "x"), "--decoys-min", "5", "--decoys-max", "2"],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n-docs", "-1"],
+            ["--mentions", "0"],
+            ["--context-radius", "-5"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_spec_exits_1_with_one_error_line(self, runner, tmp_path, args):
+        result = runner.invoke(main, ["synth", "--output", str(tmp_path / "x"), *args])
+        assert result.exit_code == 1
+        assert result.output.startswith("error:")
+        assert result.output.count("\n") == 1
+        assert not (tmp_path / "x").exists()

@@ -16,7 +16,7 @@ from densityk import (
 )
 from densityk.clustering import (
     DisambiguationResult,
-    _components,
+    _dbscan_groups,
     _condensed_mean,
     _mean_pairwise,
 )
@@ -85,7 +85,7 @@ class TestSharedDistanceVector:
         rng = np.random.default_rng(17)
         cloud = make_cloud(random_coords(rng, 700))
         distances = condensed_distances([p.location for p in cloud.points])
-        groups = _components(distances, len(cloud), 50_000.0)
+        groups = _dbscan_groups(distances, len(cloud), 50_000.0, 1)
         assert max(len(g) for g in groups) > 50
         for g in groups:
             members = tuple(cloud.points[i] for i in g)

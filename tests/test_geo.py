@@ -14,17 +14,28 @@ from densityk import (
     condensed_index,
     condensed_pairs,
     haversine,
-    haversine_matrix,
     pairwise_distances,
     spherical_centroid,
 )
-from densityk.geo import BLOCK_ELEMENTS
+from densityk.geo import BLOCK_ELEMENTS, _haversine_arc, _to_radian_array
 from conftest import random_coords
 from oracles import slow_haversine, vector_mean_centroid
 
 latitudes = st.floats(min_value=-90.0, max_value=90.0)
 longitudes = st.floats(min_value=-180.0, max_value=179.999999)
 geo_points = st.builds(GeoPoint, latitudes, longitudes)
+
+
+def haversine_matrix(points) -> np.ndarray:
+    """The full symmetric n-by-n distance matrix, in meters: the library's
+    vectorised formula on whole rows and columns, the reference that the
+    blocked condensed vector and every matrix built from it must equal bit
+    for bit."""
+    lat, lon = _to_radian_array(points)
+    cos_lat = np.cos(lat)
+    return _haversine_arc(
+        lat[:, None] - lat[None, :], lon[:, None] - lon[None, :], cos_lat[:, None], cos_lat[None, :]
+    )
 
 
 class TestGeoPoint:

@@ -65,6 +65,18 @@ class TestComputeKFunction:
         with pytest.raises(ValueError):
             compute_k_function(dl([10.0], 2), 2, delta_d=0.0)
 
+    @pytest.mark.parametrize("curve", [compute_k_function, compute_circular_k_function])
+    @pytest.mark.parametrize("delta_d", [math.nan, math.inf, 1e-300])
+    def test_delta_d_the_rings_cannot_use(self, curve, delta_d):
+        # 1e-300 puts a 1 km pair in ring 1e303, far past exact float64 integers
+        with pytest.raises(ValueError, match="delta_d"):
+            curve(dl([10.0, 1000.0], 2), 2, delta_d=delta_d)
+
+    def test_largest_ring_index_limit(self):
+        assert compute_k_function(dl([2.0**53], 2), 2, delta_d=1.0).distances_m.tolist() == [2.0**53]
+        with pytest.raises(ValueError):
+            compute_k_function(dl([2.0**54], 2), 2, delta_d=1.0)
+
     def test_matches_literal_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

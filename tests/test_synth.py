@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,31 @@ class TestStructure:
     def test_bad_decoy_range(self):
         with pytest.raises(ValueError):
             synth_generate(SynthSpec(decoys_per_mention=(5, 2)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_docs", 0),
+            ("n_docs", -1),
+            ("mentions_per_doc", 0),
+            ("decoys_per_mention", (-1, 3)),
+            ("decoys_per_mention", (4, 3)),
+            ("context_radius", 0.0),
+            ("context_radius", -5.0),
+            ("context_radius", math.inf),
+            ("context_radius", math.nan),
+            ("min_decoy_separation", -1.0),
+            ("min_decoy_separation", math.nan),
+            ("min_decoy_distance_from_context", -1.0),
+            ("min_decoy_distance_from_context", math.inf),
+        ],
+    )
+    def test_spec_validates_itself(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(**{field: value})
+
+    def test_zero_separations_are_valid(self):
+        SynthSpec(decoys_per_mention=(0, 0), min_decoy_separation=0.0, min_decoy_distance_from_context=0.0)
 
 
 class TestSeparationGuarantees:
