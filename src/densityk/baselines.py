@@ -105,33 +105,33 @@ def _convex_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
-def _omd_avg_pairwise(doc: DocumentInput, n_combos: int, sizes: list[int]) -> int:
+def _omd_avg_pairwise(doc: DocumentInput, sizes: list[int]) -> int:
     """Index of the first combination minimizing mean pairwise distance."""
-    # one distance vector over every candidate, mention after mention; the
-    # block of a mention pair (a, b) holds its candidates' distances
+    # one distance vector over every candidate, mention after mention
     distances = condensed_distances([c.location for m in doc.mentions for c in m.candidates])
-    n = sum(sizes)
     starts = np.cumsum([0] + sizes)
-    matrices: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(len(sizes)):
-        rows = np.arange(starts[a], starts[a + 1])[:, None]
-        for b in range(a + 1, len(sizes)):
-            cols = np.arange(starts[b], starts[b + 1])[None, :]
-            matrices[(a, b)] = distances[condensed_index(rows, cols, n)]
-
-    best_idx = 0
-    best_val = math.inf
-    for start in range(0, n_combos, _CHUNK):
-        stop = min(start + _CHUNK, n_combos)
-        flat = np.arange(start, stop, dtype=np.int64)
-        choice = np.array(np.unravel_index(flat, sizes))  # lexicographic, last mention fastest
-        total = np.zeros(stop - start, dtype=np.float64)
-        for (a, b), mat in matrices.items():
-            total += mat[choice[a], choice[b]]
+    # The combinations form an array shaped like ``sizes`` (C order, last mention
+    # fastest). A batch holds the whole grid of the mentions from k on for a run of
+    # prefixes over the first k, and each mention pair adds one broadcast term.
+    k = next(k for k in range(len(sizes) + 1) if math.prod(sizes[k:]) <= _CHUNK)
+    per_prefix, n_prefixes = math.prod(sizes[k:]), math.prod(sizes[:k])
+    batch = _CHUNK // per_prefix
+    best_idx, best_val = 0, math.inf
+    for first in range(0, n_prefixes, batch):
+        prefix = np.unravel_index(np.arange(first, min(first + batch, n_prefixes)), sizes[:k] or [1])
+        # candidate positions: a prefix mention's along axis 0, mention a >= k along axis a - k + 1
+        index = [
+            starts[a] + np.reshape(prefix[a] if a < k else np.arange(size), [
+                -1 if axis == max(0, a - k + 1) else 1 for axis in range(len(sizes) - k + 1)
+            ])
+            for a, size in enumerate(sizes)
+        ]
+        total = np.zeros((len(prefix[0]), *sizes[k:]))
+        for a, b in itertools.combinations(range(len(sizes)), 2):  # a ascending, then b
+            total += distances[condensed_index(index[a], index[b], sum(sizes))]
         local = int(np.argmin(total))  # first occurrence on ties
-        if total[local] < best_val:
-            best_val = float(total[local])
-            best_idx = start + local
+        if total.flat[local] < best_val:
+            best_val, best_idx = float(total.flat[local]), first * per_prefix + local
     return best_idx
 
 
@@ -161,7 +161,7 @@ def omd(
         return _single_cluster_result(doc, {only.name: only.candidates[0].entry_id})
 
     if measure == AVG_PAIRWISE:
-        best = _omd_avg_pairwise(doc, n_combos, sizes)
+        best = _omd_avg_pairwise(doc, sizes)
         indices = np.unravel_index(best, sizes)
         chosen = {
             m.name: m.candidates[int(i)].entry_id for m, i in zip(doc.mentions, indices)

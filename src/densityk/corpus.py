@@ -118,7 +118,7 @@ def document_from_dict(raw: dict) -> DocumentInput:
                 raise DocumentSchemaError(f"{ctx}, entry {entry_id!r}: boolean coordinate")
             try:
                 location = GeoPoint(float(lat), float(lon))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
                 raise DocumentSchemaError(f"{ctx}, entry {entry_id!r}: {exc}") from exc
             if entry_id in seen_entry_ids:
                 raise DocumentSchemaError(f"{ctx}: duplicate entry_id {entry_id!r}")
@@ -157,7 +157,7 @@ def load_document(data: bytes | str) -> DocumentInput:
     """Parse one document from UTF-8 JSON bytes, enforcing all invariants."""
     try:
         raw = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise DocumentParseError(f"malformed JSON: {exc}") from exc
     return document_from_dict(raw)
 
@@ -166,23 +166,32 @@ def load_document_file(path: str | Path) -> DocumentInput:
     return load_document(Path(path).read_bytes())
 
 
+def _load_at(where: str, data: bytes | str) -> DocumentInput:
+    try:
+        return load_document(data)
+    except (DocumentParseError, DocumentSchemaError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def load_corpus(path: str | Path) -> list[DocumentInput]:
     """Load a corpus from a directory of ``*.json`` files or a JSON-lines file.
 
     Directory entries are read in sorted filename order so corpus order is
-    stable across platforms.
+    stable across platforms. A bad document's error starts with its file
+    path, and for JSON lines with ``path:line``.
     """
     path = Path(path)
-    docs: list[DocumentInput] = []
     if path.is_dir():
-        for child in sorted(path.glob("*.json")):
-            docs.append(load_document_file(child))
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    docs.append(load_document(line))
+        return [_load_at(str(child), child.read_bytes()) for child in sorted(path.glob("*.json"))]
+    docs: list[DocumentInput] = []
+    # bytes split on the line ends text mode reads (\n, \r, \r\n)
+    for number, raw in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise DocumentParseError(f"{path}:{number}: not UTF-8: {exc}") from exc
+        if line:
+            docs.append(_load_at(f"{path}:{number}", line))
     return docs
 
 

@@ -56,11 +56,17 @@ def _check_curve_input(values: np.ndarray, n_points: int, delta_d: float) -> Non
     if len(values) == 0:
         raise InsufficientPointsError("distance list is empty")
     # float64 holds every integer ring index only up to 2**53, int64 to 2**63
-    if float(np.max(values)) / delta_d > MAX_RING_INDEX:
+    largest = float(np.max(values))
+    if largest / delta_d > MAX_RING_INDEX:
         raise ValueError(
             f"delta_d {delta_d} is too small: the largest distance would fall in a ring "
             f"beyond {MAX_RING_INDEX}"
         )
+    # a density divides by n times a ring's area; should that overflow, the
+    # density reads 0 (a factor 2 of headroom covers the order of rounding)
+    d = max(math.ceil(largest / delta_d), 1) * delta_d
+    if not math.isfinite(2.0 * n_points * math.pi * d * d):
+        raise ValueError(f"delta_d {delta_d} is too large: the area of the ring at {d} m overflows")
 
 
 def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:

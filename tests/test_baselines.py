@@ -18,8 +18,9 @@ from densityk import (
     kdist_epsilon,
     omd,
 )
-from densityk.baselines import _neighbour_matrix
-from densityk.geo import BLOCK_ELEMENTS, condensed_distances
+from densityk import baselines
+from densityk.baselines import _neighbour_matrix, _omd_avg_pairwise
+from densityk.geo import BLOCK_ELEMENTS, condensed_distances, condensed_index
 from conftest import make_cloud, make_document, random_coords
 from oracles import exhaustive_min_combination, kth_neighbor_distances, reference_dbscan
 from test_corpus import M_PER_DEG
@@ -104,6 +105,140 @@ class TestOmd:
         assert len(result.ranked_clusters) == 1
         assert result.ranked_clusters[0].rank == 1
         assert {p.entry_id for p in result.ranked_clusters[0].members} == {"a_e0", "b_e0"}
+
+
+def gathered_omd_index(doc, distances=None) -> int:
+    """OMD's chosen combination by the gather enumeration it replaced: each
+    chunk of 2**18 flat indices unravels into one index array per mention,
+    and every mention pair gathers its block at those indices. The broadcast
+    enumeration must choose the same index, ties included. ``distances``
+    stands in for the document's condensed distance vector."""
+    sizes = [len(m.candidates) for m in doc.mentions]
+    n_combos = math.prod(sizes)
+    if distances is None:
+        distances = condensed_distances([c.location for m in doc.mentions for c in m.candidates])
+    n = sum(sizes)
+    starts = np.cumsum([0] + sizes)
+    matrices = {}
+    for a in range(len(sizes)):
+        rows = np.arange(starts[a], starts[a + 1])[:, None]
+        for b in range(a + 1, len(sizes)):
+            cols = np.arange(starts[b], starts[b + 1])[None, :]
+            matrices[(a, b)] = distances[condensed_index(rows, cols, n)]
+    chunk = 1 << 18
+    best_idx = 0
+    best_val = math.inf
+    for start in range(0, n_combos, chunk):
+        stop = min(start + chunk, n_combos)
+        choice = np.array(np.unravel_index(np.arange(start, stop, dtype=np.int64), sizes))
+        total = np.zeros(stop - start, dtype=np.float64)
+        for (a, b), mat in matrices.items():
+            total += mat[choice[a], choice[b]]
+        local = int(np.argmin(total))
+        if total[local] < best_val:
+            best_val = float(total[local])
+            best_idx = start + local
+    return best_idx
+
+
+def split_point(sizes: list[int], chunk: int) -> int:
+    return next(k for k in range(len(sizes) + 1) if math.prod(sizes[k:]) <= chunk)
+
+
+def omd_document(rng, sizes: list[int], doc_id: str = "omd"):
+    return make_document(doc_id, {f"m{i}": random_coords(rng, s) for i, s in enumerate(sizes)})
+
+
+class TestOmdBroadcastEnumeration:
+    """The broadcast enumeration chooses the gather enumeration's index."""
+
+    def chosen(self, doc) -> int:
+        return _omd_avg_pairwise(doc, [len(m.candidates) for m in doc.mentions])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_random_documents_in_small_batches(self, monkeypatch, chunk):
+        monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for trial in range(25):
+            sizes = [int(s) for s in rng.integers(1, 7, size=int(rng.integers(2, 6)))]
+            doc = omd_document(rng, sizes, f"omd-b{trial}")
+            assert self.chosen(doc) == gathered_omd_index(doc), sizes
+
+    def test_every_split_point(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        sizes = [3, 4, 2, 5, 3]
+        doc = omd_document(rng, sizes)
+        expected = gathered_omd_index(doc)
+        splits = set()
+        for k in range(len(sizes) + 1):
+            # the largest batch at split k, and one element short of it
+            for chunk in {math.prod(sizes[k:]), max(1, math.prod(sizes[k:]) - 1)}:
+                monkeypatch.setattr(baselines, "_CHUNK", chunk)
+                splits.add(split_point(sizes, chunk))
+                assert self.chosen(doc) == expected, chunk
+        assert splits == set(range(len(sizes) + 1))
+
+    @pytest.mark.parametrize("chunk", [2, 4, 8])
+    def test_tie_goes_to_first_combination_within_and_across_batches(self, monkeypatch, chunk):
+        # mentions a and c each hold two candidates at one spot, so the four
+        # combinations (a, b0, c) tie exactly; c's duplicates always share a
+        # batch, a's fall in different batches at chunk 2 and 4 and share one at 8
+        monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        doc = make_document(
+            "omd-tie",
+            {
+                "a": [(10.0, 10.0), (10.0, 10.0)],
+                "b": [(10.1, 10.1), (-40.0, 60.0)],
+                "c": [(10.2, 10.0), (10.2, 10.0)],
+            },
+        )
+        assert gathered_omd_index(doc) == 0
+        assert self.chosen(doc) == 0
+        assert chosen_ids(omd(doc)) == {"a": "a_e0", "b": "b_e0", "c": "c_e0"}
+
+    def test_tie_after_the_first_combination(self, monkeypatch):
+        # b's duplicate pair is its last two candidates: the tie must go to b1
+        doc = make_document(
+            "omd-tie2",
+            {
+                "a": [(-30.0, 5.0), (0.0, 0.0)],
+                "b": [(45.0, 45.0), (0.0, 0.2), (0.0, 0.2)],
+                "c": [(0.1, 0.1)],
+            },
+        )
+        expected = gathered_omd_index(doc)
+        assert np.unravel_index(expected, (2, 3, 1)) == (1, 1, 0)
+        for chunk in (1, 3, 6, 1 << 18):
+            monkeypatch.setattr(baselines, "_CHUNK", chunk)
+            assert self.chosen(doc) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 18])
+    def test_pairs_add_in_order(self, monkeypatch, chunk):
+        # pair distances chosen so that rounding depends on the order of the
+        # additions: added pair by pair (ab, ac, bc), combination 0 totals
+        # 1 + 2**-52 and combination 1 rounds to 1; added in reverse both give 1
+        monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        e = 2.0**-53
+        # condensed order over a0, b0, c0, c1: (a0 b0, a0 c0, a0 c1, b0 c0, b0 c1, c0 c1)
+        distances = np.array([e, e, 1.0, 1.0, e, 7.0])
+        monkeypatch.setattr(baselines, "condensed_distances", lambda _points: distances)
+        doc = make_document("omd-order", {"a": [(0, 0)], "b": [(0, 1)], "c": [(0, 2), (0, 3)]})
+        assert gathered_omd_index(doc, distances) == 1
+        assert self.chosen(doc) == 1
+
+    @pytest.mark.parametrize("sizes", [[1, 4, 3, 5], [4, 3, 1, 5], [4, 3, 5, 1]])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
+    def test_single_candidate_mention(self, monkeypatch, sizes, chunk):
+        monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        doc = omd_document(np.random.default_rng(sum(sizes) * chunk), sizes)
+        assert self.chosen(doc) == gathered_omd_index(doc)
+
+    def test_more_combinations_than_one_batch(self):
+        sizes = [9, 8, 9, 7, 8, 9]
+        assert math.prod(sizes) > baselines._CHUNK == 1 << 18
+        assert split_point(sizes, baselines._CHUNK) == 1
+        doc = omd_document(np.random.default_rng(11), sizes)
+        assert self.chosen(doc) == gathered_omd_index(doc)
 
 
 class TestCentroidHeuristic:

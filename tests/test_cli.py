@@ -159,6 +159,7 @@ class TestDisambiguateCommand:
         ["kfunction", "--delta-d", "0"],
         ["kfunction", "--delta-d", "nan"],
         ["kfunction", "--delta-d", "1e-300"],
+        ["kfunction", "--delta-d", "1e200"],
         ["evaluate", "--cell", "densityk:delta_d=1e-300"],
     ],
     ids=" ".join,
@@ -253,6 +254,24 @@ class TestEvaluateCommand:
             ],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("layout", ["directory", "jsonl"])
+    def test_bad_document_in_corpus_is_named(self, runner, corpus_dir, tmp_path, layout):
+        if layout == "directory":
+            corpus = corpus_dir
+            (corpus / "cdoc1.json").write_text('{"doc_id": "x", mentions: []}')
+            where = f"{corpus / 'cdoc1.json'}: "
+        else:
+            corpus = tmp_path / "corpus.jsonl"
+            docs = [json.dumps(json.loads(document_to_json(planted_doc(f"j{i}")))) for i in range(2)]
+            corpus.write_text("\n".join([docs[0], "", "{bad", docs[1]]) + "\n")
+            where = f"{corpus}:3: "
+        result = runner.invoke(
+            main, ["evaluate", "--corpus", str(corpus), "--output", str(tmp_path / "r.json"), "--cell", "centroid"]
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {where}malformed JSON: ")
+        assert result.output.count("\n") == 1
 
     def test_unknown_grid_exits_1(self, runner, corpus_dir, tmp_path):
         result = runner.invoke(

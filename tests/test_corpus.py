@@ -1,8 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densityk import (
     DocumentParseError,
@@ -80,9 +83,10 @@ class TestLoadDocument:
         with pytest.raises(DocumentSchemaError):
             load_document(json.dumps(raw))
 
-    def test_malformed_json(self):
+    @pytest.mark.parametrize("data", [b"{not json", b"[" * 100_000], ids=["unclosed", "nested-too-deep"])
+    def test_malformed_json(self, data):
         with pytest.raises(DocumentParseError):
-            load_document(b"{not json")
+            load_document(data)
 
     def test_missing_field(self):
         raw = doc_fixture()
@@ -136,6 +140,12 @@ class TestLoadDocument:
         with pytest.raises(DocumentSchemaError):
             load_document(json.dumps(raw))
 
+    def test_integer_coordinate_past_float_range(self):
+        raw = doc_fixture()
+        raw["mentions"][0]["candidates"][0]["lat"] = 10**400
+        with pytest.raises(DocumentSchemaError):
+            load_document(json.dumps(raw))
+
     def test_duplicate_mention_name(self):
         # otherwise the second mention's outcome would overwrite the first's
         raw = doc_fixture()
@@ -170,6 +180,45 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_text("\n".join(lines) + "\n")
         assert [d.doc_id for d in load_corpus(path)] == ["d0", "d1"]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_jsonl_line_ends(self, tmp_path, end):
+        lines = [json.dumps(dict(doc_fixture(), doc_id=f"d{i}")).encode() for i in range(2)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(end.join(lines) + end + b"  " + end)
+        assert [d.doc_id for d in load_corpus(path)] == ["d0", "d1"]
+
+    def test_bad_file_in_directory_is_named(self, tmp_path):
+        for i in range(3):
+            (tmp_path / f"{i}.json").write_text(json.dumps(dict(doc_fixture(), doc_id=f"d{i}")))
+        (tmp_path / "1.json").write_text("{bad")
+        with pytest.raises(DocumentParseError, match=rf"^{re.escape(str(tmp_path / '1.json'))}: malformed JSON"):
+            load_corpus(tmp_path)
+        raw = doc_fixture()
+        raw["mentions"][0]["candidates"] = []
+        (tmp_path / "1.json").write_text(json.dumps(raw))
+        with pytest.raises(DocumentSchemaError, match=rf"^{re.escape(str(tmp_path / '1.json'))}: document 'd1'"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (b"{bad", DocumentParseError, "malformed JSON"),
+            (
+                b'{"doc_id": "d9", "mentions": [{"name": "a", "candidates": []}]}',
+                DocumentSchemaError,
+                "document 'd9'",
+            ),
+            (b'{"doc_id": "\xff"}', DocumentParseError, "not UTF-8"),
+        ],
+        ids=["malformed", "schema", "not-utf8"],
+    )
+    def test_bad_line_in_jsonl_is_named(self, tmp_path, bad, error, message):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps(doc_fixture()).encode()
+        path.write_bytes(b"\n".join([good, b"", bad, good]) + b"\n")
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}:3: {message}"):
+            load_corpus(path)
 
 
 def mention_at_offsets(offsets_m: list[float]) -> PlaceMention:
@@ -242,3 +291,65 @@ class TestToPointCloud:
         seen = [(p.mention, p.entry_id) for p in cloud.points]
         assert len(seen) == len(pairs)
         assert set(seen) == pairs
+
+
+# any JSON value: what a corpus line or file can hold; JSON integers have no
+# size limit, so some lie past the float range
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400) | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def valid_or_any(valid):
+    # mostly plausible, so that most examples get past the earlier fields
+    return st.integers(0, 4).flatmap(lambda i: json_values if i == 4 else valid)
+
+
+# document-shaped values, each field either plausible or any JSON value, so
+# that the checks past the first field are reached too
+candidates = st.fixed_dictionaries(
+    {
+        "entry_id": valid_or_any(st.sampled_from(["e0", "e1", "e2"])),
+        "lat": valid_or_any(st.floats(-90, 90) | st.integers(-90, 90)),
+        "lon": valid_or_any(st.floats(-180, 180)),
+    },
+    optional={"name": json_values, "source": json_values},
+)
+mentions = st.fixed_dictionaries(
+    {
+        "name": valid_or_any(st.sampled_from(["a", "b"])),
+        "candidates": valid_or_any(st.lists(candidates, max_size=3)),
+    }
+)
+documents = st.fixed_dictionaries(
+    {"doc_id": valid_or_any(st.just("d")), "mentions": valid_or_any(st.lists(mentions, max_size=3))},
+    optional={
+        "ground_truth": valid_or_any(
+            st.dictionaries(st.sampled_from(["a", "b", "c"]), valid_or_any(st.sampled_from(["e0", "e1", "e3"])))
+        )
+    },
+)
+
+
+class TestAnyInput:
+    """Any input loads or raises a typed document error, never another exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(documents | json_values)
+    def test_any_json_value(self, value):
+        try:
+            load_document(json.dumps(value).encode())
+        except (DocumentParseError, DocumentSchemaError):
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=64) | documents.map(lambda d: json.dumps(d).encode()).flatmap(
+        lambda data: st.integers(0, len(data)).map(lambda cut: data[:cut])
+    ))
+    def test_any_bytes(self, data):
+        try:
+            load_document(data)
+        except (DocumentParseError, DocumentSchemaError):
+            pass

@@ -66,9 +66,10 @@ class TestComputeKFunction:
             compute_k_function(dl([10.0], 2), 2, delta_d=0.0)
 
     @pytest.mark.parametrize("curve", [compute_k_function, compute_circular_k_function])
-    @pytest.mark.parametrize("delta_d", [math.nan, math.inf, 1e-300])
+    @pytest.mark.parametrize("delta_d", [math.nan, math.inf, 1e-300, 1e154, 1e200])
     def test_delta_d_the_rings_cannot_use(self, curve, delta_d):
-        # 1e-300 puts a 1 km pair in ring 1e303, far past exact float64 integers
+        # 1e-300 puts a 1 km pair in ring 1e303, far past exact float64 integers;
+        # at 1e154 pi * d**2 overflows, at 1e200 d**2 itself, and the density reads 0
         with pytest.raises(ValueError, match="delta_d"):
             curve(dl([10.0, 1000.0], 2), 2, delta_d=delta_d)
 
@@ -76,6 +77,15 @@ class TestComputeKFunction:
         assert compute_k_function(dl([2.0**53], 2), 2, delta_d=1.0).distances_m.tolist() == [2.0**53]
         with pytest.raises(ValueError):
             compute_k_function(dl([2.0**54], 2), 2, delta_d=1.0)
+
+    @pytest.mark.parametrize("curve", [compute_k_function, compute_circular_k_function])
+    def test_largest_ring_area_limit(self, curve):
+        # n * pi * d**2 is 6.3e304 for two points and overflows for 10**5
+        kf = curve(dl([10.0, 1000.0], 2), 2, delta_d=1e152)
+        assert kf.distances_m.tolist() == [1e152]
+        assert kf.densities[0] > 0
+        with pytest.raises(ValueError, match="too large"):
+            curve(dl([10.0, 1000.0], 10**5), 10**5, delta_d=1e152)
 
     def test_matches_literal_oracle(self):
         rng = np.random.default_rng(21)
