@@ -15,9 +15,8 @@ from .clustering import (
     DisambiguationResult,
     MentionOutcome,
     OutcomeStatus,
-    _dbscan_groups,
-    disambiguate,
-    rank_clusters,
+    _resolve,
+    dbscan,  # noqa: F401  (kept importable from here with the other clusterers)
 )
 from .corpus import CloudPoint, DocumentInput, PointCloud, to_point_cloud
 from .errors import (
@@ -235,26 +234,6 @@ def dtur(doc: DocumentInput) -> DisambiguationResult:
     return _single_cluster_result(doc, chosen)
 
 
-def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
-    """DBSCAN over haversine distance.
-
-    A point is core iff at least ``min_pts`` points (itself included) lie
-    within ``epsilon``. Clusters are the connected components of core
-    points; a border point joins the cluster of its first core neighbor in
-    input order; everything else is noise and belongs to no cluster.
-    Clusters come in order of their first point, members in input order.
-    """
-    if len(cloud) == 0:
-        raise EmptyInputError("cannot cluster an empty cloud")
-    if not epsilon > 0:  # NaN too
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    distances = condensed_distances([p.location for p in cloud.points])
-    groups = _dbscan_groups(distances, len(cloud), epsilon, min_pts)
-    return [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
-
-
 def _neighbour_matrix(distances: np.ndarray, n: int) -> np.ndarray:
     # the n-by-n matrix of the condensed pair distances of n points, with an
     # infinite diagonal so that no point counts as its own neighbour
@@ -270,31 +249,34 @@ def kdist_epsilon(cloud: PointCloud, k: int) -> float:
     Computes each point's distance to its k-th nearest neighbor (self
     excluded) and returns mean + 2*std of those values.
     """
+    return _kdist_epsilon(cloud, condensed_distances([p.location for p in cloud.points]), k)
+
+
+def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
+    # kdist_epsilon from the cloud's condensed pair distances
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cloud) <= k:
         raise InsufficientPointsError(f"need more than {k} points, got {len(cloud)}")
-    distances = _neighbour_matrix(condensed_distances([p.location for p in cloud.points]), len(cloud))
-    kth = np.sort(distances, axis=1)[:, k - 1]
+    kth = np.sort(_neighbour_matrix(distances, len(cloud)), axis=1)[:, k - 1]
     return float(np.mean(kth) + 2.0 * np.std(kth))
 
 
 def dbscan_disambiguate(doc: DocumentInput, epsilon: float, min_pts: int) -> DisambiguationResult:
     """DBSCAN clusters fed through the shared ranking and top-cluster scan."""
     cloud = to_point_cloud(doc)
-    ranked = rank_clusters(dbscan(cloud, epsilon, min_pts))
-    return disambiguate(doc, ranked)
+    distances = condensed_distances([p.location for p in cloud.points])
+    return _resolve(doc, cloud, distances, epsilon, min_pts)
 
 
 def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> DisambiguationResult:
     """DBSCAN with the auto-derived epsilon."""
     cloud = to_point_cloud(doc)
-    epsilon = kdist_epsilon(cloud, k)
+    distances = condensed_distances([p.location for p in cloud.points])
+    epsilon = _kdist_epsilon(cloud, distances, k)
     if epsilon == 0:
         raise InsufficientPointsError(
             f"document {doc.doc_id!r}: every point has {k} or more coincident "
             f"neighbours, so the k={k} auto-epsilon is 0"
         )
-    ranked = rank_clusters(dbscan(cloud, epsilon, min_pts))
-    return disambiguate(doc, ranked)
-
+    return _resolve(doc, cloud, distances, epsilon, min_pts)

@@ -7,7 +7,7 @@ the density curve.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,12 +80,23 @@ def form_clusters(cloud: PointCloud, cluster_distance: float) -> list[Cluster]:
     Single linkage: two points share a cluster iff a chain of hops, each of
     haversine length <= cluster_distance, connects them. Singletons allowed.
     """
-    if len(cloud) == 0:
-        raise EmptyInputError("cannot cluster an empty cloud")
-    if cluster_distance <= 0:
-        raise ValueError(f"cluster_distance must be positive, got {cluster_distance}")
+    return dbscan(cloud, cluster_distance, 1)
+
+
+def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
+    """DBSCAN over haversine distance.
+
+    A point is core iff at least ``min_pts`` points (itself included) lie
+    within ``epsilon``. Clusters are the connected components of core
+    points; a border point joins the cluster of its first core neighbor in
+    input order; everything else is noise and belongs to no cluster.
+    Clusters come in order of their first point, members in input order.
+    """
     distances = condensed_distances([p.location for p in cloud.points])
-    groups = _dbscan_groups(distances, len(cloud), cluster_distance, 1)
+    return _clusters(cloud, _dbscan_groups(distances, len(cloud), epsilon, min_pts))
+
+
+def _clusters(cloud: PointCloud, groups: list[list[int]]) -> list[Cluster]:
     return [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
 
 
@@ -100,6 +111,12 @@ def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) 
     neighbour, or is noise if it has none. At ``min_pts`` 1 every point is
     core and the clusters are the single-linkage components at epsilon.
     """
+    if n == 0:
+        raise EmptyInputError("cannot cluster an empty cloud")
+    if not epsilon > 0:  # NaN too
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if min_pts < 1:
+        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     ii, jj = condensed_pairs(np.flatnonzero(distances <= epsilon), n)
     joins = range(n)  # the point whose cluster each point joins; n for noise
     if min_pts > 1:
@@ -196,33 +213,28 @@ def densityk_pipeline(
     """Full density-driven run: point cloud, pair distances, density curve,
     derived threshold, single-linkage clusters, ranking, disambiguation.
 
-    A document whose mentions hold a single candidate in total bypasses
-    clustering and resolves trivially to that candidate.
+    A document whose mentions hold a single candidate in total has no pair
+    and no density curve: that candidate is its own cluster and resolves.
     """
     cloud = to_point_cloud(doc)
     if len(cloud) == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
-    if len(cloud) == 1:
-        point = cloud.points[0]
-        only = Cluster(members=(point,), rank=1)
-        return DisambiguationResult(
-            doc_id=doc.doc_id,
-            outcomes={point.mention: MentionOutcome(OutcomeStatus.RESOLVED, entry_id=point.entry_id)},
-            ranked_clusters=(only,),
-        )
-
     # one distance pass: the curve reads the pairs within upper_bound, the
     # linkage every pair (pairs in (upper_bound, threshold] are still edges)
     distances = condensed_distances([p.location for p in cloud.points])
+    if len(cloud) == 1:
+        return _resolve(doc, cloud, distances, np.inf, 1)
     in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
     kf = with_cluster_distance(annular_k_function(in_bound, len(cloud), delta_d))
-    groups = _dbscan_groups(distances, len(cloud), kf.cluster_distance, 1)
-    clusters = [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
-    ranked = _ranked(clusters, [_condensed_mean(distances, len(cloud), g) for g in groups])
-    result = disambiguate(doc, ranked)
-    return DisambiguationResult(
-        doc_id=result.doc_id,
-        outcomes=result.outcomes,
-        ranked_clusters=result.ranked_clusters,
-        diagnostics=kf,
-    )
+    return replace(_resolve(doc, cloud, distances, kf.cluster_distance, 1), diagnostics=kf)
+
+
+def _resolve(
+    doc: DocumentInput, cloud: PointCloud, distances: np.ndarray, epsilon: float, min_pts: int
+) -> DisambiguationResult:
+    """DBSCAN clusters of ``cloud`` from its condensed pair ``distances``,
+    ranked by :func:`rank_clusters`'s order with the spreads read from the
+    same vector, resolved by :func:`disambiguate`."""
+    groups = _dbscan_groups(distances, len(cloud), epsilon, min_pts)
+    spreads = [_condensed_mean(distances, len(cloud), g) for g in groups]
+    return disambiguate(doc, _ranked(_clusters(cloud, groups), spreads))

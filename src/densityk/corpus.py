@@ -112,23 +112,24 @@ def document_from_dict(raw: dict) -> DocumentInput:
         for craw in cands_raw:
             _expect(craw, dict, f"{ctx}: each candidate")
             entry_id = _require(craw, "entry_id", ctx, str)
-            lat = _require(craw, "lat", f"{ctx}, entry {entry_id!r}")
-            lon = _require(craw, "lon", f"{ctx}, entry {entry_id!r}")
+            where = f"{ctx}, entry {entry_id!r}"
+            lat = _require(craw, "lat", where)
+            lon = _require(craw, "lon", where)
             if isinstance(lat, bool) or isinstance(lon, bool):
-                raise DocumentSchemaError(f"{ctx}, entry {entry_id!r}: boolean coordinate")
+                raise DocumentSchemaError(f"{where}: boolean coordinate")
             try:
                 location = GeoPoint(float(lat), float(lon))
             except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
-                raise DocumentSchemaError(f"{ctx}, entry {entry_id!r}: {exc}") from exc
+                raise DocumentSchemaError(f"{where}: {exc}") from exc
             if entry_id in seen_entry_ids:
                 raise DocumentSchemaError(f"{ctx}: duplicate entry_id {entry_id!r}")
             seen_entry_ids.add(entry_id)
             candidates.append(
                 CandidateEntry(
                     entry_id=entry_id,
-                    name=craw.get("name", name),
+                    name=_expect(craw.get("name", name), str, f"{where}: 'name'"),
                     location=location,
-                    source=craw.get("source", ""),
+                    source=_expect(craw.get("source", ""), str, f"{where}: 'source'"),
                 )
             )
         mentions.append(PlaceMention(name=name, candidates=tuple(candidates)))

@@ -34,13 +34,12 @@ ParamsTuple = tuple[tuple[str, float | int | str], ...]
 
 @dataclass(frozen=True)
 class Param:
-    """One algorithm parameter. A run receives ``kind(value)``, or the value
-    itself when ``as_given``; range checks are the algorithm's own."""
+    """One algorithm parameter. A run receives ``kind(value)``; range checks
+    are the algorithm's own."""
 
     kind: type  # float, int or str
     required: bool = False
     choices: tuple[str, ...] = ()  # the values a str parameter may take
-    as_given: bool = False
 
     def check(self, where: str, value) -> None:
         if self.kind is str:
@@ -66,9 +65,7 @@ class Algorithm:
 
 
 ALGORITHMS: dict[str, Algorithm] = {
-    "densityk": Algorithm(
-        densityk_pipeline, {"delta_d": Param(float), "upper_bound": Param(float, as_given=True)}
-    ),
+    "densityk": Algorithm(densityk_pipeline, {"delta_d": Param(float), "upper_bound": Param(float)}),
     "dbscan": Algorithm(
         dbscan_disambiguate,
         {"epsilon": Param(float, required=True), "min_pts": Param(int, required=True)},
@@ -203,11 +200,7 @@ def score_document(result: DisambiguationResult, doc: DocumentInput) -> Document
 def run_algorithm(doc: DocumentInput, config: AlgorithmConfig) -> DisambiguationResult:
     """Run one configured algorithm (density pipeline or a baseline)."""
     entry = ALGORITHMS[config.algorithm]
-    kwargs = {}
-    for name, value in config.params:
-        spec = entry.params[name]
-        kwargs[name] = value if spec.as_given else spec.kind(value)
-    return entry.run(doc, **kwargs)
+    return entry.run(doc, **{name: entry.params[name].kind(value) for name, value in config.params})
 
 
 def _evaluate_cell(

@@ -12,11 +12,17 @@ from densityk import (
     centroid_heuristic,
     dbscan,
     dbscan_disambiguate,
+    disambiguate,
     dtur,
     form_clusters,
     kdist_disambiguate,
     kdist_epsilon,
     omd,
+    rank_clusters,
+    result_to_dict,
+    table1_grid,
+    to_canonical_json,
+    to_point_cloud,
 )
 from densityk import baselines
 from densityk.baselines import _neighbour_matrix, _omd_avg_pairwise
@@ -469,3 +475,19 @@ class TestDisambiguatingWrappers:
         with pytest.raises(InsufficientPointsError, match="'coincident'.*k=5"):
             kdist_disambiguate(doc, k=5, min_pts=1)
         assert kdist_disambiguate(doc, k=10, min_pts=1).ranked_clusters
+
+    def test_equal_the_composed_public_stages_on_default_documents(self, default_corpus):
+        # the wrappers rank from the one distance vector; the public stages
+        # recompute every spread from the cluster's own points
+        cells = [c for c in table1_grid() if c.algorithm in ("dbscan", "kdist")]
+        for doc in default_corpus:
+            cloud = to_point_cloud(doc)
+            for cell in cells:
+                params = cell.param_dict
+                if cell.algorithm == "dbscan":
+                    epsilon, got = params["epsilon"], dbscan_disambiguate(doc, **params)
+                else:
+                    epsilon, got = kdist_epsilon(cloud, params["k"]), kdist_disambiguate(doc, **params)
+                want = disambiguate(doc, rank_clusters(dbscan(cloud, epsilon, params["min_pts"])))
+                got, want = (to_canonical_json(result_to_dict(r)) for r in (got, want))
+                assert got == want, (doc.doc_id, cell.key)

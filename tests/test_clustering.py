@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from densityk import (
     EmptyInputError,
@@ -56,6 +59,8 @@ class TestFormClusters:
     def test_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             form_clusters(make_cloud([(0, 0)]), 0.0)
+        with pytest.raises(ValueError):
+            form_clusters(make_cloud([(0, 0)]), math.nan)
 
     def test_matches_component_oracle(self):
         rng = np.random.default_rng(31)
@@ -86,6 +91,24 @@ class TestSharedDistanceVector:
         cloud = make_cloud(random_coords(rng, 700))
         distances = condensed_distances([p.location for p in cloud.points])
         groups = _dbscan_groups(distances, len(cloud), 50_000.0, 1)
+        assert max(len(g) for g in groups) > 50
+        for g in groups:
+            members = tuple(cloud.points[i] for i in g)
+            assert _condensed_mean(distances, len(cloud), g) == _mean_pairwise(members)
+
+    @pytest.mark.parametrize("min_pts", [3, 5])
+    def test_dbscan_spreads_read_from_vector_equal_recomputed_ones(self, min_pts):
+        # DBSCAN clusters hold border points and skip noise, so their members
+        # are not runs of the cloud's indices
+        rng = np.random.default_rng(23 + min_pts)
+        cloud = make_cloud(random_coords(rng, 700))
+        distances = condensed_distances([p.location for p in cloud.points])
+        epsilon = 500_000.0
+        groups = _dbscan_groups(distances, len(cloud), epsilon, min_pts)
+        core = (squareform(distances) <= epsilon).sum(axis=1) >= min_pts  # the zero diagonal counts self
+        clustered = [i for g in groups for i in g]
+        assert not core[clustered].all()  # some border points
+        assert len(clustered) < len(cloud)  # some noise
         assert max(len(g) for g in groups) > 50
         for g in groups:
             members = tuple(cloud.points[i] for i in g)

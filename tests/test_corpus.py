@@ -116,6 +116,8 @@ class TestLoadDocument:
             lambda raw: raw["mentions"][0]["candidates"][0].update(entry_id=["a1"]),
             lambda raw: raw.update(ground_truth=[["alpha", "a1"]]),
             lambda raw: raw["ground_truth"].update(alpha=["a1"]),
+            lambda raw: raw["mentions"][0]["candidates"][0].update(name={"x": [1]}),
+            lambda raw: raw["mentions"][0]["candidates"][0].update(source=7),
         ],
         ids=[
             "int-doc-id",
@@ -125,6 +127,8 @@ class TestLoadDocument:
             "list-entry-id",
             "list-ground-truth",
             "list-ground-truth-entry",
+            "object-candidate-name",
+            "int-candidate-source",
         ],
     )
     def test_wrong_type_is_a_parse_error(self, corrupt):

@@ -13,6 +13,7 @@ from densityk import (
     score_document,
     table1_grid,
 )
+from densityk import baselines, clustering, geo
 from densityk.clustering import DisambiguationResult
 from densityk.evaluation import ALGORITHMS, report_to_csv, report_to_dict
 from conftest import make_document
@@ -304,6 +305,31 @@ class TestRunAlgorithm:
     def test_range_error_names_the_cell(self):
         with pytest.raises(ValueError, match="cell densityk:delta_d=0"):
             evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("delta_d", 0),))])
+
+    def test_one_distance_vector_per_clustering_run(self, monkeypatch, default_corpus):
+        # each clusterer reads its groups, its cluster spreads and (k-dist)
+        # its epsilon from one condensed vector per document
+        calls = []
+        real = geo.condensed_distances
+
+        def counted(points):
+            calls.append(len(points))
+            return real(points)
+
+        def recomputed(*args):
+            raise AssertionError("a spread recomputed from the cluster's points")
+
+        for module in (geo, clustering, baselines):
+            monkeypatch.setattr(module, "condensed_distances", counted)
+        monkeypatch.setattr(clustering, "rank_clusters", recomputed)
+        monkeypatch.setattr(clustering, "_mean_pairwise", recomputed)
+        configs = [c for c in table1_grid() if c.algorithm in ("densityk", "dbscan", "kdist")]
+        assert len(configs) == 19
+        for doc in default_corpus:
+            for config in configs:
+                calls.clear()
+                run_algorithm(doc, config)
+                assert len(calls) == 1, (doc.doc_id, config.key)
 
 
 class TestReportSerialization:
