@@ -41,7 +41,8 @@ HULL_AREA = "hull_area"
 # candidates closer to the reference point than this are treated as tied
 TIE_TOLERANCE_M = 1e-3
 
-_CHUNK = 1 << 18
+# the most combination totals one leaf of the OMD search sums at once
+_CHUNK = 1 << 13
 
 
 def _single_cluster_result(doc: DocumentInput, chosen: dict[str, str]) -> DisambiguationResult:
@@ -104,33 +105,110 @@ def _convex_hull(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
+def _grid_totals(blocks: dict, rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Total pair distance of every combination that extends a prefix row of
+    ``rows`` (candidate choices for the first j mentions) over the grid of
+    mentions j on, shaped ``(len(rows), *sizes[j:])``. Each mention pair adds
+    one broadcast term in ``blocks`` order, so every total is the same float
+    sum whatever rows share its batch."""
+    j = rows.shape[1]
+    # a prefix mention lies along axis 0, mention a >= j along axis a - j + 1
+    extent = [len(rows)] * j + sizes[j:]
+    total = np.zeros((len(rows), *sizes[j:]))
+    for (a, b), block in blocks.items():
+        if b < j:
+            term = block[rows[:, a], rows[:, b]]
+        elif a < j:
+            term = block[rows[:, a]]
+        else:
+            term = block
+        shape = [1] * (len(sizes) - j + 1)
+        shape[max(0, a - j + 1)], shape[max(0, b - j + 1)] = extent[a], extent[b]
+        total += term.reshape(shape)
+    return total
+
+
 def _omd_avg_pairwise(doc: DocumentInput, sizes: list[int]) -> int:
-    """Index of the first combination minimizing mean pairwise distance."""
+    """Index of the first combination minimizing mean pairwise distance.
+
+    The combinations form an array shaped like ``sizes`` (C order, last mention
+    fastest). A depth-first branch-and-bound walks it mention by mention. A
+    node is a batch of prefix rows (choices for the first j mentions, in
+    lexicographic order); rows whose lower bound exceeds the best total known
+    are dropped. A batch whose rows times the grid of the remaining mentions
+    fit in ``_CHUNK`` totals is a leaf: :func:`_grid_totals` sums its grid and
+    the first strictly smaller total wins, so ties go to the first combination
+    in C order.
+    """
     # one distance vector over every candidate, mention after mention
     distances = condensed_distances([c.location for m in doc.mentions for c in m.candidates])
-    starts = np.cumsum([0] + sizes)
-    # The combinations form an array shaped like ``sizes`` (C order, last mention
-    # fastest). A batch holds the whole grid of the mentions from k on for a run of
-    # prefixes over the first k, and each mention pair adds one broadcast term.
-    k = next(k for k in range(len(sizes) + 1) if math.prod(sizes[k:]) <= _CHUNK)
-    per_prefix, n_prefixes = math.prod(sizes[k:]), math.prod(sizes[:k])
-    batch = _CHUNK // per_prefix
+    n, starts = sum(sizes), np.cumsum([0] + sizes)
+    blocks = {  # the distances between mentions a < b, in the order every total adds them
+        (a, b): distances[condensed_index(
+            np.arange(starts[a], starts[a + 1])[:, None], np.arange(starts[b], starts[b + 1]), n
+        )]
+        for a, b in itertools.combinations(range(len(sizes)), 2)
+    }
+    # The lower bound of a row over mentions 0..j-1 is its partial sum over those
+    # pairs, plus suffix[x, j] for each chosen candidate x (the sum of its nearest
+    # distances to the mentions from j on), plus pair_floor[j] (the sum of the
+    # least entries of the blocks between mentions from j on).
+    nearest = np.zeros((n, len(sizes) + 1))
+    floors = np.zeros(len(sizes) + 1)
+    for (a, b), block in blocks.items():
+        nearest[starts[a]:starts[a + 1], b] = block.min(axis=1)
+        floors[a] += block.min()
+    suffix = np.cumsum(nearest[:, ::-1], axis=1)[:, ::-1]
+    pair_floor = np.cumsum(floors[::-1])[::-1]
+
+    # incumbent: the best total of "each candidate plus the nearest candidate of
+    # every other mention"
+    seeds = np.empty((n, len(sizes)), dtype=np.intp)
+    for a, size in enumerate(sizes):
+        seeds[starts[a]:starts[a + 1], a] = np.arange(size)
+    for (a, b), block in blocks.items():
+        seeds[starts[a]:starts[a + 1], b] = block.argmin(axis=1)
+        seeds[starts[b]:starts[b + 1], a] = block.argmin(axis=0)
+    seed_totals = sum((block[seeds[:, a], seeds[:, b]] for (a, b), block in blocks.items()), np.zeros(n))
+    bound = float(seed_totals.min())
+
     best_idx, best_val = 0, math.inf
-    for first in range(0, n_prefixes, batch):
-        prefix = np.unravel_index(np.arange(first, min(first + batch, n_prefixes)), sizes[:k] or [1])
-        # candidate positions: a prefix mention's along axis 0, mention a >= k along axis a - k + 1
-        index = [
-            starts[a] + np.reshape(prefix[a] if a < k else np.arange(size), [
-                -1 if axis == max(0, a - k + 1) else 1 for axis in range(len(sizes) - k + 1)
-            ])
-            for a, size in enumerate(sizes)
-        ]
-        total = np.zeros((len(prefix[0]), *sizes[k:]))
-        for a, b in itertools.combinations(range(len(sizes)), 2):  # a ascending, then b
-            total += distances[condensed_index(index[a], index[b], sum(sizes))]
-        local = int(np.argmin(total))  # first occurrence on ties
-        if total.flat[local] < best_val:
-            best_val, best_idx = float(total.flat[local]), first * per_prefix + local
+    # a node: prefix rows, their flat indices over sizes[:j], partial sums, lower bounds
+    stack = [(np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp), np.zeros(1), np.zeros(1))]
+    while stack:
+        node = stack.pop()
+        # The bound adds its terms in another order than the totals, so a row is
+        # dropped only beyond a relative slack of 1e-9 over the incumbent; the
+        # rounding of at most 171 non-negative terms stays below 1e-13.
+        limit = bound + bound * 1e-9
+        rows, flat, partial, _ = (part[node[3] <= limit] for part in node)
+        if len(rows) == 0:
+            continue
+        j = rows.shape[1]
+        per_row = math.prod(sizes[j:])
+        if len(rows) * per_row <= _CHUNK:
+            total = _grid_totals(blocks, rows, sizes)
+            local = int(np.argmin(total))  # first occurrence on ties
+            if total.flat[local] < best_val:
+                best_val = float(total.flat[local])
+                best_idx = int(flat[local // per_row]) * per_row + local % per_row
+                bound = min(bound, best_val)
+            continue
+        # expand mention j: every row times every candidate, in lexicographic order
+        size = sizes[j]
+        grown = sum((blocks[a, j][rows[:, a]] for a in range(j)), partial[:, None] + np.zeros(size))
+        ahead = sum((suffix[starts[a] + rows[:, a], j + 1] for a in range(j)), np.zeros(len(rows)))
+        lower = grown + ahead[:, None] + suffix[starts[j]:starts[j + 1], j + 1] + pair_floor[j + 1]
+        children = (
+            np.column_stack([np.repeat(rows, size, axis=0), np.tile(np.arange(size), len(rows))]),
+            (flat[:, None] * size + np.arange(size)).ravel(),
+            grown.ravel(),
+            lower.ravel(),
+        )
+        children = [part[children[3] <= limit] for part in children]
+        step = max(1, _CHUNK // math.prod(sizes[j + 1:]))
+        for first in reversed(range(0, len(children[0]), step)):  # popped in C order
+            stack.append(tuple(part[first:first + step] for part in children))
     return best_idx
 
 
@@ -139,12 +217,14 @@ def omd(
     measure: str = AVG_PAIRWISE,
     cap: int = DEFAULT_COMBINATION_CAP,
 ) -> DisambiguationResult:
-    """Exhaustive overall-minimum-distance selection.
+    """Exact overall-minimum-distance selection.
 
-    Enumerates every one-candidate-per-mention combination (mention order,
-    candidate order within a mention) and keeps the first one minimizing
-    the chosen measure: mean pairwise distance of the selection, or the
-    area of its planar convex hull.
+    Of every one-candidate-per-mention combination (mention order, candidate
+    order within a mention), keeps the first one minimizing the chosen
+    measure: mean pairwise distance of the selection, found by an exact
+    branch-and-bound search, or the area of its planar convex hull, found by
+    enumeration. ``cap`` limits the number of combinations, the product of
+    the mentions' candidate counts, and is checked before the search.
     """
     if len(doc.mentions) == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no mentions")

@@ -78,7 +78,7 @@ def _algorithm_options(fn):
     fn = click.option("--delta-d", type=float, default=DEFAULT_DELTA_D_M, show_default=True, help="Density curve discretization step, meters.")(fn)
     fn = click.option("--upper-bound", type=float, default=None, help="Optional pair-distance cutoff, meters.")(fn)
     fn = click.option("--measure", type=click.Choice(list(_MEASURES)), default="avg", show_default=True, callback=lambda _ctx, _param, value: _MEASURES[value], help="Minimum-distance objective.")(fn)
-    fn = click.option("--cap", type=int, default=DEFAULT_COMBINATION_CAP, show_default=True, help="Combination cap for the exhaustive search.")(fn)
+    fn = click.option("--cap", type=int, default=DEFAULT_COMBINATION_CAP, show_default=True, help="Most combinations OMD accepts (the product of the candidate counts), checked before the search.")(fn)
     fn = click.option("--algorithm", type=click.Choice(list(ALGORITHMS)), default="densityk", show_default=True)(fn)
     return fn
 

@@ -216,6 +216,8 @@ def densityk_pipeline(
     A document whose mentions hold a single candidate in total has no pair
     and no density curve: that candidate is its own cluster and resolves.
     """
+    if not (upper_bound is None or upper_bound >= 0):
+        raise ValueError(f"upper_bound must be >= 0, got {upper_bound}")
     cloud = to_point_cloud(doc)
     if len(cloud) == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")

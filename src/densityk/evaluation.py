@@ -237,6 +237,8 @@ def evaluate_corpus(
     never abort the run. Output is keyed by configuration, so worker count
     and completion order cannot change the report.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     docs = sorted(docs, key=lambda d: d.doc_id)
     cells = tuple(_evaluate_cell(docs, config, workers) for config in configs)
 

@@ -151,6 +151,8 @@ def pairwise_distances(
     When ``upper_bound`` is given, only pairs at distance <= upper_bound are
     kept; otherwise the result has exactly n(n-1)/2 entries.
     """
+    if not (upper_bound is None or upper_bound >= 0):
+        raise ValueError(f"upper_bound must be >= 0, got {upper_bound}")
     if len(points) == 0:
         raise EmptyInputError("pairwise_distances needs at least one point")
     values = condensed_distances(points)

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densityk import (
     CombinationExplosionError,
@@ -27,6 +30,7 @@ from densityk import (
 from densityk import baselines
 from densityk.baselines import _neighbour_matrix, _omd_avg_pairwise
 from densityk.geo import BLOCK_ELEMENTS, condensed_distances, condensed_index
+from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords
 from oracles import exhaustive_min_combination, kth_neighbor_distances, reference_dbscan
 from test_corpus import M_PER_DEG
@@ -116,8 +120,8 @@ class TestOmd:
 def gathered_omd_index(doc, distances=None) -> int:
     """OMD's chosen combination by the gather enumeration it replaced: each
     chunk of 2**18 flat indices unravels into one index array per mention,
-    and every mention pair gathers its block at those indices. The broadcast
-    enumeration must choose the same index, ties included. ``distances``
+    and every mention pair gathers its block at those indices. OMD's search
+    must choose the same index, ties included. ``distances``
     stands in for the document's condensed distance vector."""
     sizes = [len(m.candidates) for m in doc.mentions]
     n_combos = math.prod(sizes)
@@ -156,7 +160,7 @@ def omd_document(rng, sizes: list[int], doc_id: str = "omd"):
 
 
 class TestOmdBroadcastEnumeration:
-    """The broadcast enumeration chooses the gather enumeration's index."""
+    """Leaves of any size choose the gather enumeration's index."""
 
     def chosen(self, doc) -> int:
         return _omd_avg_pairwise(doc, [len(m.candidates) for m in doc.mentions])
@@ -241,10 +245,96 @@ class TestOmdBroadcastEnumeration:
 
     def test_more_combinations_than_one_batch(self):
         sizes = [9, 8, 9, 7, 8, 9]
-        assert math.prod(sizes) > baselines._CHUNK == 1 << 18
-        assert split_point(sizes, baselines._CHUNK) == 1
+        assert math.prod(sizes) > baselines._CHUNK == 1 << 13
+        assert split_point(sizes, baselines._CHUNK) == 2
         doc = omd_document(np.random.default_rng(11), sizes)
         assert self.chosen(doc) == gathered_omd_index(doc)
+
+
+# a few spots, far apart and close together, so that candidates coincide and totals tie
+SPOTS = [(10.0, 10.0), (10.0, 10.001), (10.01, 10.0), (-20.0, 40.0)]
+
+
+class LeafCounter:
+    """Stands in for ``numpy`` inside ``baselines`` and records the size of
+    every array the search takes an unrestricted argmin of: the totals its
+    leaves evaluate."""
+
+    def __init__(self):
+        self.evaluated = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmin(self, a, axis=None, **kwargs):
+        if axis is None:
+            self.evaluated.append(np.size(a))
+        return np.argmin(a, axis=axis, **kwargs)
+
+
+class TestOmdBranchAndBound:
+    """The search prunes and still chooses the gather enumeration's index."""
+
+    def chosen(self, doc) -> int:
+        return _omd_avg_pairwise(doc, [len(m.candidates) for m in doc.mentions])
+
+    @pytest.mark.parametrize("chunk", [1, 64, None])
+    def test_planted_documents(self, monkeypatch, chunk):
+        # decoys at least 100 km from a context of 1 km: most prefixes prune
+        if chunk is not None:
+            monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        spec = SynthSpec(n_docs=12, mentions_per_doc=4, decoys_per_mention=(2, 14), seed=3)
+        docs = synth_generate(spec) + synth_generate(
+            SynthSpec(n_docs=4, mentions_per_doc=6, decoys_per_mention=(1, 6), seed=4)
+        )
+        for doc in docs:
+            assert math.prod(len(m.candidates) for m in doc.mentions) <= 10**6
+            assert self.chosen(doc) == gathered_omd_index(doc), doc.doc_id
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_all_tie_document_chooses_the_first(self, monkeypatch, chunk):
+        # every candidate at one point: every total is 0 and nothing prunes
+        if chunk is not None:
+            monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        doc = make_document("omd-flat", {f"m{i}": [(12.5, 40.25)] * 4 for i in range(5)})
+        assert self.chosen(doc) == 0
+        assert chosen_ids(omd(doc)) == {f"m{i}": f"m{i}_e0" for i in range(5)}
+
+    def test_bound_rounding_above_a_tied_total_does_not_prune(self, monkeypatch):
+        # Combinations 0 (a0) and 1 (a1) both total exactly 1 when added pair by
+        # pair; a0's bound adds the same three distances in another order and
+        # rounds to 1 + 2**-52, above the incumbent 1. Only the slack keeps a0.
+        monkeypatch.setattr(baselines, "_CHUNK", 1)
+        e = 2.0**-53
+        assert (1.0 + e) + e == 1.0 < (e + e) + 1.0
+        # condensed order over a0, a1, b0, c0, d0:
+        # a0a1 a0b0 a0c0 a0d0 a1b0 a1c0 a1d0 b0c0 b0d0 c0d0
+        distances = np.array([5.0, 1.0, e, e, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(baselines, "condensed_distances", lambda _points: distances)
+        doc = make_document(
+            "omd-slack", {"a": [(0, 0), (0, 1)], "b": [(0, 2)], "c": [(0, 3)], "d": [(0, 4)]}
+        )
+        assert gathered_omd_index(doc, distances) == 0
+        assert self.chosen(doc) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(SPOTS), min_size=1, max_size=6), min_size=2, max_size=6),
+        st.sampled_from([1, 2, 7, 64, 1 << 13]),
+    )
+    def test_shared_spots_match_the_gather_enumeration(self, mentions, chunk):
+        doc = make_document("omd-h", {f"m{i}": coords for i, coords in enumerate(mentions)})
+        with mock.patch.object(baselines, "_CHUNK", chunk):
+            assert self.chosen(doc) == gathered_omd_index(doc)
+
+    def test_leaves_evaluate_under_one_percent_of_a_planted_document(self, monkeypatch):
+        doc = synth_generate(SynthSpec(n_docs=1, mentions_per_doc=4, decoys_per_mention=(29, 29)))[0]
+        n_combos = math.prod(len(m.candidates) for m in doc.mentions)
+        assert n_combos == 30**4
+        counter = LeafCounter()
+        monkeypatch.setattr(baselines, "np", counter)
+        assert self.chosen(doc) == gathered_omd_index(doc)
+        assert 0 < sum(counter.evaluated) < n_combos / 100
 
 
 class TestCentroidHeuristic:

@@ -161,6 +161,13 @@ class TestDisambiguateCommand:
         ["kfunction", "--delta-d", "1e-300"],
         ["kfunction", "--delta-d", "1e200"],
         ["evaluate", "--cell", "densityk:delta_d=1e-300"],
+        ["evaluate", "--cell", "densityk:upper_bound=-5"],
+        ["disambiguate", "--upper-bound", "-5"],
+        ["disambiguate", "--upper-bound", "nan"],
+        ["kfunction", "--upper-bound", "-5"],
+        ["kfunction", "--upper-bound", "nan"],
+        ["evaluate", "--cell", "omd", "--workers", "0"],
+        ["evaluate", "--cell", "omd", "--workers", "-3"],
     ],
     ids=" ".join,
 )

@@ -269,6 +269,12 @@ class TestDensitykPipeline:
         with pytest.raises(EmptyInputError):
             densityk_pipeline(make_document("none", {}))
 
+    @pytest.mark.parametrize("upper_bound", [-5.0, math.nan])
+    def test_upper_bound_below_zero_or_nan_rejected(self, upper_bound):
+        # checked before the document: even one without candidates
+        with pytest.raises(ValueError, match="upper_bound must be >= 0"):
+            densityk_pipeline(make_document("none", {}), upper_bound=upper_bound)
+
     def test_deterministic(self):
         doc = planted_document()
         a = densityk_pipeline(doc)

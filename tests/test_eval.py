@@ -172,6 +172,11 @@ class TestEvaluateCorpus:
         threaded = report_to_dict(evaluate_corpus(docs, configs, workers=4))
         assert serial == threaded
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            evaluate_corpus(planted_corpus(), [AlgorithmConfig("omd")], workers=workers)
+
 
 class TestTable1Grid:
     def test_cell_inventory(self):
@@ -305,6 +310,10 @@ class TestRunAlgorithm:
     def test_range_error_names_the_cell(self):
         with pytest.raises(ValueError, match="cell densityk:delta_d=0"):
             evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("delta_d", 0),))])
+
+    def test_negative_upper_bound_names_the_cell(self):
+        with pytest.raises(ValueError, match="cell densityk:upper_bound=-5: upper_bound must be >= 0"):
+            evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("upper_bound", -5),))])
 
     def test_one_distance_vector_per_clustering_run(self, monkeypatch, default_corpus):
         # each clusterer reads its groups, its cluster spreads and (k-dist)

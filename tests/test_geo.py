@@ -134,6 +134,15 @@ class TestPairwiseDistances:
                 pairwise_distances(pts, upper_bound=bound).values, full[full <= bound]
             )
 
+    @pytest.mark.parametrize("bound", [-5.0, -1e-300, math.nan])
+    def test_bound_below_zero_or_nan_rejected(self, bound):
+        with pytest.raises(ValueError, match="upper_bound must be >= 0"):
+            pairwise_distances([GeoPoint(0, 0), GeoPoint(0, 1)], upper_bound=bound)
+
+    def test_bound_zero_keeps_coincident_pairs(self):
+        pts = [GeoPoint(0, 0), GeoPoint(0, 0), GeoPoint(0, 1)]
+        assert list(pairwise_distances(pts, upper_bound=0.0).values) == [0.0]
+
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(11)
         pts = [GeoPoint(float(rng.uniform(-80, 80)), float(rng.uniform(-180, 180))) for _ in range(6)]
