@@ -62,6 +62,13 @@ def _single_cluster_result(doc: DocumentInput, chosen: dict[str, str]) -> Disamb
     )
 
 
+def _require_candidates(doc: DocumentInput) -> None:
+    # the heuristics choose one candidate for every mention
+    for mention in doc.mentions:
+        if not mention.candidates:
+            raise EmptyInputError(f"document {doc.doc_id!r}: mention {mention.name!r} has no candidates")
+
+
 def _hull_area_m2(points: list[GeoPoint]) -> float:
     """Planar convex-hull area on an equirectangular projection about the
     points' spherical centroid. Approximate; adequate at document scales.
@@ -228,6 +235,7 @@ def omd(
     """
     if len(doc.mentions) == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no mentions")
+    _require_candidates(doc)
     sizes = [len(m.candidates) for m in doc.mentions]
     n_combos = math.prod(sizes)
     if n_combos > cap:
@@ -267,6 +275,7 @@ def centroid_heuristic(doc: DocumentInput) -> DisambiguationResult:
     candidate nearest the final centroid; near-ties (under 1 mm) go to the
     smaller entry_id.
     """
+    _require_candidates(doc)
     cloud = to_point_cloud(doc)
     if len(cloud) == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
@@ -295,6 +304,7 @@ def dtur(doc: DocumentInput) -> DisambiguationResult:
     mention takes the candidate with the smallest mean distance to the
     anchor locations, ties to the smaller entry_id.
     """
+    _require_candidates(doc)
     anchors = [m.candidates[0] for m in doc.mentions if len(m.candidates) == 1]
     if not anchors:
         raise NoAnchorsError(f"document {doc.doc_id!r} has no unambiguous mention")

@@ -56,22 +56,27 @@ class DisambiguationResult:
     diagnostics: KFunction | None = None
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _component_labels(ii: np.ndarray, jj: np.ndarray, n: int) -> np.ndarray:
+    """The smallest point index in each point's connected component of the
+    graph on n points with edges (ii[k], jj[k]).
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    Every label is a root (a point labelled with itself) at the start of a
+    round. Each edge whose ends carry different roots hooks the larger root
+    onto the smaller, and pointer jumping relabels every point with its
+    root; rounds repeat until both ends of every edge agree (Shiloach and
+    Vishkin 1982). A label never exceeds its point's index, so a component's
+    one root is its smallest index.
+    """
+    label = np.arange(n)
+    while True:
+        li, lj = label[ii], label[jj]
+        differ = li != lj
+        if not differ.any():
+            return label
+        li, lj = li[differ], lj[differ]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
 
 def form_clusters(cloud: PointCloud, cluster_distance: float) -> list[Cluster]:
@@ -110,6 +115,9 @@ def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) 
     a point that is not core joins the cluster of its smallest-index core
     neighbour, or is noise if it has none. At ``min_pts`` 1 every point is
     core and the clusters are the single-linkage components at epsilon.
+    The edges within epsilon are found, filtered and joined by whole-array
+    operations (:func:`_component_labels`); only the grouping walks the n
+    points in Python.
     """
     if n == 0:
         raise EmptyInputError("cannot cluster an empty cloud")
@@ -128,13 +136,11 @@ def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) 
         joins = anchor.tolist()
         linked = core[ii] & core[jj]
         ii, jj = ii[linked], jj[linked]
-    uf = _UnionFind(n)
-    for a, b in zip(ii.tolist(), jj.tolist()):
-        uf.union(a, b)
+    roots = _component_labels(ii, jj, n).tolist()
     groups: dict[int, list[int]] = {}
     for i, j in enumerate(joins):
         if j < n:
-            groups.setdefault(uf.find(j), []).append(i)
+            groups.setdefault(roots[j], []).append(i)
     return list(groups.values())
 
 

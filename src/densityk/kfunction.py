@@ -30,6 +30,9 @@ from .geo import DistanceList
 DEFAULT_DELTA_D_M = 100.0
 MAX_RING_INDEX = 2**53
 
+# the fewest distances one step of the dense ring count reads at once
+_COUNT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class KFunction:
@@ -75,6 +78,31 @@ def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
     return np.maximum(m, 1)
 
 
+def _ring_counts(values: np.ndarray, delta_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied rings of ``values``, ascending, and how many distances
+    fall in each: ``np.unique(_ring_indices(values, delta_d), return_counts=True)``.
+
+    When the rings from the nearest distance to the farthest span at most a
+    quarter as many as there are distances, ``np.bincount`` counts them into
+    one array over that span, ``max(_COUNT_BLOCK, span)`` distances at a
+    time, so no copy of the whole vector is made. A wider span (a small
+    document, or a tiny ``delta_d``) is counted by ``np.unique``.
+    """
+    # a ring index never decreases with the distance
+    lo, hi = _ring_indices(np.array([values.min(), values.max()]), delta_d).tolist()
+    span = hi - lo + 1
+    if 4 * span > len(values):
+        return np.unique(_ring_indices(values, delta_d), return_counts=True)
+    step = max(_COUNT_BLOCK, span)
+    counts = np.zeros(span, dtype=np.int64)
+    for start in range(0, len(values), step):
+        counts += np.bincount(_ring_indices(values[start : start + step], delta_d) - lo, minlength=span)
+    occupied = np.flatnonzero(counts)
+    counts = counts[occupied]
+    occupied += lo
+    return occupied, counts
+
+
 def compute_k_function(
     distances: DistanceList, n_points: int, delta_d: float = DEFAULT_DELTA_D_M
 ) -> KFunction:
@@ -90,12 +118,26 @@ def annular_k_function(
     values: np.ndarray, n_points: int, delta_d: float = DEFAULT_DELTA_D_M
 ) -> KFunction:
     """:func:`compute_k_function` on a bare vector of pair distances, which
-    need not be sorted: the ring counts do not depend on their order."""
+    need not be sorted: the ring counts do not depend on their order.
+
+    On a vector of at least four distances per ring spanned (a large
+    document) the rings are counted in blocks (see :func:`_ring_counts`), so
+    memory beyond the vector is one block and a few arrays as long as the
+    span, at most a quarter of its length; otherwise ``np.unique`` sorts a
+    copy of the ring indices.
+    """
     _check_curve_input(values, n_points, delta_d)
-    occupied, counts = np.unique(_ring_indices(values, delta_d), return_counts=True)
-    d = occupied.astype(np.float64) * delta_d
-    areas = np.pi * (d**2 - (d - delta_d) ** 2)
-    densities = 2.0 * counts / (n_points * areas)
+    occupied, counts = _ring_counts(values, delta_d)
+    d = occupied * delta_d
+    del occupied
+    # 2 * counts / (n_points * pi * (d**2 - (d - delta_d)**2)), rounded at the
+    # same steps (so to the same bits), in two arrays as long as d
+    densities, inner = np.square(d), d - delta_d
+    densities -= np.square(inner, out=inner)
+    del inner
+    densities *= np.pi
+    densities *= n_points
+    np.divide(2.0 * counts, densities, out=densities)
     return KFunction(delta_d=delta_d, distances_m=d, densities=densities)
 
 

@@ -100,6 +100,58 @@ def label_propagation_components(
     return [frozenset(g) for g in groups.values()]
 
 
+class UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def union_find_dbscan_groups(
+    distances: list[float], n: int, epsilon: float, min_pts: int
+) -> list[list[int]]:
+    """DBSCAN groups from the condensed pair distances of n points (pairs
+    (i, j), i < j, row after row), one edge at a time through a union-find.
+
+    A point is core when it and at least ``min_pts - 1`` others lie within
+    ``epsilon``; core points within epsilon share a group; any other point
+    joins the group of its smallest-index core neighbour, or none. Groups
+    come in order of their first member, members ascending.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [pair for pair, x in zip(pairs, distances) if x <= epsilon]
+    degree = [1] * n
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    core = [d >= min_pts for d in degree]
+    joins: list[int | None] = [i if core[i] else None for i in range(n)]
+    uf = UnionFind(n)
+    for i, j in edges:
+        if core[i] and core[j]:
+            uf.union(i, j)
+        for border, other in ((i, j), (j, i)):
+            if core[other] and not core[border]:
+                if joins[border] is None or other < joins[border]:
+                    joins[border] = other
+    groups: dict[int, list[int]] = {}
+    for i, j in enumerate(joins):
+        if j is not None:
+            groups.setdefault(uf.find(j), []).append(i)
+    return list(groups.values())
+
+
 def reference_dbscan(
     coords: list[tuple[float, float]], epsilon: float, min_pts: int
 ) -> list[int]:

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densityk import (
+    AlgorithmConfig,
     CombinationExplosionError,
+    EmptyInputError,
     GeoPoint,
     InsufficientPointsError,
     NoAnchorsError,
@@ -23,6 +25,7 @@ from densityk import (
     omd,
     rank_clusters,
     result_to_dict,
+    run_algorithm,
     table1_grid,
     to_canonical_json,
     to_point_cloud,
@@ -536,6 +539,24 @@ class TestKdistEpsilon:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             kdist_epsilon(make_cloud([(0, 0), (1, 1)]), k=0)
+
+
+class TestMentionWithoutCandidates:
+    # a document built in code can hold such a mention; a loaded one cannot
+    @pytest.mark.parametrize(
+        "config",
+        [
+            AlgorithmConfig("omd", (("measure", "avg_pairwise"),)),
+            AlgorithmConfig("omd", (("measure", "hull_area"),)),
+            AlgorithmConfig("centroid"),
+            AlgorithmConfig("dtur"),
+        ],
+        ids=lambda c: c.key,
+    )
+    def test_is_an_empty_input_naming_document_and_mention(self, config):
+        doc = make_document("z", {"a": [(0, 0)], "b": []})
+        with pytest.raises(EmptyInputError, match="document 'z': mention 'b' has no candidates"):
+            run_algorithm(doc, config)
 
 
 class TestDisambiguatingWrappers:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +20,16 @@ from densityk import (
 )
 from densityk.clustering import (
     DisambiguationResult,
+    _component_labels,
     _dbscan_groups,
     _condensed_mean,
     _mean_pairwise,
 )
 from densityk.corpus import PointCloud, to_point_cloud
-from densityk.geo import BLOCK_ELEMENTS, condensed_distances
+from densityk.geo import BLOCK_ELEMENTS, condensed_distances, condensed_index
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords
-from oracles import label_propagation_components
+from oracles import label_propagation_components, union_find_dbscan_groups
 from test_corpus import M_PER_DEG
 
 
@@ -83,6 +85,64 @@ class TestFormClusters:
             }
             oracle = set(label_propagation_components(coords, threshold))
             assert ours == oracle
+
+
+def zigzag(indices: list[int]) -> list[int]:
+    # last, first, second last, second, ...: every step crosses the middle
+    out = []
+    while indices:
+        out.append(indices.pop())
+        if indices:
+            out.append(indices.pop(0))
+    return out
+
+
+def path(order: list[int]) -> list[tuple[int, int]]:
+    return list(zip(order, order[1:]))
+
+
+def graph_distances(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
+    # the condensed vector of n points in which exactly the edges lie within 1.5
+    distances = np.full(n * (n - 1) // 2, 2.0)
+    for a, b in edges:
+        distances[condensed_index(min(a, b), max(a, b), n)] = 1.0
+    return distances
+
+
+class TestComponents:
+    # each graph but the last two needs more than one hooking round: a hook
+    # joins only roots, and these graphs chain roots through larger indices
+    GRAPHS = {
+        "zigzag path": (13, path(zigzag(list(range(13)))), [list(range(13))]),
+        "star on the last index": (9, [(i, 8) for i in range(8)], [list(range(9))]),
+        "interleaved chains": (
+            16,
+            path(zigzag(list(range(0, 16, 2)))) + path(zigzag(list(range(1, 16, 2)))),
+            [list(range(0, 16, 2)), list(range(1, 16, 2))],
+        ),
+        "isolated points": (7, [(5, 1), (1, 3)], [[0], [1, 3, 5], [2], [4], [6]]),
+        "one point": (1, [], [[0]]),
+    }
+
+    @pytest.mark.parametrize("graph", list(GRAPHS))
+    def test_graphs_needing_several_hook_rounds(self, graph):
+        n, edges, groups = self.GRAPHS[graph]
+        ii = np.array([min(e) for e in edges], dtype=np.int64)
+        jj = np.array([max(e) for e in edges], dtype=np.int64)
+        smallest = {i: g[0] for g in groups for i in g}
+        assert _component_labels(ii, jj, n).tolist() == [smallest[i] for i in range(n)]
+        assert _dbscan_groups(graph_distances(n, edges), n, 1.5, 1) == groups
+
+    @pytest.mark.parametrize("min_pts", range(1, 7))
+    def test_dbscan_groups_equal_union_find(self, min_pts):
+        rng = np.random.default_rng(40 + min_pts)
+        for _ in range(60):
+            n = int(rng.integers(1, 45))
+            # coarse values so that some pairs lie exactly at epsilon
+            distances = np.round(rng.uniform(0.0, 1.0, n * (n - 1) // 2), 2)
+            epsilon = float(np.round(rng.uniform(0.02, 0.3), 2))
+            want = union_find_dbscan_groups(distances.tolist(), n, epsilon, min_pts)
+            assert _dbscan_groups(distances, n, epsilon, min_pts) == want
 
 
 class TestSharedDistanceVector:
@@ -313,3 +373,18 @@ class TestDensitykPipeline:
         )
         piped = densityk_pipeline(doc, upper_bound=upper_bound)
         assert to_canonical_json(result_to_dict(piped)) == to_canonical_json(result_to_dict(staged))
+
+    def test_peak_memory_below_twice_the_distance_vector(self):
+        # the curve counts rings in blocks and the components need no copy of
+        # the vector, so the pipeline holds little beyond the vector itself
+        spec = SynthSpec(n_docs=1, mentions_per_doc=50, decoys_per_mention=(29, 29), seed=11)
+        doc = synth_generate(spec)[0]
+        n = len(to_point_cloud(doc))
+        assert n == 1500
+        tracemalloc.start()
+        try:
+            densityk_pipeline(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * (n * (n - 1) // 2)
