@@ -148,7 +148,7 @@ def _omd_avg_pairwise(doc: DocumentInput, sizes: list[int]) -> int:
     in C order.
     """
     # one distance vector over every candidate, mention after mention
-    distances = condensed_distances([c.location for m in doc.mentions for c in m.candidates])
+    distances = condensed_distances(to_point_cloud(doc))
     n, starts = sum(sizes), np.cumsum([0] + sizes)
     blocks = {  # the distances between mentions a < b, in the order every total adds them
         (a, b): distances[condensed_index(
@@ -339,7 +339,7 @@ def kdist_epsilon(cloud: PointCloud, k: int) -> float:
     Computes each point's distance to its k-th nearest neighbor (self
     excluded) and returns mean + 2*std of those values.
     """
-    return _kdist_epsilon(cloud, condensed_distances([p.location for p in cloud.points]), k)
+    return _kdist_epsilon(cloud, condensed_distances(cloud), k)
 
 
 def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
@@ -348,21 +348,20 @@ def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cloud) <= k:
         raise InsufficientPointsError(f"need more than {k} points, got {len(cloud)}")
-    kth = np.sort(_neighbour_matrix(distances, len(cloud)), axis=1)[:, k - 1]
+    kth = np.partition(_neighbour_matrix(distances, len(cloud)), k - 1, axis=1)[:, k - 1]
     return float(np.mean(kth) + 2.0 * np.std(kth))
 
 
 def dbscan_disambiguate(doc: DocumentInput, epsilon: float, min_pts: int) -> DisambiguationResult:
     """DBSCAN clusters fed through the shared ranking and top-cluster scan."""
     cloud = to_point_cloud(doc)
-    distances = condensed_distances([p.location for p in cloud.points])
-    return _resolve(doc, cloud, distances, epsilon, min_pts)
+    return _resolve(doc, cloud, condensed_distances(cloud), epsilon, min_pts)
 
 
 def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> DisambiguationResult:
     """DBSCAN with the auto-derived epsilon."""
     cloud = to_point_cloud(doc)
-    distances = condensed_distances([p.location for p in cloud.points])
+    distances = condensed_distances(cloud)
     epsilon = _kdist_epsilon(cloud, distances, k)
     if epsilon == 0:
         raise InsufficientPointsError(

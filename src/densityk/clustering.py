@@ -97,18 +97,18 @@ def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
     input order; everything else is noise and belongs to no cluster.
     Clusters come in order of their first point, members in input order.
     """
-    distances = condensed_distances([p.location for p in cloud.points])
-    return _clusters(cloud, _dbscan_groups(distances, len(cloud), epsilon, min_pts))
+    labels = _dbscan_groups(condensed_distances(cloud), len(cloud), epsilon, min_pts).tolist()
+    groups: dict[int, list[CloudPoint]] = {}
+    for point, label in zip(cloud.points, labels):
+        if label < len(cloud):
+            groups.setdefault(label, []).append(point)
+    return [Cluster(members=tuple(g)) for g in groups.values()]
 
 
-def _clusters(cloud: PointCloud, groups: list[list[int]]) -> list[Cluster]:
-    return [Cluster(members=tuple(cloud.points[i] for i in g)) for g in groups]
-
-
-def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) -> list[list[int]]:
-    """Point indices of each DBSCAN cluster, ascending, the clusters in
-    order of their first point, from the condensed pair distances of n
-    points (see ``geo.condensed_distances``); noise points are in none.
+def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) -> np.ndarray:
+    """The DBSCAN cluster of each of n points, from their condensed pair
+    distances (see ``geo.condensed_distances``): the smallest index of a
+    core point in it, or n for a noise point.
 
     A point is core when it and at least ``min_pts - 1`` others lie within
     ``epsilon``. Core points within epsilon of each other share a cluster;
@@ -116,8 +116,7 @@ def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) 
     neighbour, or is noise if it has none. At ``min_pts`` 1 every point is
     core and the clusters are the single-linkage components at epsilon.
     The edges within epsilon are found, filtered and joined by whole-array
-    operations (:func:`_component_labels`); only the grouping walks the n
-    points in Python.
+    operations (:func:`_component_labels`).
     """
     if n == 0:
         raise EmptyInputError("cannot cluster an empty cloud")
@@ -126,22 +125,16 @@ def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) 
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     ii, jj = condensed_pairs(np.flatnonzero(distances <= epsilon), n)
-    joins = range(n)  # the point whose cluster each point joins; n for noise
-    if min_pts > 1:
-        core = np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n) + 1 >= min_pts
-        anchor = np.where(core, np.arange(n), n)
-        i_border, j_border = core[jj] & ~core[ii], core[ii] & ~core[jj]
-        np.minimum.at(anchor, ii[i_border], jj[i_border])
-        np.minimum.at(anchor, jj[j_border], ii[j_border])
-        joins = anchor.tolist()
-        linked = core[ii] & core[jj]
-        ii, jj = ii[linked], jj[linked]
-    roots = _component_labels(ii, jj, n).tolist()
-    groups: dict[int, list[int]] = {}
-    for i, j in enumerate(joins):
-        if j < n:
-            groups.setdefault(roots[j], []).append(i)
-    return list(groups.values())
+    if min_pts == 1:
+        return _component_labels(ii, jj, n)
+    core = np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n) + 1 >= min_pts
+    joins = np.where(core, np.arange(n), n)  # the point whose cluster each point joins
+    i_border, j_border = core[jj] & ~core[ii], core[ii] & ~core[jj]
+    np.minimum.at(joins, ii[i_border], jj[i_border])
+    np.minimum.at(joins, jj[j_border], ii[j_border])
+    linked = core[ii] & core[jj]
+    roots = _component_labels(ii[linked], jj[linked], n)
+    return np.append(roots, n)[joins]
 
 
 def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
@@ -150,12 +143,12 @@ def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
     return float(np.mean(condensed_distances([p.location for p in members])))
 
 
-def _condensed_mean(distances: np.ndarray, n: int, members: list[int]) -> float:
+def _condensed_mean(distances: np.ndarray, n: int, members: list[int] | np.ndarray) -> float:
     # _mean_pairwise of the points at the ascending indices ``members``, read
     # from the cloud's condensed distances: the same values in the same order
     if len(members) < 2:
         return 0.0
-    idx = np.array(members, dtype=np.int64)
+    idx = np.asarray(members, dtype=np.int64)
     a, b = np.triu_indices(len(idx), k=1)
     return float(np.mean(distances[condensed_index(idx[a], idx[b], n)]))
 
@@ -165,10 +158,7 @@ def rank_clusters(clusters: list[Cluster]) -> list[Cluster]:
     tighter cluster (smaller mean pairwise member distance), then to the
     lexicographically smallest member entry_id. Ranks are 1-based.
     """
-    return _ranked(clusters, [_mean_pairwise(c.members) for c in clusters])
-
-
-def _ranked(clusters: list[Cluster], spreads: list[float]) -> list[Cluster]:
+    spreads = [_mean_pairwise(c.members) for c in clusters]
     order = sorted(
         range(len(clusters)),
         key=lambda k: (-len(clusters[k]), spreads[k], min(p.entry_id for p in clusters[k].members)),
@@ -229,7 +219,7 @@ def densityk_pipeline(
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
     # one distance pass: the curve reads the pairs within upper_bound, the
     # linkage every pair (pairs in (upper_bound, threshold] are still edges)
-    distances = condensed_distances([p.location for p in cloud.points])
+    distances = condensed_distances(cloud)
     if len(cloud) == 1:
         return _resolve(doc, cloud, distances, np.inf, 1)
     in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
@@ -240,9 +230,48 @@ def densityk_pipeline(
 def _resolve(
     doc: DocumentInput, cloud: PointCloud, distances: np.ndarray, epsilon: float, min_pts: int
 ) -> DisambiguationResult:
-    """DBSCAN clusters of ``cloud`` from its condensed pair ``distances``,
-    ranked by :func:`rank_clusters`'s order with the spreads read from the
-    same vector, resolved by :func:`disambiguate`."""
-    groups = _dbscan_groups(distances, len(cloud), epsilon, min_pts)
-    spreads = [_condensed_mean(distances, len(cloud), g) for g in groups]
-    return disambiguate(doc, _ranked(_clusters(cloud, groups), spreads))
+    """``disambiguate(doc, rank_clusters(dbscan(cloud, epsilon, min_pts)))``
+    for ``cloud = to_point_cloud(doc)``, from its condensed pair
+    ``distances`` and the cluster label of each point.
+
+    A cluster's spread only breaks ties in size, so it is read from the
+    vector only for clusters of two or more points whose size another
+    cluster shares (a singleton's is 0). Entry ids are unique, so the
+    smallest one settles every remaining tie.
+    """
+    n = len(cloud)
+    labels = _dbscan_groups(distances, n, epsilon, min_pts)
+    by_cluster = np.argsort(labels, kind="stable")  # members ascending, noise last
+    counts = np.bincount(labels, minlength=n + 1)[:n]
+    roots = np.flatnonzero(counts)  # one label per cluster
+    sizes = counts[roots]
+    starts = np.cumsum(sizes) - sizes
+    smallest_id = np.minimum.reduceat(cloud._id_ranks[by_cluster[: sizes.sum()]], starts)
+    spreads = np.zeros(len(roots))
+    for k in np.flatnonzero((sizes > 1) & (np.bincount(sizes)[sizes] > 1)).tolist():
+        spreads[k] = _condensed_mean(distances, n, by_cluster[starts[k] : starts[k] + sizes[k]])
+    order = np.lexsort((smallest_id, spreads, -sizes))
+    unclustered = len(order) + 1  # the rank of a noise point: past every cluster's
+    rank_of_label = np.full(n + 1, unclustered)
+    rank_of_label[roots[order]] = np.arange(1, len(order) + 1)
+    point_rank = rank_of_label[labels].tolist()
+    grouped = [cloud.points[i] for i in by_cluster.tolist()]
+    ranked = tuple(
+        Cluster(members=tuple(grouped[start : start + size]), rank=rank)
+        for rank, (start, size) in enumerate(zip(starts[order].tolist(), sizes[order].tolist()), 1)
+    )
+
+    outcomes: dict[str, MentionOutcome] = {}
+    end = 0
+    for mention in doc.mentions:  # the cloud holds each mention's points in one run
+        start, end = end, end + len(mention.candidates)
+        ranks = point_rank[start:end]
+        top = min(ranks, default=unclustered)
+        if top == unclustered:
+            outcomes[mention.name] = MentionOutcome(OutcomeStatus.NO_CANDIDATE_IN_ANY_CLUSTER)
+        elif ranks.count(top) == 1:
+            chosen = mention.candidates[ranks.index(top)].entry_id
+            outcomes[mention.name] = MentionOutcome(OutcomeStatus.RESOLVED, entry_id=chosen)
+        else:
+            outcomes[mention.name] = MentionOutcome(OutcomeStatus.AMBIGUOUS_IN_TOP_CLUSTER)
+    return DisambiguationResult(doc_id=doc.doc_id, outcomes=outcomes, ranked_clusters=ranked)

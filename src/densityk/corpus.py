@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DocumentParseError, DocumentSchemaError
-from .geo import GeoPoint, haversine
+from .geo import GeoPoint, _radian_arrays, haversine
 
 DEFAULT_DEDUPE_RADIUS_M = 50.0
 
@@ -46,11 +49,36 @@ class PlaceMention:
 
 @dataclass(frozen=True)
 class DocumentInput:
-    """One description document: ordered mentions plus optional ground truth."""
+    """One description document: ordered mentions plus optional ground truth.
+
+    Entry ids are unique across the whole document.
+    """
 
     doc_id: str
     mentions: tuple[PlaceMention, ...]
     ground_truth: dict[str, str] | None = None
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for mention in self.mentions:
+            for cand in mention.candidates:
+                if cand.entry_id in seen:
+                    raise DocumentSchemaError(
+                        f"document {self.doc_id!r}, mention {mention.name!r}: "
+                        f"duplicate entry_id {cand.entry_id!r}"
+                    )
+                seen.add(cand.entry_id)
+
+    @cached_property
+    def _cloud(self) -> PointCloud:
+        # see to_point_cloud; not a field, so out of eq, repr and replace()
+        return PointCloud(
+            points=tuple(
+                CloudPoint(location=c.location, entry_id=c.entry_id, mention=m.name)
+                for m in self.mentions
+                for c in m.candidates
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -64,12 +92,29 @@ class CloudPoint:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """The locations of all candidates of a document, one point per candidate."""
+    """The locations of all candidates of a document, one point per candidate.
+
+    The arrays the clusterers read are built from the points on first use
+    and kept: O(n) each, never the O(n^2) pair distances.
+    """
 
     points: tuple[CloudPoint, ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def _radians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # read by geo.condensed_distances
+        return _radian_arrays([p.location for p in self.points])
+
+    @cached_property
+    def _id_ranks(self) -> np.ndarray:
+        # each point's position in the ascending order of the entry ids
+        n = len(self.points)
+        ranks = np.empty(n, dtype=np.intp)
+        ranks[sorted(range(n), key=lambda i: self.points[i].entry_id)] = np.arange(n)
+        return ranks
 
 
 _TYPE_NAMES = {str: "a string", list: "a list", dict: "a JSON object"}
@@ -97,7 +142,6 @@ def document_from_dict(raw: dict) -> DocumentInput:
 
     mentions: list[PlaceMention] = []
     seen_names: set[str] = set()
-    seen_entry_ids: set[str] = set()
     for mraw in mentions_raw:
         _expect(mraw, dict, f"document {doc_id!r}: each mention")
         ctx = f"document {doc_id!r}, mention {mraw.get('name', '?')!r}"
@@ -121,9 +165,6 @@ def document_from_dict(raw: dict) -> DocumentInput:
                 location = GeoPoint(float(lat), float(lon))
             except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
                 raise DocumentSchemaError(f"{where}: {exc}") from exc
-            if entry_id in seen_entry_ids:
-                raise DocumentSchemaError(f"{ctx}: duplicate entry_id {entry_id!r}")
-            seen_entry_ids.add(entry_id)
             candidates.append(
                 CandidateEntry(
                     entry_id=entry_id,
@@ -246,10 +287,9 @@ def dedupe_candidates(
 
 
 def to_point_cloud(doc: DocumentInput) -> PointCloud:
-    """One cloud point per (mention, candidate) pair, in document order."""
-    points = tuple(
-        CloudPoint(location=c.location, entry_id=c.entry_id, mention=m.name)
-        for m in doc.mentions
-        for c in m.candidates
-    )
-    return PointCloud(points=points)
+    """One cloud point per (mention, candidate) pair, in document order.
+
+    The cloud is built on the document's first call and the same object
+    returned on every later one.
+    """
+    return doc._cloud

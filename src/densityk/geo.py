@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateCentroidError, EmptyInputError
+
+if TYPE_CHECKING:
+    from .corpus import PointCloud
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -80,6 +83,12 @@ def _to_radian_array(points: Sequence[GeoPoint]) -> tuple[np.ndarray, np.ndarray
     return lat, lon
 
 
+def _radian_arrays(points: Sequence[GeoPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # what condensed_distances reads: latitudes, longitudes, cos latitudes
+    lat, lon = _to_radian_array(points)
+    return lat, lon, np.cos(lat)
+
+
 def _haversine_arc(dphi, dlam, cos_a, cos_b) -> np.ndarray:
     # the one vectorised haversine formula; callers pass broadcastable operands
     h = np.sin(dphi / 2.0) ** 2 + cos_a * cos_b * np.sin(dlam / 2.0) ** 2
@@ -93,22 +102,72 @@ def _haversine_arc(dphi, dlam, cos_a, cos_b) -> np.ndarray:
 # (2-vCPU Xeon with AVX-512, numpy 2.4).
 BLOCK_ELEMENTS = 1 << 16
 
+# The most points whose pairs condensed_distances computes in one block.
+# One row block evaluates both triangles and keeps one; gathering the pairs
+# halves that work, but on a larger cloud the gathers cost more than they
+# save: the whole vector of 1,705 points gathered took 91 ms, its row blocks
+# 70 ms (same host).
+_ONE_BLOCK_N = math.isqrt(BLOCK_ELEMENTS) + 1
 
-def condensed_distances(points: Sequence[GeoPoint]) -> np.ndarray:
+# The pairs (a, b), a > b, of the lower triangle in row-major order: (1, 0),
+# (2, 0), (2, 1), (3, 0), ... The first m(m-1)/2 of them are the pairs of m
+# points for every m, and with points numbered backwards (i = m-1-a,
+# j = m-1-b) they are the condensed pairs (i, j), i < j, of m points in
+# reverse order.
+_LOWER_A, _LOWER_B = np.tril_indices(_ONE_BLOCK_N, -1)
+
+
+def condensed_distances(points: Sequence[GeoPoint] | PointCloud) -> np.ndarray:
     """The n(n-1)/2 unordered-pair distances in ``np.triu_indices(n, 1)``
     order (row-major upper triangle), in meters.
 
-    Bit-identical to the upper triangle of the full n-by-n evaluation of
-    the same formula, but computed on blocks of rows of at most about
-    ``BLOCK_ELEMENTS`` entries, so no n-by-n array is held: memory is the
-    result plus one block.
+    ``points`` is a sequence of GeoPoints or a ``PointCloud``, whose radian
+    arrays are built once per cloud. The values are bit-identical to the
+    upper triangle of the full n-by-n evaluation of the same formula, which
+    is never held. Up to the 257 points whose pairs fit one row block, each
+    pair is evaluated once, on coordinates gathered by pair index; beyond,
+    row blocks of at most about ``BLOCK_ELEMENTS`` entries are evaluated in
+    turn, so memory is the result plus one block.
     """
-    n = len(points)
+    radians = getattr(points, "_radians", None)  # a PointCloud keeps its arrays
+    if radians is None:
+        radians = _radian_arrays(points)
+    if len(radians[0]) <= _ONE_BLOCK_N:
+        return _condensed_gathered(*radians)
+    return _condensed_row_blocks(*radians)
+
+
+def _condensed_gathered(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
+    # _haversine_arc's operations in its order, on the pairs alone, through
+    # four pair-sized buffers; the points are read backwards (see _LOWER_A)
+    n = len(lat)
+    m = n * (n - 1) // 2
+    a, b = _LOWER_A[:m], _LOWER_B[:m]
+    lat, lon, cos_lat = lat[::-1], lon[::-1], cos_lat[::-1]
+    dphi, scratch = lat.take(a), lat.take(b)
+    np.subtract(dphi, scratch, out=dphi)
+    dlam, cos_b = lon.take(a), lon.take(b)
+    np.subtract(dlam, cos_b, out=dlam)
+    for d in (dphi, dlam):
+        np.divide(d, 2.0, out=d)
+        np.sin(d, out=d)
+        np.square(d, out=d)
+    cos_a = cos_lat.take(a, out=scratch)
+    cos_lat.take(b, out=cos_b)
+    np.multiply(cos_a, cos_b, out=cos_a)
+    np.multiply(cos_a, dlam, out=cos_a)
+    h = np.add(dphi, cos_a, out=dphi)
+    np.clip(h, 0.0, 1.0, out=h)
+    np.sqrt(h, out=h)
+    np.arcsin(h, out=h)
+    out = np.empty(m, dtype=np.float64)
+    np.multiply(2.0 * EARTH_RADIUS_M, h, out=out[::-1])
+    return out
+
+
+def _condensed_row_blocks(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
+    n = len(lat)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    if n < 2:
-        return out
-    lat, lon = _to_radian_array(points)
-    cos_lat = np.cos(lat)
     pos = 0
     r0 = 0
     while r0 < n - 1:

@@ -512,6 +512,22 @@ class TestKdistEpsilon:
             want = float(np.mean(kth) + 2.0 * np.std(kth))
             assert kdist_epsilon(make_cloud(coords), k) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_kth_neighbour_with_coincident_points(self, k):
+        # four copies of two points and two of three more: up to k = 3 some
+        # points' k-th neighbour is at distance 0; equal distances fill rows
+        coords = random_coords(np.random.default_rng(60 + k), 12)
+        coords += coords[:5] + coords[:2] * 2
+        cloud = make_cloud(coords)
+        kth = kth_neighbor_distances(coords, k)
+        assert (min(kth) == 0.0) == (k <= 3)
+        want = float(np.mean(kth) + 2.0 * np.std(kth))
+        assert kdist_epsilon(cloud, k) == pytest.approx(want, rel=1e-9)
+        matrix = _neighbour_matrix(condensed_distances(cloud), len(cloud))
+        exact = np.sort(matrix, axis=1)[:, k - 1]  # a full row sort reads the same k-th value
+        assert np.array_equal(exact == 0.0, np.array(kth) == 0.0)
+        assert kdist_epsilon(cloud, k) == float(np.mean(exact) + 2.0 * np.std(exact))
+
     @pytest.mark.parametrize("n", [2, 3, 60, 2 * math.isqrt(BLOCK_ELEMENTS)])
     def test_matrix_from_vector_is_the_full_matrix_in_both_triangles(self, n):
         # the lower triangle is read from the upper one, so this also pins

@@ -3,12 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
 from densityk import (
+    CandidateEntry,
+    DocumentInput,
     EmptyInputError,
+    GeoPoint,
     OutcomeStatus,
+    PlaceMention,
     compute_k_function,
+    dbscan,
     densityk_pipeline,
     disambiguate,
     form_clusters,
@@ -20,10 +27,12 @@ from densityk import (
 )
 from densityk.clustering import (
     DisambiguationResult,
+    MentionOutcome,
     _component_labels,
     _dbscan_groups,
     _condensed_mean,
     _mean_pairwise,
+    _resolve,
 )
 from densityk.corpus import PointCloud, to_point_cloud
 from densityk.geo import BLOCK_ELEMENTS, condensed_distances, condensed_index
@@ -101,6 +110,16 @@ def path(order: list[int]) -> list[tuple[int, int]]:
     return list(zip(order, order[1:]))
 
 
+def groups_of(labels: np.ndarray) -> list[list[int]]:
+    """The point indices of each cluster of ``_dbscan_groups`` labels,
+    ascending, the clusters in order of their first point; noise in none."""
+    groups: dict[int, list[int]] = {}
+    for i, label in enumerate(labels.tolist()):
+        if label < len(labels):
+            groups.setdefault(label, []).append(i)
+    return list(groups.values())
+
+
 def graph_distances(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     # the condensed vector of n points in which exactly the edges lie within 1.5
     distances = np.full(n * (n - 1) // 2, 2.0)
@@ -131,7 +150,7 @@ class TestComponents:
         jj = np.array([max(e) for e in edges], dtype=np.int64)
         smallest = {i: g[0] for g in groups for i in g}
         assert _component_labels(ii, jj, n).tolist() == [smallest[i] for i in range(n)]
-        assert _dbscan_groups(graph_distances(n, edges), n, 1.5, 1) == groups
+        assert groups_of(_dbscan_groups(graph_distances(n, edges), n, 1.5, 1)) == groups
 
     @pytest.mark.parametrize("min_pts", range(1, 7))
     def test_dbscan_groups_equal_union_find(self, min_pts):
@@ -142,7 +161,7 @@ class TestComponents:
             distances = np.round(rng.uniform(0.0, 1.0, n * (n - 1) // 2), 2)
             epsilon = float(np.round(rng.uniform(0.02, 0.3), 2))
             want = union_find_dbscan_groups(distances.tolist(), n, epsilon, min_pts)
-            assert _dbscan_groups(distances, n, epsilon, min_pts) == want
+            assert groups_of(_dbscan_groups(distances, n, epsilon, min_pts)) == want
 
 
 class TestSharedDistanceVector:
@@ -150,7 +169,7 @@ class TestSharedDistanceVector:
         rng = np.random.default_rng(17)
         cloud = make_cloud(random_coords(rng, 700))
         distances = condensed_distances([p.location for p in cloud.points])
-        groups = _dbscan_groups(distances, len(cloud), 50_000.0, 1)
+        groups = groups_of(_dbscan_groups(distances, len(cloud), 50_000.0, 1))
         assert max(len(g) for g in groups) > 50
         for g in groups:
             members = tuple(cloud.points[i] for i in g)
@@ -164,7 +183,7 @@ class TestSharedDistanceVector:
         cloud = make_cloud(random_coords(rng, 700))
         distances = condensed_distances([p.location for p in cloud.points])
         epsilon = 500_000.0
-        groups = _dbscan_groups(distances, len(cloud), epsilon, min_pts)
+        groups = groups_of(_dbscan_groups(distances, len(cloud), epsilon, min_pts))
         core = (squareform(distances) <= epsilon).sum(axis=1) >= min_pts  # the zero diagonal counts self
         clustered = [i for g in groups for i in g]
         assert not core[clustered].all()  # some border points
@@ -173,6 +192,85 @@ class TestSharedDistanceVector:
         for g in groups:
             members = tuple(cloud.points[i] for i in g)
             assert _condensed_mean(distances, len(cloud), g) == _mean_pairwise(members)
+
+
+# Spots mirrored about the equator: a pair of northern spots lies exactly as
+# far apart as the mirrored southern pair, so clusters on them can tie in
+# size and in spread. 0-1 and 3-4 are 110 m apart, 0-2 and 3-5 1.1 km, the
+# two hemispheres 2,200 km, the last two spots 1.7 km.
+SPOTS = [
+    (10.0, 20.0), (10.0, 20.001), (10.0, 20.01),
+    (-10.0, 20.0), (-10.0, 20.001), (-10.0, 20.01),
+    (40.0, -100.0), (40.0, -99.98),
+]
+
+
+def spot_document(mentions: list[list[int]], ids: list[str]) -> DocumentInput:
+    """Mention ``m{k}`` holds a candidate at each listed spot; the entry ids
+    are ``ids`` in document order."""
+    ids = iter(ids)
+    return DocumentInput(
+        doc_id="spots",
+        mentions=tuple(
+            PlaceMention(
+                name=f"m{k}",
+                candidates=tuple(
+                    CandidateEntry(next(ids), f"m{k}", GeoPoint(*SPOTS[spot]), "") for spot in spots
+                ),
+            )
+            for k, spots in enumerate(mentions)
+        ),
+    )
+
+
+class TestResolveFromLabels:
+    """``_resolve`` ranks and resolves from cluster labels; it equals the
+    public stages, which build every cluster and recompute every spread."""
+
+    def test_mirrored_pairs_have_equal_spreads(self):
+        distances = condensed_distances([GeoPoint(*xy) for xy in SPOTS])
+        n = len(SPOTS)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            north = distances[condensed_index(a, b, n)]
+            assert north == distances[condensed_index(a + 3, b + 3, n)] > 0
+
+    def test_entry_id_breaks_a_tie_in_size_and_spread(self):
+        # two clusters of two at 110 m and a singleton: the southern pair
+        # holds the smallest entry id and ranks first
+        doc = spot_document([[0, 3], [1, 4], [6]], ["e5", "e2", "e4", "e3", "e9"])
+        cloud = to_point_cloud(doc)
+        got = _resolve(doc, cloud, condensed_distances(cloud), 150.0, 1)
+        assert got == disambiguate(doc, rank_clusters(dbscan(cloud, 150.0, 1)))
+        assert [[p.entry_id for p in c.members] for c in got.ranked_clusters] == [
+            ["e2", "e3"], ["e5", "e4"], ["e9"]
+        ]
+        assert got.outcomes["m0"] == MentionOutcome(OutcomeStatus.RESOLVED, "e2")
+        assert got.outcomes["m1"] == MentionOutcome(OutcomeStatus.RESOLVED, "e3")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, len(SPOTS) - 1), min_size=1, max_size=5), min_size=1, max_size=7),
+        st.sampled_from([150.0, 1_500.0, 3e6, 2e7]),
+        st.integers(1, 6),
+        st.randoms(use_true_random=False),
+    )
+    @example([[0, 3], [1, 4], [6]], 150.0, 1, None)  # tie in size and spread
+    @example([[3, 0], [5, 1]], 1_500.0, 1, None)  # the tighter pair ranks first
+    @example([[0, 0], [3, 3], [6, 7]], 150.0, 1, None)  # coincident pairs: spreads 0
+    @example([[0, 6], [3, 7]], 150.0, 2, None)  # noise beside clusters
+    @example([[0], [6]], 150.0, 3, None)  # nothing but noise
+    def test_equals_public_stages_and_union_find(self, mentions, epsilon, min_pts, rnd):
+        ids = [f"e{i:02d}" for i in range(sum(map(len, mentions)))]
+        if rnd is not None:
+            rnd.shuffle(ids)
+        doc = spot_document(mentions, ids)
+        cloud = to_point_cloud(doc)
+        distances = condensed_distances(cloud)
+        n = len(cloud)
+        labels = _dbscan_groups(distances, n, epsilon, min_pts)
+        assert groups_of(labels) == union_find_dbscan_groups(distances.tolist(), n, epsilon, min_pts)
+        want = disambiguate(doc, rank_clusters(dbscan(cloud, epsilon, min_pts)))
+        assert _resolve(doc, cloud, distances, epsilon, min_pts) == want
 
 
 class TestRankClusters:

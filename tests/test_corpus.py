@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -17,7 +18,7 @@ from densityk import (
     load_document,
     to_point_cloud,
 )
-from densityk.corpus import CandidateEntry, PlaceMention
+from densityk.corpus import CandidateEntry, DocumentInput, PlaceMention
 from conftest import make_document
 
 # ~1 degree of longitude at the equator, meters
@@ -295,6 +296,72 @@ class TestToPointCloud:
         seen = [(p.mention, p.entry_id) for p in cloud.points]
         assert len(seen) == len(pairs)
         assert set(seen) == pairs
+
+    def test_built_once_per_document(self):
+        doc = make_document("once", {"a": [(1, 2), (3, 4)], "b": [(5, 6)]})
+        assert to_point_cloud(doc) is to_point_cloud(doc)
+
+    def test_replaced_document_gets_its_own_cloud(self):
+        doc = make_document("once", {"a": [(1, 2), (3, 4)], "b": [(5, 6)]})
+        cloud = to_point_cloud(doc)
+        same = dataclasses.replace(doc)
+        assert to_point_cloud(same) is not cloud and to_point_cloud(same) == cloud
+        fewer = dataclasses.replace(doc, mentions=doc.mentions[1:])
+        assert [p.entry_id for p in to_point_cloud(fewer).points] == ["b_e0"]
+
+    def test_cloud_stays_out_of_eq_and_repr(self):
+        doc = make_document("once", {"a": [(1, 2)]})
+        twin = make_document("once", {"a": [(1, 2)]})
+        before = repr(doc)
+        to_point_cloud(doc)
+        assert repr(doc) == before and doc == twin
+
+    def test_id_ranks_follow_entry_id_order(self):
+        doc = make_document("ids", {"b": [(0, 0), (1, 1)], "a": [(2, 2)], "c": [(3, 3)]})
+        ranks = to_point_cloud(doc)._id_ranks
+        assert ranks.tolist() == [1, 2, 0, 3]  # a_e0 < b_e0 < b_e1 < c_e0
+
+
+class TestRepeatedEntryId:
+    def document(self) -> dict:
+        # without the check, "x" would be ranked by b's candidate alone
+        return {
+            "doc_id": "dup",
+            "mentions": [
+                {"name": "a", "candidates": [
+                    {"entry_id": "x", "lat": 0.0, "lon": 0.0},
+                    {"entry_id": "a1", "lat": 20.0, "lon": 20.0},
+                ]},
+                {"name": "b", "candidates": [
+                    {"entry_id": "b0", "lat": 0.0, "lon": 0.001},
+                    {"entry_id": "x", "lat": 40.0, "lon": 40.0},
+                ]},
+            ],
+        }
+
+    def test_code_built_document_is_rejected_as_a_loaded_one_is(self):
+        raw = self.document()
+        mentions = tuple(
+            PlaceMention(
+                name=m["name"],
+                candidates=tuple(
+                    CandidateEntry(c["entry_id"], m["name"], GeoPoint(c["lat"], c["lon"]), "")
+                    for c in m["candidates"]
+                ),
+            )
+            for m in raw["mentions"]
+        )
+        message = "document 'dup', mention 'b': duplicate entry_id 'x'"
+        with pytest.raises(DocumentSchemaError) as built:
+            DocumentInput(doc_id="dup", mentions=mentions)
+        with pytest.raises(DocumentSchemaError) as loaded:
+            load_document(json.dumps(raw))
+        assert str(built.value) == str(loaded.value) == message
+
+    def test_repeat_within_one_mention(self):
+        cand = CandidateEntry("x", "a", GeoPoint(0, 0), "")
+        with pytest.raises(DocumentSchemaError, match="mention 'a': duplicate entry_id 'x'"):
+            DocumentInput(doc_id="dup", mentions=(PlaceMention("a", (cand, cand)),))
 
 
 # any JSON value: what a corpus line or file can hold; JSON integers have no

@@ -1,9 +1,12 @@
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densityk import (
     AlgorithmConfig,
+    CloudPoint,
     DensityKError,
     MentionOutcome,
     MissingTruthError,
@@ -12,10 +15,12 @@ from densityk import (
     run_algorithm,
     score_document,
     table1_grid,
+    to_point_cloud,
 )
 from densityk import baselines, clustering, geo
 from densityk.clustering import DisambiguationResult
 from densityk.evaluation import ALGORITHMS, report_to_csv, report_to_dict
+from densityk.synth import SynthSpec, synth_generate
 from conftest import make_document
 from test_corpus import M_PER_DEG
 
@@ -339,6 +344,48 @@ class TestRunAlgorithm:
                 calls.clear()
                 run_algorithm(doc, config)
                 assert len(calls) == 1, (doc.doc_id, config.key)
+
+
+class TestOneCloudPerDocument:
+    CLUSTERING = ("densityk", "dbscan", "kdist")
+
+    def test_one_cloud_point_per_candidate_across_the_clustering_cells(self, monkeypatch):
+        docs = synth_generate(SynthSpec())  # fresh: no cloud built yet
+        made = []
+        init = CloudPoint.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CloudPoint, "__init__", counted)
+        configs = [c for c in table1_grid() if c.algorithm in self.CLUSTERING]
+        assert len(configs) == 19
+        report = evaluate_corpus(docs, configs)
+        assert all(not cell.errors for cell in report.cells)
+        assert len(made) == sum(len(m.candidates) for doc in docs for m in doc.mentions)
+
+    def test_threads_racing_on_the_first_build_agree(self):
+        doc = synth_generate(SynthSpec(n_docs=1))[0]
+        barrier = threading.Barrier(4)
+        clouds = []
+
+        def build():
+            barrier.wait()
+            clouds.append(to_point_cloud(doc))
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(clouds) == 4 and all(c == clouds[0] for c in clouds)
+
+    def test_threaded_grid_on_fresh_documents_equals_serial(self):
+        configs = table1_grid()
+        serial = evaluate_corpus(synth_generate(SynthSpec()), configs, workers=1)
+        threaded = evaluate_corpus(synth_generate(SynthSpec()), configs, workers=4)
+        assert report_to_dict(threaded) == report_to_dict(serial)
 
 
 class TestReportSerialization:

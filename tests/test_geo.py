@@ -17,8 +17,14 @@ from densityk import (
     pairwise_distances,
     spherical_centroid,
 )
-from densityk.geo import BLOCK_ELEMENTS, _haversine_arc, _to_radian_array
-from conftest import random_coords
+from densityk.geo import (
+    BLOCK_ELEMENTS,
+    _condensed_gathered,
+    _condensed_row_blocks,
+    _haversine_arc,
+    _to_radian_array,
+)
+from conftest import make_cloud, random_coords
 from oracles import slow_haversine, vector_mean_centroid
 
 latitudes = st.floats(min_value=-90.0, max_value=90.0)
@@ -175,6 +181,28 @@ class TestCondensedDistances:
         i, j = condensed_pairs(positions, n)
         assert np.array_equal(i, rows) and np.array_equal(j, cols)
         assert np.array_equal(condensed_index(rows, cols, n), positions)
+
+    @pytest.mark.parametrize("n", [2, 3, ONE_BLOCK_N - 1, ONE_BLOCK_N])
+    def test_gathered_pairs_bit_identical_to_row_blocks(self, n):
+        # with a coincident pair (h = 0) and an antipodal one (h clipped to 1)
+        rng = np.random.default_rng(200 + n)
+        coords = random_coords(rng, n)
+        coords[-1] = coords[0]
+        if n > 2:
+            coords[1] = (-coords[0][0], coords[0][1] + 180.0)
+        lat, lon = _to_radian_array([GeoPoint(*xy) for xy in coords])
+        gathered = _condensed_gathered(lat, lon, np.cos(lat))
+        blocked = _condensed_row_blocks(lat, lon, np.cos(lat))
+        assert np.array_equal(gathered.view(np.int64), blocked.view(np.int64))
+
+    @pytest.mark.parametrize("n", [ONE_BLOCK_N, ONE_BLOCK_N + 1])
+    def test_cloud_arrays_give_the_same_vector(self, n):
+        # on both sides of the one-block limit
+        cloud = make_cloud(random_coords(np.random.default_rng(n), n))
+        got = condensed_distances(cloud)
+        expected = condensed_distances([p.location for p in cloud.points])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert cloud._radians is cloud._radians
 
     def test_no_pairs(self):
         assert condensed_distances([]).shape == (0,)
