@@ -15,6 +15,7 @@ from .clustering import (
     DisambiguationResult,
     MentionOutcome,
     OutcomeStatus,
+    _dbscan_groups,
     _resolve,
     dbscan,  # noqa: F401  (kept importable from here with the other clusterers)
 )
@@ -355,7 +356,8 @@ def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
 def dbscan_disambiguate(doc: DocumentInput, epsilon: float, min_pts: int) -> DisambiguationResult:
     """DBSCAN clusters fed through the shared ranking and top-cluster scan."""
     cloud = to_point_cloud(doc)
-    return _resolve(doc, cloud, condensed_distances(cloud), epsilon, min_pts)
+    labels = _dbscan_groups(condensed_distances(cloud), len(cloud), epsilon, min_pts)
+    return _resolve(doc, cloud, labels)
 
 
 def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> DisambiguationResult:
@@ -368,4 +370,4 @@ def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> Disambiguati
             f"document {doc.doc_id!r}: every point has {k} or more coincident "
             f"neighbours, so the k={k} auto-epsilon is 0"
         )
-    return _resolve(doc, cloud, distances, epsilon, min_pts)
+    return _resolve(doc, cloud, _dbscan_groups(distances, len(cloud), epsilon, min_pts))

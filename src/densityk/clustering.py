@@ -11,10 +11,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import geo
 from .corpus import CloudPoint, DocumentInput, PointCloud, to_point_cloud
 from .errors import EmptyInputError
-from .geo import condensed_distances, condensed_index, condensed_pairs
-from .kfunction import DEFAULT_DELTA_D_M, KFunction, annular_k_function, with_cluster_distance
+from .geo import condensed_distances, condensed_pairs
+from .kfunction import (
+    DEFAULT_DELTA_D_M,
+    KFunction,
+    _blocked_k_function,
+    annular_k_function,
+    with_cluster_distance,
+)
 
 
 @dataclass(frozen=True)
@@ -56,9 +63,15 @@ class DisambiguationResult:
     diagnostics: KFunction | None = None
 
 
-def _component_labels(ii: np.ndarray, jj: np.ndarray, n: int) -> np.ndarray:
+def _component_labels(
+    ii: np.ndarray, jj: np.ndarray, n: int, label: np.ndarray | None = None
+) -> np.ndarray:
     """The smallest point index in each point's connected component of the
     graph on n points with edges (ii[k], jj[k]).
+
+    ``label``, when given, holds such labels for edges already joined (it
+    is updated in place): the result is then the components of those edges
+    and these together.
 
     Every label is a root (a point labelled with itself) at the start of a
     round. Each edge whose ends carry different roots hooks the larger root
@@ -67,7 +80,8 @@ def _component_labels(ii: np.ndarray, jj: np.ndarray, n: int) -> np.ndarray:
     Vishkin 1982). A label never exceeds its point's index, so a component's
     one root is its smallest index.
     """
-    label = np.arange(n)
+    if label is None:
+        label = np.arange(n)
     while True:
         li, lj = label[ii], label[jj]
         differ = li != lj
@@ -143,14 +157,10 @@ def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
     return float(np.mean(condensed_distances([p.location for p in members])))
 
 
-def _condensed_mean(distances: np.ndarray, n: int, members: list[int] | np.ndarray) -> float:
-    # _mean_pairwise of the points at the ascending indices ``members``, read
-    # from the cloud's condensed distances: the same values in the same order
-    if len(members) < 2:
-        return 0.0
-    idx = np.asarray(members, dtype=np.int64)
-    a, b = np.triu_indices(len(idx), k=1)
-    return float(np.mean(distances[condensed_index(idx[a], idx[b], n)]))
+def _spread(cloud: PointCloud, members: np.ndarray) -> float:
+    # _mean_pairwise of the points at the ascending indices ``members``, from
+    # the cloud's arrays: the same distances, in the same order
+    return float(np.mean(geo._condensed(*(a[members] for a in cloud._radians))))
 
 
 def rank_clusters(clusters: list[Cluster]) -> list[Cluster]:
@@ -209,38 +219,74 @@ def densityk_pipeline(
     """Full density-driven run: point cloud, pair distances, density curve,
     derived threshold, single-linkage clusters, ranking, disambiguation.
 
+    A cloud whose pairs fit one row block (``geo._ONE_BLOCK_N`` points) has
+    its one distance vector computed once: the curve reads the pairs within
+    ``upper_bound``, the linkage every pair (pairs in (upper_bound,
+    threshold] are still edges). A larger cloud is streamed in two passes
+    over its row blocks that store no pair distance: the first counts the
+    rings of the curve, the second joins the pairs within the threshold
+    into components, both through the chord kernel with the haversine's
+    decisions (see ``geo._ChordBlocks``).
+
     A document whose mentions hold a single candidate in total has no pair
     and no density curve: that candidate is its own cluster and resolves.
     """
     if not (upper_bound is None or upper_bound >= 0):
         raise ValueError(f"upper_bound must be >= 0, got {upper_bound}")
     cloud = to_point_cloud(doc)
-    if len(cloud) == 0:
+    n = len(cloud)
+    if n == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
-    # one distance pass: the curve reads the pairs within upper_bound, the
-    # linkage every pair (pairs in (upper_bound, threshold] are still edges)
-    distances = condensed_distances(cloud)
-    if len(cloud) == 1:
-        return _resolve(doc, cloud, distances, np.inf, 1)
-    in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
-    kf = with_cluster_distance(annular_k_function(in_bound, len(cloud), delta_d))
-    return replace(_resolve(doc, cloud, distances, kf.cluster_distance, 1), diagnostics=kf)
+    if n == 1:
+        return _resolve(doc, cloud, np.zeros(1, dtype=np.intp))
+    if n <= geo._ONE_BLOCK_N:
+        distances = condensed_distances(cloud)
+        in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
+        kf = with_cluster_distance(annular_k_function(in_bound, n, delta_d))
+        labels = _dbscan_groups(distances, n, kf.cluster_distance, 1)
+    else:
+        kf = with_cluster_distance(_streamed_curve(cloud, delta_d, upper_bound))
+        labels = _streamed_components(cloud, kf.cluster_distance)
+    return replace(_resolve(doc, cloud, labels), diagnostics=kf)
 
 
-def _resolve(
-    doc: DocumentInput, cloud: PointCloud, distances: np.ndarray, epsilon: float, min_pts: int
-) -> DisambiguationResult:
-    """``disambiguate(doc, rank_clusters(dbscan(cloud, epsilon, min_pts)))``
-    for ``cloud = to_point_cloud(doc)``, from its condensed pair
-    ``distances`` and the cluster label of each point.
+def _streamed_curve(cloud: PointCloud, delta_d: float, upper_bound: float | None) -> KFunction:
+    # pass one: the annular curve of the pairs within upper_bound, a row block at a time
+    n = len(cloud)
 
-    A cluster's spread only breaks ties in size, so it is read from the
-    vector only for clusters of two or more points whose size another
-    cluster shares (a singleton's is 0). Entry ids are unique, so the
-    smallest one settles every remaining tie.
+    def in_bound():  # its buffers go when the pass ends
+        blocks = geo._ChordBlocks(cloud._radians, cloud._half_units)
+        for r0, r1 in geo._row_blocks(n):
+            yield blocks.distances(r0, r1, delta_d, upper_bound)
+
+    largest = geo._MAX_DISTANCE_M if upper_bound is None else min(upper_bound, geo._MAX_DISTANCE_M)
+    return _blocked_k_function(in_bound(), n, delta_d, largest, n * (n - 1) // 2)
+
+
+def _streamed_components(cloud: PointCloud, threshold: float) -> np.ndarray:
+    # pass two: _dbscan_groups(distances, n, threshold, 1), each row block's
+    # edges hooked into the labels so far
+    n = len(cloud)
+    blocks = geo._ChordBlocks(cloud._radians, cloud._half_units)
+    label = np.arange(n)
+    for r0, r1 in geo._row_blocks(n):
+        ii, jj = blocks.pairs_within(r0, r1, threshold)
+        if len(ii):
+            label = _component_labels(ii, jj, n, label)
+    return label
+
+
+def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> DisambiguationResult:
+    """``disambiguate(doc, rank_clusters(clusters))`` for ``cloud =
+    to_point_cloud(doc)`` and the clusters of the ``_dbscan_groups`` labels
+    ``labels`` of its points.
+
+    A cluster's spread only breaks ties in size, so it is computed only for
+    clusters of two or more points whose size another cluster shares (a
+    singleton's is 0), from its members' coordinates. Entry ids are unique,
+    so the smallest one settles every remaining tie.
     """
     n = len(cloud)
-    labels = _dbscan_groups(distances, n, epsilon, min_pts)
     by_cluster = np.argsort(labels, kind="stable")  # members ascending, noise last
     counts = np.bincount(labels, minlength=n + 1)[:n]
     roots = np.flatnonzero(counts)  # one label per cluster
@@ -249,7 +295,7 @@ def _resolve(
     smallest_id = np.minimum.reduceat(cloud._id_ranks[by_cluster[: sizes.sum()]], starts)
     spreads = np.zeros(len(roots))
     for k in np.flatnonzero((sizes > 1) & (np.bincount(sizes)[sizes] > 1)).tolist():
-        spreads[k] = _condensed_mean(distances, n, by_cluster[starts[k] : starts[k] + sizes[k]])
+        spreads[k] = _spread(cloud, by_cluster[starts[k] : starts[k] + sizes[k]])
     order = np.lexsort((smallest_id, spreads, -sizes))
     unclustered = len(order) + 1  # the rank of a noise point: past every cluster's
     rank_of_label = np.full(n + 1, unclustered)

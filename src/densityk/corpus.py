@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DocumentParseError, DocumentSchemaError
-from .geo import GeoPoint, _radian_arrays, haversine
+from .geo import GeoPoint, _half_unit_vectors, _radian_arrays, haversine
 
 DEFAULT_DEDUPE_RADIUS_M = 50.0
 
@@ -51,7 +51,7 @@ class PlaceMention:
 class DocumentInput:
     """One description document: ordered mentions plus optional ground truth.
 
-    Entry ids are unique across the whole document.
+    Mention names are unique, and so are entry ids across the whole document.
     """
 
     doc_id: str
@@ -60,7 +60,13 @@ class DocumentInput:
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
+        names: set[str] = set()
         for mention in self.mentions:
+            if mention.name in names:
+                raise DocumentSchemaError(
+                    f"document {self.doc_id!r}, mention {mention.name!r}: duplicate mention name"
+                )
+            names.add(mention.name)
             for cand in mention.candidates:
                 if cand.entry_id in seen:
                     raise DocumentSchemaError(
@@ -109,6 +115,11 @@ class PointCloud:
         return _radian_arrays([p.location for p in self.points])
 
     @cached_property
+    def _half_units(self) -> np.ndarray:
+        # read by the chord kernel (geo._ChordBlocks)
+        return _half_unit_vectors(*self._radians)
+
+    @cached_property
     def _id_ranks(self) -> np.ndarray:
         # each point's position in the ascending order of the entry ids
         n = len(self.points)
@@ -146,7 +157,7 @@ def document_from_dict(raw: dict) -> DocumentInput:
         _expect(mraw, dict, f"document {doc_id!r}: each mention")
         ctx = f"document {doc_id!r}, mention {mraw.get('name', '?')!r}"
         name = _require(mraw, "name", ctx, str)
-        if name in seen_names:
+        if name in seen_names:  # before its candidates and the ground truth keyed by name
             raise DocumentSchemaError(f"{ctx}: duplicate mention name")
         seen_names.add(name)
         cands_raw = _require(mraw, "candidates", ctx)

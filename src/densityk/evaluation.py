@@ -165,7 +165,6 @@ def score_document(result: DisambiguationResult, doc: DocumentInput) -> Document
     if not doc.ground_truth:
         raise MissingTruthError(f"document {doc.doc_id!r} has no ground truth")
     truth = doc.ground_truth
-    locations = {c.entry_id: c.location for m in doc.mentions for c in m.candidates}
 
     correct = 0
     resolved = 0
@@ -182,9 +181,8 @@ def score_document(result: DisambiguationResult, doc: DocumentInput) -> Document
             continue
         if outcome.entry_id == true_entry:
             correct += 1
-        errors_km.append(
-            haversine(locations[outcome.entry_id], locations[true_entry]) / 1000.0
-        )
+        location = {c.entry_id: c.location for c in mention.candidates}
+        errors_km.append(haversine(location[outcome.entry_id], location[true_entry]) / 1000.0)
     truth_count = len(truth)
     return DocumentScore(
         doc_id=doc.doc_id,

@@ -96,6 +96,9 @@ def _haversine_arc(dphi, dlam, cos_a, cos_b) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
 
 
+# the largest distance _haversine_arc returns, for h clipped to 1
+_MAX_DISTANCE_M = 2.0 * EARTH_RADIUS_M * math.asin(1.0)
+
 # Elements of one row block of condensed_distances. It bounds the block's
 # temporaries to about 0.5 MB each, whatever the number of points; smaller
 # blocks stay in cache and ran faster than blocks of a few 10^5 elements
@@ -132,9 +135,14 @@ def condensed_distances(points: Sequence[GeoPoint] | PointCloud) -> np.ndarray:
     radians = getattr(points, "_radians", None)  # a PointCloud keeps its arrays
     if radians is None:
         radians = _radian_arrays(points)
-    if len(radians[0]) <= _ONE_BLOCK_N:
-        return _condensed_gathered(*radians)
-    return _condensed_row_blocks(*radians)
+    return _condensed(*radians)
+
+
+def _condensed(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
+    # condensed_distances of the points with these radian arrays
+    if len(lat) <= _ONE_BLOCK_N:
+        return _condensed_gathered(lat, lon, cos_lat)
+    return _condensed_row_blocks(lat, lon, cos_lat)
 
 
 def _condensed_gathered(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
@@ -165,26 +173,215 @@ def _condensed_gathered(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -
     return out
 
 
+def _row_blocks(n: int):
+    """The row blocks (r0, r1) of n points, in order: block (r0, r1) pairs
+    rows r0..r1-1 with columns r0+1..n-1, at most about ``BLOCK_ELEMENTS``
+    entries (or one row), and the blocks' entries with column past row are
+    every pair i < j once."""
+    r0 = 0
+    while r0 < n - 1:
+        width = n - 1 - r0
+        r1 = min(n - 1, r0 + max(1, BLOCK_ELEMENTS // width))
+        yield r0, r1
+        r0 = r1
+
+
+def _upper(r0: int, r1: int, n: int) -> np.ndarray:
+    # which entries of row block (r0, r1) are pairs: row r0+k keeps the columns past r0+k
+    return np.arange(n - 1 - r0) >= np.arange(r1 - r0)[:, None]
+
+
+def _haversine_block(radians, r0: int, r1: int) -> np.ndarray:
+    # the haversine distances of row block (r0, r1)
+    lat, lon, cos_lat = radians
+    rows, cols = slice(r0, r1), slice(r0 + 1, None)
+    return _haversine_arc(
+        lat[rows, None] - lat[None, cols],
+        lon[rows, None] - lon[None, cols],
+        cos_lat[rows, None],
+        cos_lat[None, cols],
+    )
+
+
 def _condensed_row_blocks(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
     n = len(lat)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     pos = 0
-    r0 = 0
-    while r0 < n - 1:
-        width = n - 1 - r0  # columns r0+1 .. n-1; row r0+k keeps columns past r0+k
-        r1 = min(n - 1, r0 + max(1, BLOCK_ELEMENTS // width))
-        rows, cols = slice(r0, r1), slice(r0 + 1, n)
-        block = _haversine_arc(
-            lat[rows, None] - lat[None, cols],
-            lon[rows, None] - lon[None, cols],
-            cos_lat[rows, None],
-            cos_lat[None, cols],
-        )
-        upper = block[np.arange(width) >= np.arange(r1 - r0)[:, None]]
+    for r0, r1 in _row_blocks(n):
+        upper = _haversine_block((lat, lon, cos_lat), r0, r1)[_upper(r0, r1, n)]
         out[pos : pos + len(upper)] = upper
         pos += len(upper)
-        r0 = r1
     return out
+
+
+def _pair_distances(radians, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    # the haversine distances of the pairs (i[k], j[k]), i < j, bit for bit
+    # the row blocks' values
+    lat, lon, cos_lat = radians
+    return _haversine_arc(lat[i] - lat[j], lon[i] - lon[j], cos_lat[i], cos_lat[j])
+
+
+# The chord kernel. Half the chord between two points' unit vectors u,
+# squared, is the haversine h = |u_i/2 - u_j/2|^2 = sin^2(t/2) of their arc
+# t, which a block takes from one matrix product where the haversine formula
+# takes two sines a pair. Its distance 2R asin(sqrt(h)) stands in for the
+# haversine distance wherever it lies more than _CHORD_MARGIN_M from every
+# value a decision turns on and within _CHORD_REACH_M (179 degrees of arc);
+# see _ChordBlocks.distances for the bound.
+_CHORD_MARGIN_M = 1e-3
+_CHORD_REACH_M = EARTH_RADIUS_M * math.radians(179.0)
+# below this ring width over 1/16 of the distances would lie within the
+# margin of a ring edge: the row blocks take the haversine throughout
+_CHORD_MIN_SPACING_M = 32 * _CHORD_MARGIN_M
+
+
+def _half_unit_vectors(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
+    # rows x, y, z of the unit vectors halved: what the chord kernel reads
+    return 0.5 * np.stack((cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)))
+
+
+def _haversine_of(distance: float) -> float:
+    # the h of an arc of ``distance`` meters
+    return math.sin(distance / (2.0 * EARTH_RADIUS_M)) ** 2
+
+
+# below the h of 100 km, h comes from the differences of the coordinates
+_H_DIRECT = _haversine_of(1e5)
+
+
+class _ChordBlocks:
+    """The row blocks (see :func:`_row_blocks`) of one cloud through the
+    chord kernel, for a pass that decides on each pair as the haversine
+    distance decides and stores none.
+
+    ``radians`` and ``half_units`` are the cloud's arrays; a pass holds one
+    block's arrays at a time.
+    """
+
+    def __init__(self, radians, half_units: np.ndarray) -> None:
+        self.radians, self.half_units = radians, half_units
+        self.n = len(half_units[0])
+        self._points = np.ascontiguousarray(half_units.T)  # a row per point
+        self._norms = np.square(half_units).sum(axis=0)  # about 1/4
+
+    def _haversines(self, r0: int, r1: int) -> np.ndarray:
+        # h over the block as |v_i|^2 + |v_j|^2 - 2 v_i.v_j, v = u/2, through one
+        # matrix product; that sum loses the digits of a small h, which comes
+        # instead from the differences of the coordinates, of the pairs alone
+        # or, where they are many, of the whole block
+        rows, cols = slice(r0, r1), slice(r0 + 1, None)
+        h = self._points[rows] @ self._points[cols].T
+        h *= -2.0
+        h += self._norms[rows, None]
+        h += self._norms[None, cols]
+        close = np.flatnonzero(h < _H_DIRECT)
+        if len(close) > h.size // 8:
+            x, y, z = self.half_units
+            h = np.square(x[rows, None] - x[None, cols])
+            h += np.square(y[rows, None] - y[None, cols])
+            h += np.square(z[rows, None] - z[None, cols])
+        elif len(close):
+            i, j = np.divmod(close, h.shape[1])
+            dx, dy, dz = self.half_units[:, i + r0] - self.half_units[:, j + (r0 + 1)]
+            h.reshape(-1)[close] = dx * dx + dy * dy + dz * dz
+        return h
+
+    def distances(
+        self, r0: int, r1: int, spacing: float, upper_bound: float | None = None
+    ) -> np.ndarray:
+        """The distances of block (r0, r1)'s pairs i < j that lie within
+        ``upper_bound``, in row-major order. Each falls in the same ring
+        ``ceil(d / spacing)`` as the haversine distance of its pair, and
+        only pairs whose haversine distance is within the bound are kept.
+
+        A distance is the chord kernel's, or the haversine distance of its
+        pair alone where the chord's lies within ``_CHORD_MARGIN_M`` (M) of
+        a multiple of ``spacing`` or of ``upper_bound``, or beyond
+        ``_CHORD_REACH_M``. With ``spacing`` below ``_CHORD_MIN_SPACING_M``
+        every distance is the haversine's.
+
+        Why M suffices. Let u = 2**-53, assume numpy's sin, cos and arcsin
+        within k ulps (an ulp of x is at most 2u|x|) and sqrt correctly
+        rounded, and let t be the true arc between the points of the given
+        float radians, t <= 179.01 degrees, so that cos(t/2) >= 0.0087 and
+        tan(t/2) <= 115:
+
+        - chord: a coordinate of u/2 is off by at most (2k+0.5)u, a
+          difference of two by (4k+2)u, so the root of H = |u_i/2 - u_j/2|^2
+          of the computed vectors is within sqrt(3)(4k+2)u of sin(t/2). The
+          block's h is H from the differences (to 2u of its root, with the
+          root's rounding) below the h of 100 km, else from the norms and
+          the matrix product, within 5u of H (each norm and product within
+          0.76u, three sums). The root turns an error e of h into
+          e / (2 sin(t/2)), arcsin's slope 1/cos(t/2) makes that e / sin(t),
+          and arcsin adds k ulps of t/2 <= pi/2:
+          |d~ - Rt| <= 2R[(sqrt(3)(4k+2) + 2)u / cos(t/2) + 5u / sin(t) + k pi u] + pi R u
+          with sin(t) >= 0.0157 where the product is used, which is
+          5.9e-6 m at k = 4;
+        - haversine: the rounded differences of latitude and longitude (off
+          by at most pi u and 2 pi u) move the arc by at most 3 pi u / sin(t);
+          h carries a relative error of (8k+4)u, its root (4k+2.5)u, and
+          arcsin turns a relative error r of its argument into tan(t/2) r:
+          |d - Rt| <= 2R[tan(t/2)(4k+2.5)u + k pi u] + 3 pi R u / sin(t) + pi R u,
+          which is 3.4e-6 m at k = 4.
+
+        So |d~ - d| < 1e-5 m, and d~ / spacing and d / spacing, each
+        rounded, differ by less than (1e-5 + 4.5e-9) / spacing: a chord
+        distance further than M from every ring edge and from the bound
+        decides as d does. M is 1 mm, over 100 times the bound at k = 4, and
+        covers k up to 400. Past 179 degrees both errors grow without bound
+        (the haversine's to over 1 m at the antipode), and such pairs take
+        the haversine.
+        """
+        if spacing < _CHORD_MIN_SPACING_M:
+            d = _haversine_block(self.radians, r0, r1)
+        else:
+            d = self._haversines(r0, r1)
+            np.minimum(d, 1.0, out=d)  # rounding can carry an antipodal pair past 1
+            np.sqrt(d, out=d)
+            np.arcsin(d, out=d)
+            d *= 2.0 * EARTH_RADIUS_M
+            rings = d / spacing
+            off = np.rint(rings)
+            off -= rings  # exact: from a value to its nearest integer
+            unsure = np.abs(off, out=off) <= _CHORD_MARGIN_M / spacing
+            unsure |= d > _CHORD_REACH_M
+            if upper_bound is not None:
+                np.subtract(d, upper_bound, out=off)
+                unsure |= np.abs(off, out=off) <= _CHORD_MARGIN_M
+            flat = np.flatnonzero(unsure)
+            k, c = np.divmod(flat, d.shape[1])
+            d.reshape(-1)[flat] = _pair_distances(self.radians, k + r0, c + (r0 + 1))
+        keep = _upper(r0, r1, self.n)
+        if upper_bound is not None:
+            keep &= d <= upper_bound
+        return d[keep]
+
+    def pairs_within(self, r0: int, r1: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
+        """The entries (i, j) of block (r0, r1) whose haversine distance is
+        at most ``limit``, as two index arrays: each pair i < j of the block
+        once, and from the block's leading square some pairs again reversed
+        and points with themselves, which join nothing new.
+
+        A pair is surely within when its h is below that of
+        ``min(limit - M, _CHORD_REACH_M)`` (see :meth:`distances`), and
+        surely not when it is above that of ``limit + M`` and ``limit + M``
+        lies within the reach: past the reach the chord loses the bound, but
+        the pair lies past 179 degrees all the same. Every other pair takes
+        the haversine.
+        """
+        h = self._haversines(r0, r1).reshape(-1)
+        if limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
+            flat = np.flatnonzero(h <= _haversine_of(limit + _CHORD_MARGIN_M))
+        else:
+            flat = np.arange(len(h))
+        i, j = np.divmod(flat, self.n - 1 - r0)
+        i += r0
+        j += r0 + 1
+        within = h[flat] < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
+        unsure = ~within
+        within[unsure] = _pair_distances(self.radians, i[unsure], j[unsure]) <= limit
+        return i[within], j[within]
 
 
 def condensed_index(i, j, n: int):

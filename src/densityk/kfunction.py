@@ -30,8 +30,13 @@ from .geo import DistanceList
 DEFAULT_DELTA_D_M = 100.0
 MAX_RING_INDEX = 2**53
 
-# the fewest distances one step of the dense ring count reads at once
+# the distances one step of the ring count reads
 _COUNT_BLOCK = 1 << 16
+# the fewest ring indices a sparse ring count merges at once
+_MERGE_RINGS = 1 << 20
+# the rings one step of the curve's arithmetic computes: its temporaries
+# sit beside the whole curve
+_CURVE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -51,25 +56,37 @@ class KFunction:
         return list(zip(self.distances_m.tolist(), self.densities.tolist()))
 
 
-def _check_curve_input(values: np.ndarray, n_points: int, delta_d: float) -> None:
+def _check_curve_args(n_points: int, delta_d: float) -> None:
     if n_points < 2:
         raise InsufficientPointsError(f"need at least 2 points, got {n_points}")
     if not (math.isfinite(delta_d) and delta_d > 0):
         raise ValueError(f"delta_d must be a positive finite number, got {delta_d}")
-    if len(values) == 0:
-        raise InsufficientPointsError("distance list is empty")
+
+
+def _check_ring_limit(largest: float, delta_d: float) -> None:
     # float64 holds every integer ring index only up to 2**53, int64 to 2**63
-    largest = float(np.max(values))
     if largest / delta_d > MAX_RING_INDEX:
         raise ValueError(
             f"delta_d {delta_d} is too small: the largest distance would fall in a ring "
             f"beyond {MAX_RING_INDEX}"
         )
+
+
+def _check_ring_area(largest: float, n_points: int, delta_d: float) -> None:
     # a density divides by n times a ring's area; should that overflow, the
     # density reads 0 (a factor 2 of headroom covers the order of rounding)
     d = max(math.ceil(largest / delta_d), 1) * delta_d
     if not math.isfinite(2.0 * n_points * math.pi * d * d):
         raise ValueError(f"delta_d {delta_d} is too large: the area of the ring at {d} m overflows")
+
+
+def _check_curve_input(values: np.ndarray, n_points: int, delta_d: float) -> None:
+    _check_curve_args(n_points, delta_d)
+    if len(values) == 0:
+        raise InsufficientPointsError("distance list is empty")
+    largest = float(np.max(values))
+    _check_ring_limit(largest, delta_d)
+    _check_ring_area(largest, n_points, delta_d)
 
 
 def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
@@ -78,29 +95,105 @@ def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
     return np.maximum(m, 1)
 
 
-def _ring_counts(values: np.ndarray, delta_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied rings of ``values``, ascending, and how many distances
-    fall in each: ``np.unique(_ring_indices(values, delta_d), return_counts=True)``.
+class _RingCounts:
+    """Distances counted by ring, a block at a time.
 
-    When the rings from the nearest distance to the farthest span at most a
-    quarter as many as there are distances, ``np.bincount`` counts them into
-    one array over that span, ``max(_COUNT_BLOCK, span)`` distances at a
-    time, so no copy of the whole vector is made. A wider span (a small
-    document, or a tiny ``delta_d``) is counted by ``np.unique``.
+    When the ``span`` rings from ring ``lo`` on are at most a quarter as
+    many as the ``total`` distances to come, each block is added into one
+    array over the span (``np.add.at``). Otherwise the blocks' ring indices
+    are held until they number ``_MERGE_RINGS`` and a quarter of the
+    occupied rings so far, then sorted and merged into the sorted occupied
+    rings and their counts, so memory follows the occupied rings, not the
+    number of distances. Each block's largest distance is checked against
+    the ring limit before its ring indices are cast.
+    """
+
+    def __init__(self, delta_d: float, lo: int, span: float, total: int) -> None:
+        self.delta_d, self.lo = delta_d, lo
+        self.added, self.largest = 0, 0.0
+        self.dense = np.zeros(math.ceil(span), dtype=np.int64) if 4 * span <= total else None
+        self.rings = self.counts = np.empty(0, dtype=np.int64)
+        self._pending: list[np.ndarray] = []  # ring indices not merged yet
+
+    def add(self, values: np.ndarray) -> None:
+        if len(values) == 0:
+            return
+        largest = float(values.max())
+        _check_ring_limit(largest, self.delta_d)
+        self.added += len(values)
+        self.largest = max(self.largest, largest)
+        rings = _ring_indices(values, self.delta_d)
+        if self.dense is not None:
+            rings -= self.lo
+            np.add.at(self.dense, rings, 1)
+            return
+        self._pending.append(rings)
+        if sum(map(len, self._pending)) >= max(_MERGE_RINGS, len(self.rings) // 4):
+            self._merge()
+
+    def _merge(self) -> None:
+        pending = self._pending[0] if len(self._pending) == 1 else np.concatenate(self._pending)
+        self._pending = []
+        pending.sort()  # np.unique(pending, return_counts=True), without its copy
+        starts = np.flatnonzero(np.concatenate(([True], pending[1:] != pending[:-1])))
+        rings, counts = pending[starts], np.diff(starts, append=len(pending))
+        del pending, starts
+        if len(self.rings) == 0:
+            self.rings, self.counts = rings, counts
+            return
+        at = np.searchsorted(self.rings, rings)
+        seen = at < len(self.rings)
+        seen[seen] = self.rings[at[seen]] == rings[seen]
+        self.counts[at[seen]] += counts[seen]
+        fresh = ~seen
+        self.rings = np.insert(self.rings, at[fresh], rings[fresh])
+        self.counts = np.insert(self.counts, at[fresh], counts[fresh])
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied rings, ascending, and how many distances fall in
+        each; the counter lets go of them."""
+        if self.dense is not None:
+            occupied = np.flatnonzero(self.dense)
+            counts = self.dense[occupied]
+            self.dense = None
+            occupied += self.lo
+            return occupied, counts
+        if self._pending:
+            self._merge()
+        occupied, counts = self.rings, self.counts
+        self.rings = self.counts = None
+        return occupied, counts
+
+    def curve(self, n_points: int) -> KFunction:
+        """The density curve of the counted distances among ``n_points``."""
+        occupied, counts = self.take()
+        d = occupied * self.delta_d
+        del occupied
+        # 2 * counts / (n_points * pi * (d**2 - (d - delta_d)**2)), rounded at
+        # the same steps (so to the same bits), a block of rings at a time
+        densities = np.empty_like(d)
+        for start in range(0, len(d), _CURVE_BLOCK):
+            ring = slice(start, start + _CURVE_BLOCK)
+            area, inner = np.square(d[ring], out=densities[ring]), d[ring] - self.delta_d
+            area -= np.square(inner, out=inner)
+            del inner
+            area *= np.pi
+            area *= n_points
+            np.divide(2.0 * counts[ring], area, out=area)
+        return KFunction(delta_d=self.delta_d, distances_m=d, densities=densities)
+
+
+def _ring_counts(values: np.ndarray, delta_d: float) -> _RingCounts:
+    """The distances of ``values`` counted by ring, ``_COUNT_BLOCK`` at a
+    time (see :class:`_RingCounts`), with the span from the nearest
+    distance's ring to the farthest's: no copy of the whole vector is made.
     """
     # a ring index never decreases with the distance
     lo, hi = _ring_indices(np.array([values.min(), values.max()]), delta_d).tolist()
-    span = hi - lo + 1
-    if 4 * span > len(values):
-        return np.unique(_ring_indices(values, delta_d), return_counts=True)
-    step = max(_COUNT_BLOCK, span)
-    counts = np.zeros(span, dtype=np.int64)
-    for start in range(0, len(values), step):
-        counts += np.bincount(_ring_indices(values[start : start + step], delta_d) - lo, minlength=span)
-    occupied = np.flatnonzero(counts)
-    counts = counts[occupied]
-    occupied += lo
-    return occupied, counts
+    counts = _RingCounts(delta_d, lo, hi - lo + 1, len(values))
+    for start in range(0, len(values), _COUNT_BLOCK):
+        counts.add(values[start : start + _COUNT_BLOCK])
+    return counts
 
 
 def compute_k_function(
@@ -120,25 +213,34 @@ def annular_k_function(
     """:func:`compute_k_function` on a bare vector of pair distances, which
     need not be sorted: the ring counts do not depend on their order.
 
-    On a vector of at least four distances per ring spanned (a large
-    document) the rings are counted in blocks (see :func:`_ring_counts`), so
-    memory beyond the vector is one block and a few arrays as long as the
-    span, at most a quarter of its length; otherwise ``np.unique`` sorts a
-    copy of the ring indices.
+    The rings are counted in blocks (see :func:`_ring_counts`): on a vector
+    of at least four distances per ring spanned (a large document) into one
+    array as long as the span, at most a quarter of the vector's length;
+    otherwise as the sorted occupied rings, merged as the blocks come.
     """
     _check_curve_input(values, n_points, delta_d)
-    occupied, counts = _ring_counts(values, delta_d)
-    d = occupied * delta_d
-    del occupied
-    # 2 * counts / (n_points * pi * (d**2 - (d - delta_d)**2)), rounded at the
-    # same steps (so to the same bits), in two arrays as long as d
-    densities, inner = np.square(d), d - delta_d
-    densities -= np.square(inner, out=inner)
-    del inner
-    densities *= np.pi
-    densities *= n_points
-    np.divide(2.0 * counts, densities, out=densities)
-    return KFunction(delta_d=delta_d, distances_m=d, densities=densities)
+    return _ring_counts(values, delta_d).curve(n_points)
+
+
+def _blocked_k_function(
+    blocks, n_points: int, delta_d: float, largest: float, total: int
+) -> KFunction:
+    """:func:`annular_k_function` of the distances that ``blocks`` yields, an
+    array at a time, with the same checks in the same order and the same
+    curve bit for bit; no distance exceeds ``largest`` and there are at
+    most ``total`` of them.
+
+    The span rule of :func:`_ring_counts` reads the rings up to ``largest``
+    (and one more for its rounding) in place of the unknown span.
+    """
+    _check_curve_args(n_points, delta_d)
+    counts = _RingCounts(delta_d, 1, largest / delta_d + 1, total)
+    for values in blocks:
+        counts.add(values)
+    if counts.added == 0:
+        raise InsufficientPointsError("distance list is empty")
+    _check_ring_area(counts.largest, n_points, delta_d)
+    return counts.curve(n_points)
 
 
 def compute_circular_k_function(

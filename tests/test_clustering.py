@@ -30,9 +30,9 @@ from densityk.clustering import (
     MentionOutcome,
     _component_labels,
     _dbscan_groups,
-    _condensed_mean,
     _mean_pairwise,
     _resolve,
+    _spread,
 )
 from densityk.corpus import PointCloud, to_point_cloud
 from densityk.geo import BLOCK_ELEMENTS, condensed_distances, condensed_index
@@ -164,6 +164,13 @@ class TestComponents:
             assert groups_of(_dbscan_groups(distances, n, epsilon, min_pts)) == want
 
 
+def vector_spread(distances: np.ndarray, n: int, members: list[int]) -> float:
+    # the mean distance of the members' pairs, read from the cloud's vector
+    idx = np.asarray(members)
+    a, b = np.triu_indices(len(idx), k=1)
+    return float(np.mean(distances[condensed_index(idx[a], idx[b], n)]))
+
+
 class TestSharedDistanceVector:
     def test_spreads_read_from_vector_equal_recomputed_ones(self):
         rng = np.random.default_rng(17)
@@ -171,9 +178,10 @@ class TestSharedDistanceVector:
         distances = condensed_distances([p.location for p in cloud.points])
         groups = groups_of(_dbscan_groups(distances, len(cloud), 50_000.0, 1))
         assert max(len(g) for g in groups) > 50
-        for g in groups:
+        for g in (g for g in groups if len(g) > 1):
             members = tuple(cloud.points[i] for i in g)
-            assert _condensed_mean(distances, len(cloud), g) == _mean_pairwise(members)
+            spread = _spread(cloud, np.asarray(g))
+            assert spread == vector_spread(distances, len(cloud), g) == _mean_pairwise(members)
 
     @pytest.mark.parametrize("min_pts", [3, 5])
     def test_dbscan_spreads_read_from_vector_equal_recomputed_ones(self, min_pts):
@@ -189,9 +197,10 @@ class TestSharedDistanceVector:
         assert not core[clustered].all()  # some border points
         assert len(clustered) < len(cloud)  # some noise
         assert max(len(g) for g in groups) > 50
-        for g in groups:
+        for g in (g for g in groups if len(g) > 1):
             members = tuple(cloud.points[i] for i in g)
-            assert _condensed_mean(distances, len(cloud), g) == _mean_pairwise(members)
+            spread = _spread(cloud, np.asarray(g))
+            assert spread == vector_spread(distances, len(cloud), g) == _mean_pairwise(members)
 
 
 # Spots mirrored about the equator: a pair of northern spots lies exactly as
@@ -239,7 +248,7 @@ class TestResolveFromLabels:
         # holds the smallest entry id and ranks first
         doc = spot_document([[0, 3], [1, 4], [6]], ["e5", "e2", "e4", "e3", "e9"])
         cloud = to_point_cloud(doc)
-        got = _resolve(doc, cloud, condensed_distances(cloud), 150.0, 1)
+        got = _resolve(doc, cloud, _dbscan_groups(condensed_distances(cloud), len(cloud), 150.0, 1))
         assert got == disambiguate(doc, rank_clusters(dbscan(cloud, 150.0, 1)))
         assert [[p.entry_id for p in c.members] for c in got.ranked_clusters] == [
             ["e2", "e3"], ["e5", "e4"], ["e9"]
@@ -270,7 +279,7 @@ class TestResolveFromLabels:
         labels = _dbscan_groups(distances, n, epsilon, min_pts)
         assert groups_of(labels) == union_find_dbscan_groups(distances.tolist(), n, epsilon, min_pts)
         want = disambiguate(doc, rank_clusters(dbscan(cloud, epsilon, min_pts)))
-        assert _resolve(doc, cloud, distances, epsilon, min_pts) == want
+        assert _resolve(doc, cloud, labels) == want
 
 
 class TestRankClusters:

@@ -12,6 +12,7 @@ from densityk import (
     DocumentParseError,
     DocumentSchemaError,
     GeoPoint,
+    dbscan_disambiguate,
     dedupe_candidates,
     document_to_json,
     load_corpus,
@@ -362,6 +363,35 @@ class TestRepeatedEntryId:
         cand = CandidateEntry("x", "a", GeoPoint(0, 0), "")
         with pytest.raises(DocumentSchemaError, match="mention 'a': duplicate entry_id 'x'"):
             DocumentInput(doc_id="dup", mentions=(PlaceMention("a", (cand, cand)),))
+
+
+class TestRepeatedMentionName:
+    def test_code_built_document_is_rejected_as_a_loaded_one_is(self):
+        # outcomes are keyed by mention name: this document once ran, and
+        # DBSCAN gave one outcome for its two mentions
+        def mention(*entries):
+            return PlaceMention("a", tuple(CandidateEntry(e, "a", GeoPoint(*xy), "") for e, xy in entries))
+
+        message = "document 'dupname', mention 'a': duplicate mention name"
+        with pytest.raises(DocumentSchemaError) as built:
+            dbscan_disambiguate(
+                DocumentInput(
+                    "dupname",
+                    (mention(("a0", (0, 0))), mention(("a1", (0, 0.001)), ("a2", (40, 40)))),
+                ),
+                2000.0,
+                1,
+            )
+        raw = {
+            "doc_id": "dupname",
+            "mentions": [
+                {"name": "a", "candidates": [{"entry_id": "a0", "lat": 0, "lon": 0}]},
+                {"name": "a", "candidates": [{"entry_id": "a1", "lat": 0, "lon": 0.001}]},
+            ],
+        }
+        with pytest.raises(DocumentSchemaError) as loaded:
+            load_document(json.dumps(raw))
+        assert str(built.value) == str(loaded.value) == message
 
 
 # any JSON value: what a corpus line or file can hold; JSON integers have no

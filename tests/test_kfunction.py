@@ -153,7 +153,7 @@ class TestRingCounts:
         rings = _ring_indices(values, delta_d)
         assume((4 * (int(rings.max()) - int(rings.min()) + 1) <= len(values)) == narrow)
         with mock.patch.object(kfunction, "_COUNT_BLOCK", block):
-            occupied, counts = _ring_counts(values, delta_d)
+            occupied, counts = _ring_counts(values, delta_d).take()
             kf = annular_k_function(values, 5, delta_d)
         want_rings, want_counts = unique_ring_counts(values, delta_d)
         assert occupied.dtype == want_rings.dtype and counts.dtype == want_counts.dtype
@@ -167,7 +167,7 @@ class TestRingCounts:
     def test_many_blocks_of_a_large_vector(self, rings):
         # blocks of 2**16 distances, then blocks as long as the span
         values = np.random.default_rng(rings).uniform(0.0, rings * 100.0, 450_000)
-        occupied, counts = _ring_counts(values, 100.0)
+        occupied, counts = _ring_counts(values, 100.0).take()
         want_rings, want_counts = unique_ring_counts(values, 100.0)
         assert occupied.tobytes() == want_rings.tobytes()
         assert counts.tobytes() == want_counts.tobytes()
