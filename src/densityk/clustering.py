@@ -259,8 +259,21 @@ def _streamed_curve(cloud: PointCloud, delta_d: float, upper_bound: float | None
         for r0, r1 in geo._row_blocks(n):
             yield blocks.distances(r0, r1, delta_d, upper_bound)
 
-    largest = geo._MAX_DISTANCE_M if upper_bound is None else min(upper_bound, geo._MAX_DISTANCE_M)
+    largest = min(_diameter_bound(cloud), geo._MAX_DISTANCE_M)
+    if upper_bound is not None:
+        largest = min(largest, upper_bound)
     return _blocked_k_function(in_bound(), n, delta_d, largest, n * (n - 1) // 2)
+
+
+def _diameter_bound(cloud: PointCloud) -> float:
+    # No two points are further apart than twice the farthest from point 0.
+    # Below 179 degrees the kernels' distances lie within 1e-5 m of the true
+    # arcs (see geo._ChordBlocks.distances), which the margin covers; beyond,
+    # the bound is the whole sphere's.
+    lat, lon, cos_lat = cloud._radians
+    from_first = geo._haversine_arc(lat[1:] - lat[0], lon[1:] - lon[0], cos_lat[0], cos_lat[1:])
+    bound = 2.0 * float(from_first.max()) + geo._CHORD_MARGIN_M
+    return bound if bound < geo._CHORD_REACH_M else geo._MAX_DISTANCE_M
 
 
 def _streamed_components(cloud: PointCloud, threshold: float) -> np.ndarray:

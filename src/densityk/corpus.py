@@ -52,6 +52,7 @@ class DocumentInput:
     """One description document: ordered mentions plus optional ground truth.
 
     Mention names are unique, and so are entry ids across the whole document.
+    The ground truth maps a mention's name to one of its own candidates.
     """
 
     doc_id: str
@@ -74,6 +75,18 @@ class DocumentInput:
                         f"duplicate entry_id {cand.entry_id!r}"
                     )
                 seen.add(cand.entry_id)
+        if self.ground_truth:
+            by_name = {m.name: m.candidates for m in self.mentions}
+            for gname, gentry in self.ground_truth.items():
+                if gname not in by_name:
+                    raise DocumentSchemaError(
+                        f"document {self.doc_id!r}: ground_truth key {gname!r} matches no mention"
+                    )
+                if all(c.entry_id != gentry for c in by_name[gname]):
+                    raise DocumentSchemaError(
+                        f"document {self.doc_id!r}: ground_truth for {gname!r} names unknown "
+                        f"entry_id {gentry!r}"
+                    )
 
     @cached_property
     def _cloud(self) -> PointCloud:
@@ -189,18 +202,8 @@ def document_from_dict(raw: dict) -> DocumentInput:
     ground_truth = raw.get("ground_truth")
     if ground_truth is not None:
         _expect(ground_truth, dict, f"document {doc_id!r}: 'ground_truth'")
-        by_name = {m.name: m for m in mentions}
-        for gname, gentry in ground_truth.items():
+        for gname, gentry in ground_truth.items():  # DocumentInput checks what they name
             _expect(gentry, str, f"document {doc_id!r}: ground_truth for {gname!r}")
-            if gname not in by_name:
-                raise DocumentSchemaError(
-                    f"document {doc_id!r}: ground_truth key {gname!r} matches no mention"
-                )
-            if gentry not in {c.entry_id for c in by_name[gname].candidates}:
-                raise DocumentSchemaError(
-                    f"document {doc_id!r}: ground_truth for {gname!r} names unknown "
-                    f"entry_id {gentry!r}"
-                )
         ground_truth = dict(ground_truth)
 
     return DocumentInput(doc_id=doc_id, mentions=tuple(mentions), ground_truth=ground_truth)

@@ -181,8 +181,13 @@ def score_document(result: DisambiguationResult, doc: DocumentInput) -> Document
             continue
         if outcome.entry_id == true_entry:
             correct += 1
-        location = {c.entry_id: c.location for c in mention.candidates}
-        errors_km.append(haversine(location[outcome.entry_id], location[true_entry]) / 1000.0)
+            errors_km.append(0.0)  # the haversine of a point to itself
+            continue
+        chosen, true = (  # both are the mention's candidates (see DocumentInput)
+            next(c.location for c in mention.candidates if c.entry_id == entry)
+            for entry in (outcome.entry_id, true_entry)
+        )
+        errors_km.append(haversine(chosen, true) / 1000.0)
     truth_count = len(truth)
     return DocumentScore(
         doc_id=doc.doc_id,

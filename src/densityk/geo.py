@@ -223,16 +223,14 @@ def _pair_distances(radians, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 # The chord kernel. Half the chord between two points' unit vectors u,
 # squared, is the haversine h = |u_i/2 - u_j/2|^2 = sin^2(t/2) of their arc
-# t, which a block takes from one matrix product where the haversine formula
-# takes two sines a pair. Its distance 2R asin(sqrt(h)) stands in for the
-# haversine distance wherever it lies more than _CHORD_MARGIN_M from every
-# value a decision turns on and within _CHORD_REACH_M (179 degrees of arc);
-# see _ChordBlocks.distances for the bound.
+# t, which a block takes from the differences of the vectors' coordinates
+# where the haversine formula takes two sines a pair. Its distance
+# 2R asin(sqrt(h)) stands in for the haversine distance wherever it lies
+# more than _CHORD_MARGIN_M from every value a decision turns on and within
+# _CHORD_REACH_M (179 degrees of arc); see _ChordBlocks.distances for the
+# bound.
 _CHORD_MARGIN_M = 1e-3
 _CHORD_REACH_M = EARTH_RADIUS_M * math.radians(179.0)
-# below this ring width over 1/16 of the distances would lie within the
-# margin of a ring edge: the row blocks take the haversine throughout
-_CHORD_MIN_SPACING_M = 32 * _CHORD_MARGIN_M
 
 
 def _half_unit_vectors(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
@@ -243,10 +241,6 @@ def _half_unit_vectors(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) ->
 def _haversine_of(distance: float) -> float:
     # the h of an arc of ``distance`` meters
     return math.sin(distance / (2.0 * EARTH_RADIUS_M)) ** 2
-
-
-# below the h of 100 km, h comes from the differences of the coordinates
-_H_DIRECT = _haversine_of(1e5)
 
 
 class _ChordBlocks:
@@ -261,29 +255,18 @@ class _ChordBlocks:
     def __init__(self, radians, half_units: np.ndarray) -> None:
         self.radians, self.half_units = radians, half_units
         self.n = len(half_units[0])
-        self._points = np.ascontiguousarray(half_units.T)  # a row per point
-        self._norms = np.square(half_units).sum(axis=0)  # about 1/4
 
     def _haversines(self, r0: int, r1: int) -> np.ndarray:
-        # h over the block as |v_i|^2 + |v_j|^2 - 2 v_i.v_j, v = u/2, through one
-        # matrix product; that sum loses the digits of a small h, which comes
-        # instead from the differences of the coordinates, of the pairs alone
-        # or, where they are many, of the whole block
+        # h over the block as |v_i - v_j|^2, v = u/2, from the differences of
+        # the coordinates: to a few ulps of h at every arc, short ones too
         rows, cols = slice(r0, r1), slice(r0 + 1, None)
-        h = self._points[rows] @ self._points[cols].T
-        h *= -2.0
-        h += self._norms[rows, None]
-        h += self._norms[None, cols]
-        close = np.flatnonzero(h < _H_DIRECT)
-        if len(close) > h.size // 8:
-            x, y, z = self.half_units
-            h = np.square(x[rows, None] - x[None, cols])
-            h += np.square(y[rows, None] - y[None, cols])
-            h += np.square(z[rows, None] - z[None, cols])
-        elif len(close):
-            i, j = np.divmod(close, h.shape[1])
-            dx, dy, dz = self.half_units[:, i + r0] - self.half_units[:, j + (r0 + 1)]
-            h.reshape(-1)[close] = dx * dx + dy * dy + dz * dz
+        x, y, z = self.half_units
+        h = np.subtract(x[rows, None], x[None, cols])
+        np.square(h, out=h)
+        d = np.subtract(y[rows, None], y[None, cols])
+        h += np.square(d, out=d)
+        np.subtract(z[rows, None], z[None, cols], out=d)
+        h += np.square(d, out=d)
         return h
 
     def distances(
@@ -297,61 +280,59 @@ class _ChordBlocks:
         A distance is the chord kernel's, or the haversine distance of its
         pair alone where the chord's lies within ``_CHORD_MARGIN_M`` (M) of
         a multiple of ``spacing`` or of ``upper_bound``, or beyond
-        ``_CHORD_REACH_M``. With ``spacing`` below ``_CHORD_MIN_SPACING_M``
-        every distance is the haversine's.
+        ``_CHORD_REACH_M``.
 
         Why M suffices. Let u = 2**-53, assume numpy's sin, cos and arcsin
         within k ulps (an ulp of x is at most 2u|x|) and sqrt correctly
         rounded, and let t be the true arc between the points of the given
-        float radians, t <= 179.01 degrees, so that cos(t/2) >= 0.0087 and
-        tan(t/2) <= 115:
+        float radians, 0 <= t <= 179.01 degrees, so that cos(t/2) >= 0.0086
+        and tan(t/2) <= 116. Both errors below grow with t, so their largest
+        value over every such arc is their value at 179.01 degrees:
 
         - chord: a coordinate of u/2 is off by at most (2k+0.5)u, a
           difference of two by (4k+2)u, so the root of H = |u_i/2 - u_j/2|^2
           of the computed vectors is within sqrt(3)(4k+2)u of sin(t/2). The
-          block's h is H from the differences (to 2u of its root, with the
-          root's rounding) below the h of 100 km, else from the norms and
-          the matrix product, within 5u of H (each norm and product within
-          0.76u, three sums). The root turns an error e of h into
-          e / (2 sin(t/2)), arcsin's slope 1/cos(t/2) makes that e / sin(t),
-          and arcsin adds k ulps of t/2 <= pi/2:
-          |d~ - Rt| <= 2R[(sqrt(3)(4k+2) + 2)u / cos(t/2) + 5u / sin(t) + k pi u] + pi R u
-          with sin(t) >= 0.0157 where the product is used, which is
-          5.9e-6 m at k = 4;
-        - haversine: the rounded differences of latitude and longitude (off
-          by at most pi u and 2 pi u) move the arc by at most 3 pi u / sin(t);
-          h carries a relative error of (8k+4)u, its root (4k+2.5)u, and
-          arcsin turns a relative error r of its argument into tan(t/2) r:
-          |d - Rt| <= 2R[tan(t/2)(4k+2.5)u + k pi u] + 3 pi R u / sin(t) + pi R u,
-          which is 3.4e-6 m at k = 4.
+          block's h is H to 3u relative (three squares, two sums), its root
+          to 2u of sin(t/2) <= 1, and arcsin's slope 1/cos(t/2) and its own
+          k ulps of t/2 <= pi/2 make that
+          |d~ - Rt| <= 2R[(sqrt(3)(4k+2) + 2)u / cos(t/2) + k pi u] + pi R u,
+          at most 5.5e-6 m at k = 4;
+        - haversine: h = a^2 + c_i c_j b^2 with a = sin(dphi/2), b =
+          sin(dlam/2). Rounding the difference dphi moves a by at most
+          u |dphi| / 2 <= pi u / 2 (sin has slope at most 1), and dlam moves
+          b by at most pi u; as |a| and sqrt(c_i c_j) |b| are at most
+          sin(t/2), h moves by at most 2 sin(t/2)(pi u / 2 + pi u), and the
+          arc, whose slope in h is 2R / sin(t), by 3 pi R u / cos(t/2). The
+          rest of h is rounding and k-ulp functions, (8k+4)u relative, its
+          root (4k+2.5)u relative, which arcsin turns into tan(t/2) times as
+          much of t/2:
+          |d - Rt| <= 2R[tan(t/2)(4k+2.5)u + k pi u] + 3 pi R u / cos(t/2) + pi R u,
+          at most 3.9e-6 m at k = 4.
 
-        So |d~ - d| < 1e-5 m, and d~ / spacing and d / spacing, each
-        rounded, differ by less than (1e-5 + 4.5e-9) / spacing: a chord
-        distance further than M from every ring edge and from the bound
-        decides as d does. M is 1 mm, over 100 times the bound at k = 4, and
-        covers k up to 400. Past 179 degrees both errors grow without bound
-        (the haversine's to over 1 m at the antipode), and such pairs take
-        the haversine.
+        So |d~ - d| < 1e-5 m at every arc up to 179.01 degrees, and d~ /
+        spacing and d / spacing, each rounded, differ by less than (1e-5 +
+        4.5e-9) / spacing: a chord distance further than M from every ring
+        edge and from the bound decides as d does. M is 1 mm, over 100 times
+        the bound at k = 4, and covers k up to 500. Past 179 degrees both
+        errors grow without bound (the haversine's to over 1 m at the
+        antipode), and such pairs take the haversine.
         """
-        if spacing < _CHORD_MIN_SPACING_M:
-            d = _haversine_block(self.radians, r0, r1)
-        else:
-            d = self._haversines(r0, r1)
-            np.minimum(d, 1.0, out=d)  # rounding can carry an antipodal pair past 1
-            np.sqrt(d, out=d)
-            np.arcsin(d, out=d)
-            d *= 2.0 * EARTH_RADIUS_M
-            rings = d / spacing
-            off = np.rint(rings)
-            off -= rings  # exact: from a value to its nearest integer
-            unsure = np.abs(off, out=off) <= _CHORD_MARGIN_M / spacing
-            unsure |= d > _CHORD_REACH_M
-            if upper_bound is not None:
-                np.subtract(d, upper_bound, out=off)
-                unsure |= np.abs(off, out=off) <= _CHORD_MARGIN_M
-            flat = np.flatnonzero(unsure)
-            k, c = np.divmod(flat, d.shape[1])
-            d.reshape(-1)[flat] = _pair_distances(self.radians, k + r0, c + (r0 + 1))
+        d = self._haversines(r0, r1)
+        np.minimum(d, 1.0, out=d)  # rounding can carry an antipodal pair past 1
+        np.sqrt(d, out=d)
+        np.arcsin(d, out=d)
+        d *= 2.0 * EARTH_RADIUS_M
+        rings = d / spacing
+        off = np.rint(rings)
+        off -= rings  # exact: from a value to its nearest integer
+        unsure = np.abs(off, out=off) <= _CHORD_MARGIN_M / spacing
+        unsure |= d > _CHORD_REACH_M
+        if upper_bound is not None:
+            np.subtract(d, upper_bound, out=off)
+            unsure |= np.abs(off, out=off) <= _CHORD_MARGIN_M
+        flat = np.flatnonzero(unsure)
+        k, c = np.divmod(flat, d.shape[1])
+        d.reshape(-1)[flat] = _pair_distances(self.radians, k + r0, c + (r0 + 1))
         keep = _upper(r0, r1, self.n)
         if upper_bound is not None:
             keep &= d <= upper_bound
@@ -368,7 +349,9 @@ class _ChordBlocks:
         surely not when it is above that of ``limit + M`` and ``limit + M``
         lies within the reach: past the reach the chord loses the bound, but
         the pair lies past 179 degrees all the same. Every other pair takes
-        the haversine.
+        the haversine. Comparing h with the h of ``limit -/+ M`` in place of
+        the distances moves the comparison by the rounding of that h, within
+        the chord's bound again.
         """
         h = self._haversines(r0, r1).reshape(-1)
         if limit + _CHORD_MARGIN_M < _CHORD_REACH_M:

@@ -394,6 +394,34 @@ class TestRepeatedMentionName:
         assert str(built.value) == str(loaded.value) == message
 
 
+class TestGroundTruthNamesOwnCandidate:
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            ({"a": "b0"}, "document 'gt': ground_truth for 'a' names unknown entry_id 'b0'"),
+            ({"c": "a0"}, "document 'gt': ground_truth key 'c' matches no mention"),
+        ],
+    )
+    def test_code_built_document_is_rejected_as_a_loaded_one_is(self, truth, message):
+        # score_document reads both locations from the mention's own candidates
+        raw = {
+            "doc_id": "gt",
+            "mentions": [
+                {"name": n, "candidates": [{"entry_id": f"{n}0", "lat": 0, "lon": k}]}
+                for k, n in enumerate("ab")
+            ],
+            "ground_truth": truth,
+        }
+        mentions = tuple(
+            PlaceMention(n, (CandidateEntry(f"{n}0", n, GeoPoint(0, k), ""),)) for k, n in enumerate("ab")
+        )
+        with pytest.raises(DocumentSchemaError) as built:
+            DocumentInput("gt", mentions, ground_truth=truth)
+        with pytest.raises(DocumentSchemaError) as loaded:
+            load_document(json.dumps(raw))
+        assert str(built.value) == str(loaded.value) == message
+
+
 # any JSON value: what a corpus line or file can hold; JSON integers have no
 # size limit, so some lie past the float range
 json_values = st.recursive(

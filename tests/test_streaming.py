@@ -49,7 +49,7 @@ from densityk.geo import (
 )
 from densityk.kfunction import _RingCounts, _ring_counts, _ring_indices, annular_k_function
 from densityk.synth import SynthSpec, synth_generate
-from conftest import make_cloud, random_coords
+from conftest import make_cloud, make_document, random_coords
 
 
 @contextmanager
@@ -185,24 +185,33 @@ class TestStreamedEqualsExact:
 
 class TestChordKernel:
     def stress_cloud(self, seed: int) -> list[tuple[float, float]]:
-        # global scatter, tight groups, and antipodes of some points
+        # global scatter, tight groups, antipodes of some points, and pairs
+        # 1 m to 100 m apart, some astride the antimeridian or by a pole
         rng = np.random.default_rng(seed)
         coords = random_coords(rng, 700, scales=(1e-5, 0.001, 0.1, 10.0))
         coords += [(-lat, lon + 180.0 + rng.normal(0, 1.0)) for lat, lon in coords[:100]]
+        for lat, lon in coords[:50] + [(0.0, 180.0), (89.99, 10.0), (-45.0, -180.0)] * 10:
+            arc = math.degrees(rng.uniform(1.0, 100.0) / EARTH_RADIUS_M)
+            bearing = rng.uniform(0.0, 2.0 * math.pi)
+            step = (arc * math.cos(bearing), arc * math.sin(bearing) / math.cos(math.radians(lat)))
+            coords += [(lat, lon), (float(np.clip(lat + step[0], -90, 90)), lon + step[1])]
         return coords
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_chord_distance_within_the_bound(self, seed):
-        # the bound of _ChordBlocks.distances, 1e-5 m to arcs of 179 degrees
+        # the bound of _ChordBlocks.distances, 1e-5 m at every arc up to 179
+        # degrees, short ones included
         cloud = make_cloud(self.stress_cloud(seed))
         blocks = _ChordBlocks(cloud._radians, cloud._half_units)
-        worst = 0.0
+        worst, short = 0.0, 0
         for r0, r1 in _row_blocks(len(cloud)):
             h = np.minimum(blocks._haversines(r0, r1), 1.0)
             chord = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
             exact = _haversine_block(cloud._radians, r0, r1)
             within = _upper(r0, r1, len(cloud)) & (exact <= _CHORD_REACH_M)
             worst = max(worst, float(np.abs(chord - exact)[within].max()))
+            short += int((within & (exact >= 1.0) & (exact <= 100.0)).sum())
+        assert short >= 80
         assert worst < 1e-5
 
     def test_pairs_past_the_reach_take_the_haversine(self):
@@ -239,6 +248,18 @@ class TestMemory:
         assert n == 3000
         _, peak = traced_peak(lambda: densityk_pipeline(doc))
         assert peak < 8 * (n * (n - 1) // 2) / 4
+
+    def test_dense_ring_count_spans_the_cloud_not_the_sphere(self):
+        # a regional cloud on the dense side of the span rule: the count
+        # array covers the rings up to twice its farthest point from point
+        # 0, not the 1,000,000 rings of 20 m to the antipode
+        rng = np.random.default_rng(5)
+        coords = np.column_stack((rng.uniform(44.7, 45.3, 3000), rng.uniform(6.6, 7.4, 3000)))
+        doc = make_document("regional", {f"m{k}": coords[k :: 300].tolist() for k in range(300)})
+        n, delta_d = 3000, 20.0
+        assert 4 * geo._MAX_DISTANCE_M / delta_d <= n * (n - 1) // 2
+        _, peak = traced_peak(lambda: densityk_pipeline(doc, delta_d=delta_d))
+        assert peak < 8 * (geo._MAX_DISTANCE_M / delta_d) / 2
 
     def test_fine_ring_width_counts_sparsely(self):
         # at 5 m the rings of a 1,500-point cloud are too many to count in
