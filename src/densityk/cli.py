@@ -13,8 +13,9 @@ from pathlib import Path
 import click
 
 from .baselines import AVG_PAIRWISE, DEFAULT_COMBINATION_CAP, HULL_AREA
-from .corpus import load_corpus, load_document_file, to_point_cloud
-from .errors import DensityKError, DocumentParseError, DocumentSchemaError
+from .clustering import densityk_pipeline
+from .corpus import load_corpus, load_document_file
+from .errors import DensityKError, DocumentParseError, DocumentSchemaError, InsufficientPointsError
 from .evaluation import (
     ALGORITHMS,
     GRID_PRESETS,
@@ -30,8 +31,7 @@ from .export import (
     result_to_dict,
     to_canonical_json,
 )
-from .geo import pairwise_distances
-from .kfunction import DEFAULT_DELTA_D_M, compute_k_function, with_cluster_distance
+from .kfunction import DEFAULT_DELTA_D_M
 from .synth import SynthSpec, synth_generate, write_corpus
 
 _INPUT_ERRORS = (DocumentParseError, DocumentSchemaError)
@@ -172,12 +172,14 @@ def _parse_cell(text: str) -> AlgorithmConfig:
 @click.option("--delta-d", type=float, default=DEFAULT_DELTA_D_M, show_default=True)
 @click.option("--upper-bound", type=float, default=None)
 def kfunction(input_path, output_path, delta_d, upper_bound) -> None:
-    """Export a document's density curve and derived threshold as CSV."""
+    """Export a document's density curve and derived threshold as CSV: the
+    curve the densityk pipeline derives its threshold from."""
 
     def curve(doc):
-        cloud = to_point_cloud(doc)
-        distances = pairwise_distances([p.location for p in cloud.points], upper_bound=upper_bound)
-        return with_cluster_distance(compute_k_function(distances, len(cloud), delta_d))
+        kf = densityk_pipeline(doc, delta_d, upper_bound).diagnostics
+        if kf is None:  # a single candidate: no pair, no curve
+            raise InsufficientPointsError("need at least 2 points, got 1")
+        return kf
 
     output_path.write_text(kfunction_to_csv(_on_document(input_path, curve)), encoding="utf-8")
 

@@ -165,14 +165,10 @@ def document_from_dict(raw: dict) -> DocumentInput:
     mentions_raw = _require(raw, "mentions", f"document {doc_id!r}", list)
 
     mentions: list[PlaceMention] = []
-    seen_names: set[str] = set()
     for mraw in mentions_raw:
         _expect(mraw, dict, f"document {doc_id!r}: each mention")
         ctx = f"document {doc_id!r}, mention {mraw.get('name', '?')!r}"
         name = _require(mraw, "name", ctx, str)
-        if name in seen_names:  # before its candidates and the ground truth keyed by name
-            raise DocumentSchemaError(f"{ctx}: duplicate mention name")
-        seen_names.add(name)
         cands_raw = _require(mraw, "candidates", ctx)
         if not isinstance(cands_raw, list) or len(cands_raw) == 0:
             raise DocumentSchemaError(f"{ctx}: candidate list is empty")

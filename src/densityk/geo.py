@@ -367,6 +367,18 @@ class _ChordBlocks:
         return i[within], j[within]
 
 
+def _diameter_bound(radians) -> float:
+    # A bound, at most _MAX_DISTANCE_M, on the distances _ChordBlocks gives
+    # the pairs of these points. No two points are further apart than twice
+    # the farthest from point 0. Below 179 degrees the kernel's distances lie
+    # within 1e-5 m of the true arcs (see _ChordBlocks.distances), which the
+    # margin covers; beyond, the bound is the whole sphere's.
+    lat, lon, cos_lat = radians
+    from_first = _haversine_arc(lat[1:] - lat[0], lon[1:] - lon[0], cos_lat[0], cos_lat[1:])
+    bound = 2.0 * float(from_first.max()) + _CHORD_MARGIN_M
+    return bound if bound < _CHORD_REACH_M else _MAX_DISTANCE_M
+
+
 def condensed_index(i, j, n: int):
     """Position of the pair (i, j), i < j, in the condensed vector of n
     points (scalars or integer arrays)."""

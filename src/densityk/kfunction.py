@@ -80,15 +80,6 @@ def _check_ring_area(largest: float, n_points: int, delta_d: float) -> None:
         raise ValueError(f"delta_d {delta_d} is too large: the area of the ring at {d} m overflows")
 
 
-def _check_curve_input(values: np.ndarray, n_points: int, delta_d: float) -> None:
-    _check_curve_args(n_points, delta_d)
-    if len(values) == 0:
-        raise InsufficientPointsError("distance list is empty")
-    largest = float(np.max(values))
-    _check_ring_limit(largest, delta_d)
-    _check_ring_area(largest, n_points, delta_d)
-
-
 def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
     # distance x falls in ring m iff (m-1)*delta_d < x <= m*delta_d; x == 0 -> ring 1
     m = np.ceil(values / delta_d).astype(np.int64)
@@ -96,20 +87,21 @@ def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
 
 
 class _RingCounts:
-    """Distances counted by ring, a block at a time.
+    """Distances counted by ring, a block at a time; the one ring counter
+    behind every annular curve (see :func:`_blocked_k_function`).
 
-    When the ``span`` rings from ring ``lo`` on are at most a quarter as
-    many as the ``total`` distances to come, each block is added into one
-    array over the span (``np.add.at``). Otherwise the blocks' ring indices
-    are held until they number ``_MERGE_RINGS`` and a quarter of the
-    occupied rings so far, then sorted and merged into the sorted occupied
-    rings and their counts, so memory follows the occupied rings, not the
-    number of distances. Each block's largest distance is checked against
-    the ring limit before its ring indices are cast.
+    When the ``span`` rings from ring 1 on are at most a quarter as many as
+    the ``total`` distances to come, each block is added into one array
+    over the span (``np.add.at``). Otherwise the blocks' ring indices are
+    held until they number ``_MERGE_RINGS`` and a quarter of the occupied
+    rings so far, then sorted and merged into the sorted occupied rings and
+    their counts, so memory follows the occupied rings, not the number of
+    distances. Each block's largest distance is checked against the ring
+    limit before its ring indices are cast.
     """
 
-    def __init__(self, delta_d: float, lo: int, span: float, total: int) -> None:
-        self.delta_d, self.lo = delta_d, lo
+    def __init__(self, delta_d: float, span: float, total: int) -> None:
+        self.delta_d = delta_d
         self.added, self.largest = 0, 0.0
         self.dense = np.zeros(math.ceil(span), dtype=np.int64) if 4 * span <= total else None
         self.rings = self.counts = np.empty(0, dtype=np.int64)
@@ -124,7 +116,7 @@ class _RingCounts:
         self.largest = max(self.largest, largest)
         rings = _ring_indices(values, self.delta_d)
         if self.dense is not None:
-            rings -= self.lo
+            rings -= 1
             np.add.at(self.dense, rings, 1)
             return
         self._pending.append(rings)
@@ -156,7 +148,7 @@ class _RingCounts:
             occupied = np.flatnonzero(self.dense)
             counts = self.dense[occupied]
             self.dense = None
-            occupied += self.lo
+            occupied += 1
             return occupied, counts
         if self._pending:
             self._merge()
@@ -183,19 +175,6 @@ class _RingCounts:
         return KFunction(delta_d=self.delta_d, distances_m=d, densities=densities)
 
 
-def _ring_counts(values: np.ndarray, delta_d: float) -> _RingCounts:
-    """The distances of ``values`` counted by ring, ``_COUNT_BLOCK`` at a
-    time (see :class:`_RingCounts`), with the span from the nearest
-    distance's ring to the farthest's: no copy of the whole vector is made.
-    """
-    # a ring index never decreases with the distance
-    lo, hi = _ring_indices(np.array([values.min(), values.max()]), delta_d).tolist()
-    counts = _RingCounts(delta_d, lo, hi - lo + 1, len(values))
-    for start in range(0, len(values), _COUNT_BLOCK):
-        counts.add(values[start : start + _COUNT_BLOCK])
-    return counts
-
-
 def compute_k_function(
     distances: DistanceList, n_points: int, delta_d: float = DEFAULT_DELTA_D_M
 ) -> KFunction:
@@ -213,28 +192,32 @@ def annular_k_function(
     """:func:`compute_k_function` on a bare vector of pair distances, which
     need not be sorted: the ring counts do not depend on their order.
 
-    The rings are counted in blocks (see :func:`_ring_counts`): on a vector
-    of at least four distances per ring spanned (a large document) into one
-    array as long as the span, at most a quarter of the vector's length;
-    otherwise as the sorted occupied rings, merged as the blocks come.
+    The vector goes to :func:`_blocked_k_function` in slices of
+    ``_COUNT_BLOCK`` distances, so no copy of it is made.
     """
-    _check_curve_input(values, n_points, delta_d)
-    return _ring_counts(values, delta_d).curve(n_points)
+    largest = float(values.max()) if len(values) else 0.0
+    blocks = (values[start : start + _COUNT_BLOCK] for start in range(0, len(values), _COUNT_BLOCK))
+    return _blocked_k_function(blocks, n_points, delta_d, largest, len(values))
 
 
 def _blocked_k_function(
     blocks, n_points: int, delta_d: float, largest: float, total: int
 ) -> KFunction:
-    """:func:`annular_k_function` of the distances that ``blocks`` yields, an
-    array at a time, with the same checks in the same order and the same
-    curve bit for bit; no distance exceeds ``largest`` and there are at
-    most ``total`` of them.
+    """The annular curve of the distances that ``blocks`` yields, an array
+    at a time; no distance exceeds ``largest`` and there are at most
+    ``total`` of them. Both the pipeline's streamed pass and
+    :func:`annular_k_function` count through here.
 
-    The span rule of :func:`_ring_counts` reads the rings up to ``largest``
-    (and one more for its rounding) in place of the unknown span.
+    The checks come in one order: the point count and ``delta_d``, the ring
+    limit on each block before its ring indices are cast, an empty list,
+    then the area of the farthest ring. The rings are counted by one
+    :class:`_RingCounts` spanning ring 1 up to ``largest``'s ring (and one
+    more for its rounding): into one array on at least four distances per
+    ring spanned, otherwise as the sorted occupied rings, merged as the
+    blocks come.
     """
     _check_curve_args(n_points, delta_d)
-    counts = _RingCounts(delta_d, 1, largest / delta_d + 1, total)
+    counts = _RingCounts(delta_d, largest / delta_d + 1, total)
     for values in blocks:
         counts.add(values)
     if counts.added == 0:
@@ -253,8 +236,12 @@ def compute_circular_k_function(
     the largest pair distance. Used for comparison against the annular
     curve; the annular one is what the pipeline uses.
     """
-    _check_curve_input(distances.values, n_points, delta_d)
+    _check_curve_args(n_points, delta_d)
+    if len(distances.values) == 0:
+        raise InsufficientPointsError("distance list is empty")
     values = np.sort(distances.values)
+    _check_ring_limit(float(values[-1]), delta_d)
+    _check_ring_area(float(values[-1]), n_points, delta_d)
     last_ring = int(_ring_indices(values[-1:], delta_d)[0])
     d = np.arange(1, last_ring + 1, dtype=np.float64) * delta_d
     cumulative = np.searchsorted(values, d, side="right")

@@ -16,6 +16,7 @@ from densityk import (
     PlaceMention,
     PointCloud,
 )
+from densityk.kfunction import _ring_indices
 from densityk.synth import SynthSpec, synth_generate
 
 
@@ -66,6 +67,12 @@ def random_coords(rng: np.random.Generator, n: int, scales=(0.001, 0.1, 10.0)) -
         lon = clon + rng.normal(0, scale)
         coords.append((lat, lon))
     return coords
+
+
+def unique_ring_counts(values: np.ndarray, delta_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied rings of the distances ``values`` and how many fall in
+    each, from ``np.unique``: the reference for every ring count."""
+    return np.unique(_ring_indices(values, delta_d), return_counts=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,26 @@
 import json
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densityk import (
+    clustering,
+    compute_k_function,
+    geo,
+    kfunction_to_csv,
+    pairwise_distances,
+    with_cluster_distance,
+)
 from densityk.cli import main
-from densityk.corpus import document_to_json
+from densityk.corpus import document_to_json, to_point_cloud
 from densityk.evaluation import ALGORITHMS
+from densityk.synth import SynthSpec, synth_generate
 from conftest import make_document
 from test_corpus import M_PER_DEG
+from test_streaming import small_blocks
 
 
 @pytest.fixture
@@ -383,6 +394,37 @@ class TestKFunctionCommand:
             main, ["kfunction", "--input", str(path), "--output", str(tmp_path / "kf.csv")]
         )
         assert result.exit_code == 2
+        assert result.output == f"error: {path}: need at least 2 points, got 1\n"
+
+    def test_document_without_candidates_exits_2(self, runner, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"doc_id": "empty", "mentions": []}))
+        result = runner.invoke(
+            main, ["kfunction", "--input", str(path), "--output", str(tmp_path / "kf.csv")]
+        )
+        assert result.exit_code == 2
+        assert result.output == f"error: {path}: document 'empty' has no candidates\n"
+
+    @pytest.mark.parametrize("delta_d, upper_bound", [(100.0, None), (5.0, 3e6)])
+    def test_streams_the_pipeline_curve_past_one_row_block(self, runner, tmp_path, delta_d, upper_bound):
+        # the curve of the composed public stages, written without a stored
+        # distance vector: with blocks of 16 entries, 48 points stream
+        doc = synth_generate(SynthSpec(n_docs=1, mentions_per_doc=8, decoys_per_mention=(5, 5), seed=5))[0]
+        locations = [p.location for p in to_point_cloud(doc).points]
+        distances = pairwise_distances(locations, upper_bound=upper_bound)
+        want = kfunction_to_csv(with_cluster_distance(compute_k_function(distances, len(locations), delta_d)))
+        path, out = tmp_path / "doc.json", tmp_path / "kf.csv"
+        path.write_text(document_to_json(doc))
+        args = ["kfunction", "--input", str(path), "--output", str(out), "--delta-d", str(delta_d)]
+        if upper_bound is not None:
+            args += ["--upper-bound", str(upper_bound)]
+        stored = AssertionError("a stored distance vector")
+        with small_blocks(), mock.patch.object(geo, "condensed_distances", side_effect=stored), mock.patch.object(
+            clustering, "condensed_distances", side_effect=stored
+        ):
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == want.encode()
 
 
 class TestClustersCommand:

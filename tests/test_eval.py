@@ -321,8 +321,10 @@ class TestRunAlgorithm:
             evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("upper_bound", -5),))])
 
     def test_one_distance_vector_per_clustering_run(self, monkeypatch, default_corpus):
-        # each clusterer reads its groups, its cluster spreads and (k-dist)
-        # its epsilon from one condensed vector per document
+        # each clusterer reads its groups and (k-dist) its epsilon from one
+        # condensed vector per document; the spreads of clusters tied in
+        # size come from their members' coordinates through geo._condensed,
+        # which is not counted here
         calls = []
         real = geo.condensed_distances
 

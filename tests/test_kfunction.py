@@ -16,8 +16,9 @@ from densityk import (
     with_cluster_distance,
 )
 from densityk import kfunction
-from densityk.kfunction import _ring_counts, _ring_indices, annular_k_function
+from densityk.kfunction import _RingCounts, annular_k_function
 from oracles import annular_density_curve, two_sigma_threshold_distance
+from conftest import unique_ring_counts
 
 
 def dl(values, n_points):
@@ -117,10 +118,6 @@ class TestComputeKFunction:
         assert kf.densities.tobytes() == ordered.densities.tobytes()
 
 
-def unique_ring_counts(values, delta_d):
-    return np.unique(_ring_indices(values, delta_d), return_counts=True)
-
-
 def reference_curve(values, n_points, delta_d):
     # the curve's arrays from np.unique's ring counts, one expression each
     occupied, counts = unique_ring_counts(values, delta_d)
@@ -129,15 +126,31 @@ def reference_curve(values, n_points, delta_d):
     return d, 2.0 * counts / (n_points * areas)
 
 
+def counted_curve(values, n_points, delta_d):
+    """annular_k_function's curve, whether its ring counter took the dense
+    side of the span rule, and the ring counts the curve was computed from."""
+    seen = []
+
+    class Recorded(_RingCounts):
+        def take(self):
+            seen.append(self.dense is not None)
+            seen.append(super().take())
+            return seen[-1]
+
+    with mock.patch.object(kfunction, "_RingCounts", Recorded):
+        kf = annular_k_function(values, n_points, delta_d)
+    return kf, *seen
+
+
 @st.composite
 def ring_values(draw, narrow):
-    """Distances whose rings, from the first occupied one, span at most a
-    quarter as many rings as there are distances (``narrow``) or more: zeros,
-    exact multiples of delta_d and values between them, from ring 1 up to
-    rings past 2**40."""
+    """Distances whose rings, from ring 1, span at most a quarter as many
+    rings as there are distances (``narrow``) or more: zeros, exact
+    multiples of delta_d and values between them; past the quarter, from
+    ring 1 up to rings past 2**40."""
     delta_d = draw(st.sampled_from([0.1, 1.0, 7.3, 100.0]) | st.floats(1e-3, 1e4))
     n = draw(st.integers(8, 200))
-    first = draw(st.sampled_from([0, 1, 5, 2**40]))
+    first = 0 if narrow else draw(st.sampled_from([0, 1, 5, 2**40]))
     span = draw(st.integers(1, n // 4 - 1) if narrow else st.integers(n // 4 + 2, 10 * n) | st.just(2**40))
     offsets = st.tuples(st.integers(0, span - 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     values = [max(0.0, (first + k - f) * delta_d) for k, f in draw(st.lists(offsets, min_size=n, max_size=n))]
@@ -150,11 +163,9 @@ class TestRingCounts:
     @settings(max_examples=60, deadline=None)
     def test_equal_unique_on_both_sides_of_the_span_rule(self, narrow, data, block):
         values, delta_d = data.draw(ring_values(narrow))
-        rings = _ring_indices(values, delta_d)
-        assume((4 * (int(rings.max()) - int(rings.min()) + 1) <= len(values)) == narrow)
         with mock.patch.object(kfunction, "_COUNT_BLOCK", block):
-            occupied, counts = _ring_counts(values, delta_d).take()
-            kf = annular_k_function(values, 5, delta_d)
+            kf, dense, (occupied, counts) = counted_curve(values, 5, delta_d)
+        assume(dense == narrow)
         want_rings, want_counts = unique_ring_counts(values, delta_d)
         assert occupied.dtype == want_rings.dtype and counts.dtype == want_counts.dtype
         assert occupied.tobytes() == want_rings.tobytes()
@@ -163,15 +174,15 @@ class TestRingCounts:
         assert kf.distances_m.tobytes() == d.tobytes()
         assert kf.densities.tobytes() == densities.tobytes()
 
-    @pytest.mark.parametrize("rings", [20_000, 100_000])
+    @pytest.mark.parametrize("rings", [20_000, 100_000, 200_000])
     def test_many_blocks_of_a_large_vector(self, rings):
-        # blocks of 2**16 distances, then blocks as long as the span
+        # seven blocks of 2**16 distances, counted on either side of the span rule
         values = np.random.default_rng(rings).uniform(0.0, rings * 100.0, 450_000)
-        occupied, counts = _ring_counts(values, 100.0).take()
+        kf, dense, (occupied, counts) = counted_curve(values, 950, 100.0)
+        assert dense == (rings <= 100_000)
         want_rings, want_counts = unique_ring_counts(values, 100.0)
         assert occupied.tobytes() == want_rings.tobytes()
         assert counts.tobytes() == want_counts.tobytes()
-        kf = annular_k_function(values, 950, 100.0)
         d, densities = reference_curve(values, 950, 100.0)
         assert kf.distances_m.tobytes() == d.tobytes()
         assert kf.densities.tobytes() == densities.tobytes()

@@ -47,9 +47,9 @@ from densityk.geo import (
     _upper,
     condensed_distances,
 )
-from densityk.kfunction import _RingCounts, _ring_counts, _ring_indices, annular_k_function
+from densityk.kfunction import _RingCounts, _ring_indices, annular_k_function
 from densityk.synth import SynthSpec, synth_generate
-from conftest import make_cloud, make_document, random_coords
+from conftest import make_cloud, make_document, random_coords, unique_ring_counts
 
 
 @contextmanager
@@ -126,10 +126,10 @@ class TestStreamedEqualsExact:
             got = np.concatenate(streamed)  # the blocks hold the pairs in condensed order
             assert np.array_equal(_ring_indices(got, delta_d), _ring_indices(in_bound, delta_d))
             if len(in_bound):
-                counts = _RingCounts(delta_d, 1, geo._MAX_DISTANCE_M / delta_d + 1, len(exact))
+                counts = _RingCounts(delta_d, geo._MAX_DISTANCE_M / delta_d + 1, len(exact))
                 for values in streamed:
                     counts.add(values)
-                for got_counts, want in zip(counts.take(), _ring_counts(in_bound, delta_d).take()):
+                for got_counts, want in zip(counts.take(), unique_ring_counts(in_bound, delta_d)):
                     assert got_counts.tobytes() == want.tobytes()
             kf = outcome(_streamed_curve, cloud, delta_d, upper_bound)
             want = outcome(annular_k_function, in_bound, n, delta_d)
