@@ -11,15 +11,12 @@ import math
 import numpy as np
 
 from .clustering import (
-    Cluster,
     DisambiguationResult,
-    MentionOutcome,
-    OutcomeStatus,
     _dbscan_groups,
     _resolve,
     dbscan,  # noqa: F401  (kept importable from here with the other clusterers)
 )
-from .corpus import CloudPoint, DocumentInput, PointCloud, to_point_cloud
+from .corpus import DocumentInput, PointCloud, to_point_cloud
 from .errors import (
     CombinationExplosionError,
     EmptyInputError,
@@ -46,21 +43,15 @@ TIE_TOLERANCE_M = 1e-3
 _CHUNK = 1 << 13
 
 
-def _single_cluster_result(doc: DocumentInput, chosen: dict[str, str]) -> DisambiguationResult:
-    # the ad-hoc heuristics produce exactly one cluster: the selected entries
-    by_entry = {c.entry_id: (m.name, c) for m in doc.mentions for c in m.candidates}
-    members = tuple(
-        CloudPoint(location=by_entry[eid][1].location, entry_id=eid, mention=name)
-        for name, eid in ((m.name, chosen[m.name]) for m in doc.mentions)
-    )
-    outcomes = {
-        name: MentionOutcome(OutcomeStatus.RESOLVED, entry_id=eid) for name, eid in chosen.items()
-    }
-    return DisambiguationResult(
-        doc_id=doc.doc_id,
-        outcomes=outcomes,
-        ranked_clusters=(Cluster(members=members, rank=1),),
-    )
+def _resolve_selection(doc: DocumentInput, chosen) -> DisambiguationResult:
+    # a heuristic's result: the candidate at position chosen[k] of each
+    # mention k forms the one cluster, and every other point is noise
+    cloud = to_point_cloud(doc)
+    n = len(cloud)
+    points = np.cumsum([0] + [len(m.candidates) for m in doc.mentions[:-1]]) + chosen
+    labels = np.full(n, n)
+    labels[points] = points[0]
+    return _resolve(doc, cloud, labels)
 
 
 def _require_candidates(doc: DocumentInput) -> None:
@@ -245,26 +236,17 @@ def omd(
         )
     if len(doc.mentions) == 1:
         # zero pairs, measure vacuous: first candidate wins
-        only = doc.mentions[0]
-        return _single_cluster_result(doc, {only.name: only.candidates[0].entry_id})
+        return _resolve_selection(doc, [0])
 
     if measure == AVG_PAIRWISE:
         best = _omd_avg_pairwise(doc, sizes)
-        indices = np.unravel_index(best, sizes)
-        chosen = {
-            m.name: m.candidates[int(i)].entry_id for m, i in zip(doc.mentions, indices)
-        }
     elif measure == HULL_AREA:
-        best_area = math.inf
-        chosen = {}
-        for combo in itertools.product(*(m.candidates for m in doc.mentions)):
-            area = _hull_area_m2([c.location for c in combo])
-            if area < best_area:
-                best_area = area
-                chosen = {m.name: c.entry_id for m, c in zip(doc.mentions, combo)}
+        combos = itertools.product(*(m.candidates for m in doc.mentions))
+        areas = (_hull_area_m2([c.location for c in combo]) for combo in combos)
+        best = min(enumerate(areas), key=lambda pair: pair[1])[0]  # the first least area
     else:
         raise ValueError(f"unknown omd measure {measure!r}")
-    return _single_cluster_result(doc, chosen)
+    return _resolve_selection(doc, np.unravel_index(best, sizes))
 
 
 def centroid_heuristic(doc: DocumentInput) -> DisambiguationResult:
@@ -287,15 +269,13 @@ def centroid_heuristic(doc: DocumentInput) -> DisambiguationResult:
     survivors = [loc for loc, d in zip(locations, dists) if d <= cutoff]
     final = spherical_centroid(survivors)
 
-    chosen: dict[str, str] = {}
+    chosen = []
     for mention in doc.mentions:
-        scored = sorted(
-            (haversine(final, c.location), c.entry_id) for c in mention.candidates
-        )
-        best_d = scored[0][0]
-        tied = [eid for d, eid in scored if d - best_d <= TIE_TOLERANCE_M]
-        chosen[mention.name] = min(tied)
-    return _single_cluster_result(doc, chosen)
+        dists = [haversine(final, c.location) for c in mention.candidates]
+        best_d = min(dists)
+        tied = [k for k, d in enumerate(dists) if d - best_d <= TIE_TOLERANCE_M]
+        chosen.append(min(tied, key=lambda k: mention.candidates[k].entry_id))
+    return _resolve_selection(doc, chosen)
 
 
 def dtur(doc: DocumentInput) -> DisambiguationResult:
@@ -309,20 +289,17 @@ def dtur(doc: DocumentInput) -> DisambiguationResult:
     anchors = [m.candidates[0] for m in doc.mentions if len(m.candidates) == 1]
     if not anchors:
         raise NoAnchorsError(f"document {doc.doc_id!r} has no unambiguous mention")
-    chosen: dict[str, str] = {}
+    chosen = []
     for mention in doc.mentions:
         if len(mention.candidates) == 1:
-            chosen[mention.name] = mention.candidates[0].entry_id
+            chosen.append(0)
             continue
-        scored = sorted(
-            (
-                sum(haversine(c.location, a.location) for a in anchors) / len(anchors),
-                c.entry_id,
-            )
-            for c in mention.candidates
+        scored = (
+            (sum(haversine(c.location, a.location) for a in anchors) / len(anchors), c.entry_id, k)
+            for k, c in enumerate(mention.candidates)
         )
-        chosen[mention.name] = scored[0][1]
-    return _single_cluster_result(doc, chosen)
+        chosen.append(min(scored)[2])
+    return _resolve_selection(doc, chosen)
 
 
 def _neighbour_matrix(distances: np.ndarray, n: int) -> np.ndarray:

@@ -26,8 +26,8 @@ from .evaluation import (
     run_algorithm,
 )
 from .export import (
+    _kfunction_csv_pieces,
     clusters_to_geojson,
-    kfunction_to_csv,
     result_to_dict,
     to_canonical_json,
 )
@@ -181,7 +181,9 @@ def kfunction(input_path, output_path, delta_d, upper_bound) -> None:
             raise InsufficientPointsError("need at least 2 points, got 1")
         return kf
 
-    output_path.write_text(kfunction_to_csv(_on_document(input_path, curve)), encoding="utf-8")
+    kf = _on_document(input_path, curve)
+    with output_path.open("w", encoding="utf-8") as out:  # kfunction_to_csv's text, a piece at a time
+        out.writelines(_kfunction_csv_pieces(kf))
 
 
 @main.command()

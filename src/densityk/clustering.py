@@ -280,8 +280,14 @@ def _streamed_components(cloud: PointCloud, threshold: float) -> np.ndarray:
 
 def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> DisambiguationResult:
     """``disambiguate(doc, rank_clusters(clusters))`` for ``cloud =
-    to_point_cloud(doc)`` and the clusters of the ``_dbscan_groups`` labels
-    ``labels`` of its points.
+    to_point_cloud(doc)`` and the clusters of the labels ``labels`` of its
+    points: the one path from labels to a result, for every algorithm.
+
+    The labels follow ``_dbscan_groups``: a cluster's label is the index of
+    one of its points, noise is n. They come from a clusterer, or from a
+    heuristic's selection of one candidate per mention, whose chosen points
+    form one cluster and the others are noise (see
+    ``baselines._resolve_selection``).
 
     A cluster's spread only breaks ties in size, so it is computed only for
     clusters of two or more points whose size another cluster shares (a
@@ -294,7 +300,8 @@ def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> Disam
     roots = np.flatnonzero(counts)  # one label per cluster
     sizes = counts[roots]
     starts = np.cumsum(sizes) - sizes
-    smallest_id = np.minimum.reduceat(cloud._id_ranks[by_cluster[: sizes.sum()]], starts)
+    clustered = by_cluster[: sizes.sum()]  # every point but the noise
+    smallest_id = np.minimum.reduceat(cloud._id_ranks[clustered], starts)
     spreads = np.zeros(len(roots))
     for k in np.flatnonzero((sizes > 1) & (np.bincount(sizes)[sizes] > 1)).tolist():
         spreads[k] = _spread(cloud, by_cluster[starts[k] : starts[k] + sizes[k]])
@@ -303,7 +310,7 @@ def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> Disam
     rank_of_label = np.full(n + 1, unclustered)
     rank_of_label[roots[order]] = np.arange(1, len(order) + 1)
     point_rank = rank_of_label[labels].tolist()
-    grouped = [cloud.points[i] for i in by_cluster.tolist()]
+    grouped = [cloud.points[i] for i in clustered.tolist()]
     ranked = tuple(
         Cluster(members=tuple(grouped[start : start + size]), rank=rank)
         for rank, (start, size) in enumerate(zip(starts[order].tolist(), sizes[order].tolist()), 1)

@@ -181,9 +181,11 @@ def document_from_dict(raw: dict) -> DocumentInput:
             lon = _require(craw, "lon", where)
             if isinstance(lat, bool) or isinstance(lon, bool):
                 raise DocumentSchemaError(f"{where}: boolean coordinate")
+            if not (isinstance(lat, (int, float)) and isinstance(lon, (int, float))):
+                raise DocumentSchemaError(f"{where}: coordinates must be numbers")  # float() takes "45.5"
             try:
                 location = GeoPoint(float(lat), float(lon))
-            except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
                 raise DocumentSchemaError(f"{where}: {exc}") from exc
             candidates.append(
                 CandidateEntry(

@@ -7,16 +7,26 @@ import json
 from .clustering import DisambiguationResult
 from .kfunction import KFunction
 
+# the samples one piece of the CSV text holds
+_CSV_BLOCK = 1 << 12
+
 
 def kfunction_to_csv(kf: KFunction) -> str:
     """CSV with one row per sample plus the derived threshold as a trailing
     comment line."""
-    lines = ["d_meters,k_density"]
-    for d, k in kf.samples:
-        lines.append(f"{d!r},{k!r}")
+    return "".join(_kfunction_csv_pieces(kf))
+
+
+def _kfunction_csv_pieces(kf: KFunction):
+    # kfunction_to_csv's text in pieces of at most _CSV_BLOCK rows, so a
+    # writer holds one piece at a time rather than the whole curve's text
+    yield "d_meters,k_density\n"
+    for start in range(0, len(kf), _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        rows = zip(kf.distances_m[block].tolist(), kf.densities[block].tolist())
+        yield "".join(f"{d!r},{k!r}\n" for d, k in rows)
     if kf.cluster_distance is not None:
-        lines.append(f"# cluster_distance_meters={kf.cluster_distance!r}")
-    return "\n".join(lines) + "\n"
+        yield f"# cluster_distance_meters={kf.cluster_distance!r}\n"
 
 
 def clusters_to_geojson(result: DisambiguationResult) -> dict:

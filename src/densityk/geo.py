@@ -77,23 +77,29 @@ def haversine(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.acos(min(1.0, math.sqrt(h_antipode)))
 
 
-def _to_radian_array(points: Sequence[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
-    lat = np.radians(np.array([p.lat for p in points], dtype=np.float64))
-    lon = np.radians(np.array([p.lon for p in points], dtype=np.float64))
-    return lat, lon
-
-
 def _radian_arrays(points: Sequence[GeoPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # what condensed_distances reads: latitudes, longitudes, cos latitudes
-    lat, lon = _to_radian_array(points)
+    lat = np.radians(np.array([p.lat for p in points], dtype=np.float64))
+    lon = np.radians(np.array([p.lon for p in points], dtype=np.float64))
     return lat, lon, np.cos(lat)
 
 
-def _haversine_arc(dphi, dlam, cos_a, cos_b) -> np.ndarray:
-    # the one vectorised haversine formula; callers pass broadcastable operands
-    h = np.sin(dphi / 2.0) ** 2 + cos_a * cos_b * np.sin(dlam / 2.0) ** 2
-    h = np.clip(h, 0.0, 1.0)
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
+def _haversine_arc(dphi, dlam, cos_ab, out=None) -> np.ndarray:
+    # The one vectorised haversine formula, 2R asin(sqrt(sin^2(dphi/2) +
+    # cos_ab sin^2(dlam/2))) for the latitude and longitude differences and
+    # the product of the two cosine latitudes. It works in place on these
+    # three arrays, which the caller owns and which it overwrites, and
+    # returns the distances in ``out``, or else in dphi.
+    for d in (dphi, dlam):
+        np.divide(d, 2.0, out=d)
+        np.sin(d, out=d)
+        np.square(d, out=d)
+    np.multiply(cos_ab, dlam, out=cos_ab)
+    h = np.add(dphi, cos_ab, out=dphi)
+    np.clip(h, 0.0, 1.0, out=h)
+    np.sqrt(h, out=h)
+    np.arcsin(h, out=h)
+    return np.multiply(2.0 * EARTH_RADIUS_M, h, out=h if out is None else out)
 
 
 # the largest distance _haversine_arc returns, for h clipped to 1
@@ -146,30 +152,20 @@ def _condensed(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndar
 
 
 def _condensed_gathered(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
-    # _haversine_arc's operations in its order, on the pairs alone, through
-    # four pair-sized buffers; the points are read backwards (see _LOWER_A)
+    # _haversine_arc on the pairs alone, gathered into four pair-sized
+    # buffers; the points are read backwards (see _LOWER_A)
     n = len(lat)
     m = n * (n - 1) // 2
     a, b = _LOWER_A[:m], _LOWER_B[:m]
     lat, lon, cos_lat = lat[::-1], lon[::-1], cos_lat[::-1]
-    dphi, scratch = lat.take(a), lat.take(b)
-    np.subtract(dphi, scratch, out=dphi)
+    dphi, spare = lat.take(a), lat.take(b)
+    np.subtract(dphi, spare, out=dphi)
     dlam, cos_b = lon.take(a), lon.take(b)
     np.subtract(dlam, cos_b, out=dlam)
-    for d in (dphi, dlam):
-        np.divide(d, 2.0, out=d)
-        np.sin(d, out=d)
-        np.square(d, out=d)
-    cos_a = cos_lat.take(a, out=scratch)
-    cos_lat.take(b, out=cos_b)
-    np.multiply(cos_a, cos_b, out=cos_a)
-    np.multiply(cos_a, dlam, out=cos_a)
-    h = np.add(dphi, cos_a, out=dphi)
-    np.clip(h, 0.0, 1.0, out=h)
-    np.sqrt(h, out=h)
-    np.arcsin(h, out=h)
+    cos_ab = cos_lat.take(a, out=spare)
+    np.multiply(cos_ab, cos_lat.take(b, out=cos_b), out=cos_ab)
     out = np.empty(m, dtype=np.float64)
-    np.multiply(2.0 * EARTH_RADIUS_M, h, out=out[::-1])
+    _haversine_arc(dphi, dlam, cos_ab, out=out[::-1])
     return out
 
 
@@ -198,8 +194,7 @@ def _haversine_block(radians, r0: int, r1: int) -> np.ndarray:
     return _haversine_arc(
         lat[rows, None] - lat[None, cols],
         lon[rows, None] - lon[None, cols],
-        cos_lat[rows, None],
-        cos_lat[None, cols],
+        cos_lat[rows, None] * cos_lat[None, cols],
     )
 
 
@@ -218,7 +213,7 @@ def _pair_distances(radians, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     # the haversine distances of the pairs (i[k], j[k]), i < j, bit for bit
     # the row blocks' values
     lat, lon, cos_lat = radians
-    return _haversine_arc(lat[i] - lat[j], lon[i] - lon[j], cos_lat[i], cos_lat[j])
+    return _haversine_arc(lat[i] - lat[j], lon[i] - lon[j], cos_lat[i] * cos_lat[j])
 
 
 # The chord kernel. Half the chord between two points' unit vectors u,
@@ -374,7 +369,7 @@ def _diameter_bound(radians) -> float:
     # within 1e-5 m of the true arcs (see _ChordBlocks.distances), which the
     # margin covers; beyond, the bound is the whole sphere's.
     lat, lon, cos_lat = radians
-    from_first = _haversine_arc(lat[1:] - lat[0], lon[1:] - lon[0], cos_lat[0], cos_lat[1:])
+    from_first = _haversine_arc(lat[1:] - lat[0], lon[1:] - lon[0], cos_lat[0] * cos_lat[1:])
     bound = 2.0 * float(from_first.max()) + _CHORD_MARGIN_M
     return bound if bound < _CHORD_REACH_M else _MAX_DISTANCE_M
 
@@ -425,9 +420,9 @@ def spherical_centroid(points: Sequence[GeoPoint] | Iterable[GeoPoint]) -> GeoPo
         raise EmptyInputError("spherical_centroid needs at least one point")
     if len(points) == 1:
         return points[0]
-    lat, lon = _to_radian_array(points)
-    x = np.mean(np.cos(lat) * np.cos(lon))
-    y = np.mean(np.cos(lat) * np.sin(lon))
+    lat, lon, cos_lat = _radian_arrays(points)
+    x = np.mean(cos_lat * np.cos(lon))
+    y = np.mean(cos_lat * np.sin(lon))
     z = np.mean(np.sin(lat))
     norm = math.sqrt(x * x + y * y + z * z)
     if norm < 1e-9:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from densityk import (
     clustering,
     compute_k_function,
+    densityk_pipeline,
+    export,
     geo,
     kfunction_to_csv,
     pairwise_distances,
@@ -126,6 +128,15 @@ class TestDisambiguateCommand:
             ["disambiguate", "--input", str(bad), "--output", str(tmp_path / "x.json")],
         )
         assert result.exit_code == 1
+
+    def test_string_coordinate_exits_1(self, runner, tmp_path):
+        raw = json.loads(document_to_json(make_document("s", {"a": [(1.0, 2.0), (3.0, 4.0)]})))
+        raw["mentions"][0]["candidates"][1]["lon"] = "45.5"
+        bad = tmp_path / "s.json"
+        bad.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["disambiguate", "--input", str(bad), "--output", str(tmp_path / "x.json")])
+        assert result.exit_code == 1
+        assert "entry 'a_e1'" in result.output
 
     def test_algorithm_failure_exits_2(self, runner, doc_path, tmp_path):
         # every mention of the fixture is ambiguous, so dtur has no anchors
@@ -423,6 +434,19 @@ class TestKFunctionCommand:
             clustering, "condensed_distances", side_effect=stored
         ):
             result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == want.encode()
+
+    def test_writes_the_csv_a_block_of_samples_at_a_time(self, runner, tmp_path):
+        # the same bytes as kfunction_to_csv, with a curve of many blocks
+        doc = synth_generate(SynthSpec(n_docs=1, mentions_per_doc=8, decoys_per_mention=(5, 5), seed=5))[0]
+        kf = densityk_pipeline(doc, 100.0).diagnostics
+        want = kfunction_to_csv(kf)
+        path, out = tmp_path / "doc.json", tmp_path / "kf.csv"
+        path.write_text(document_to_json(doc))
+        with mock.patch.object(export, "_CSV_BLOCK", 3):
+            assert len(list(export._kfunction_csv_pieces(kf))) > 4
+            result = runner.invoke(main, ["kfunction", "--input", str(path), "--output", str(out)])
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == want.encode()
 

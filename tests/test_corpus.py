@@ -146,6 +146,14 @@ class TestLoadDocument:
         with pytest.raises(DocumentSchemaError):
             load_document(json.dumps(raw))
 
+    @pytest.mark.parametrize("field", ["lat", "lon"])
+    def test_string_coordinate(self, field):
+        # float() reads "45.5" as a number; the schema asks for JSON numbers
+        raw = doc_fixture()
+        raw["mentions"][0]["candidates"][0][field] = "45.5"
+        with pytest.raises(DocumentSchemaError, match="entry 'a1'"):
+            load_document(json.dumps(raw))
+
     def test_integer_coordinate_past_float_range(self):
         raw = doc_fixture()
         raw["mentions"][0]["candidates"][0]["lat"] = 10**400

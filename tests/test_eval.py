@@ -348,6 +348,66 @@ class TestRunAlgorithm:
                 assert len(calls) == 1, (doc.doc_id, config.key)
 
 
+class TestOneResultPath:
+    """Every algorithm turns its labels or its selection into a result
+    through clustering._resolve, once a run."""
+
+    CONFIGS = [
+        AlgorithmConfig("densityk"),
+        AlgorithmConfig("dbscan", (("epsilon", 20000.0), ("min_pts", 1))),
+        AlgorithmConfig("dbscan", (("epsilon", 2000.0), ("min_pts", 3))),
+        AlgorithmConfig("kdist", (("k", 2), ("min_pts", 1))),
+    ]
+    HEURISTICS = [
+        AlgorithmConfig("omd", (("measure", "avg_pairwise"),)),
+        AlgorithmConfig("omd", (("measure", "hull_area"),)),
+        AlgorithmConfig("centroid"),
+        AlgorithmConfig("dtur"),
+    ]
+
+    @staticmethod
+    def runs(configs):
+        # small documents with unambiguous mentions, plus one of a single
+        # mention (omd's shortcut), which dtur cannot take: it has no anchor
+        docs = synth_generate(SynthSpec(n_docs=12, mentions_per_doc=4, decoys_per_mention=(0, 3), seed=3))
+        single = make_document("single", {"a": [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]})
+        return [
+            (doc, config)
+            for doc in [*docs, single]
+            for config in configs
+            if config.algorithm != "dtur" or any(len(m.candidates) == 1 for m in doc.mentions)
+        ]
+
+    def test_every_algorithm_resolves_once_a_run(self, monkeypatch):
+        calls = []
+        real = clustering._resolve
+
+        def counted(doc, cloud, labels):
+            calls.append(doc.doc_id)
+            return real(doc, cloud, labels)
+
+        for module in (clustering, baselines):
+            monkeypatch.setattr(module, "_resolve", counted)
+        runs = self.runs(self.CONFIGS + self.HEURISTICS)
+        assert {config.algorithm for _, config in runs} == set(ALGORITHMS)
+        assert ("single", self.HEURISTICS[1]) in [(doc.doc_id, config) for doc, config in runs]
+        for doc, config in runs:
+            calls.clear()
+            run_algorithm(doc, config)
+            assert calls == [doc.doc_id], (doc.doc_id, config.key)
+
+    @pytest.mark.parametrize("config", HEURISTICS, ids=lambda c: c.key)
+    def test_a_heuristic_selection_is_one_cluster_of_rank_1(self, config):
+        for doc, _ in self.runs([config]):
+            result = run_algorithm(doc, config)
+            assert all(outcome.resolved for outcome in result.outcomes.values()), doc.doc_id
+            assert list(result.outcomes) == [m.name for m in doc.mentions]
+            (cluster,) = result.ranked_clusters
+            assert cluster.rank == 1
+            chosen = [(m.name, result.outcomes[m.name].entry_id) for m in doc.mentions]
+            assert [(p.mention, p.entry_id) for p in cluster.members] == chosen
+
+
 class TestOneCloudPerDocument:
     CLUSTERING = ("densityk", "dbscan", "kdist")
 

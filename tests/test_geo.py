@@ -21,8 +21,7 @@ from densityk.geo import (
     BLOCK_ELEMENTS,
     _condensed_gathered,
     _condensed_row_blocks,
-    _haversine_arc,
-    _to_radian_array,
+    _radian_arrays,
 )
 from conftest import make_cloud, random_coords
 from oracles import slow_haversine, vector_mean_centroid
@@ -33,15 +32,16 @@ geo_points = st.builds(GeoPoint, latitudes, longitudes)
 
 
 def haversine_matrix(points) -> np.ndarray:
-    """The full symmetric n-by-n distance matrix, in meters: the library's
-    vectorised formula on whole rows and columns, the reference that the
+    """The full symmetric n-by-n distance matrix, in meters: the haversine
+    formula vectorised on whole rows and columns, the reference that the
     blocked condensed vector and every matrix built from it must equal bit
-    for bit."""
-    lat, lon = _to_radian_array(points)
-    cos_lat = np.cos(lat)
-    return _haversine_arc(
-        lat[:, None] - lat[None, :], lon[:, None] - lon[None, :], cos_lat[:, None], cos_lat[None, :]
-    )
+    for bit. It keeps its own allocating spelling of the formula, so the
+    in-place one in ``geo._haversine_arc`` is checked against it."""
+    lat, lon, cos_lat = _radian_arrays(points)
+    dphi, dlam = lat[:, None] - lat[None, :], lon[:, None] - lon[None, :]
+    h = np.sin(dphi / 2.0) ** 2 + cos_lat[:, None] * cos_lat[None, :] * np.sin(dlam / 2.0) ** 2
+    h = np.clip(h, 0.0, 1.0)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
 
 
 class TestGeoPoint:
@@ -190,9 +190,9 @@ class TestCondensedDistances:
         coords[-1] = coords[0]
         if n > 2:
             coords[1] = (-coords[0][0], coords[0][1] + 180.0)
-        lat, lon = _to_radian_array([GeoPoint(*xy) for xy in coords])
-        gathered = _condensed_gathered(lat, lon, np.cos(lat))
-        blocked = _condensed_row_blocks(lat, lon, np.cos(lat))
+        radians = _radian_arrays([GeoPoint(*xy) for xy in coords])
+        gathered = _condensed_gathered(*radians)
+        blocked = _condensed_row_blocks(*radians)
         assert np.array_equal(gathered.view(np.int64), blocked.view(np.int64))
 
     @pytest.mark.parametrize("n", [ONE_BLOCK_N, ONE_BLOCK_N + 1])
