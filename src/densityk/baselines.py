@@ -234,18 +234,18 @@ def omd(
         raise CombinationExplosionError(
             f"document {doc.doc_id!r}: {n_combos} combinations exceed cap {cap}"
         )
+    if measure not in (AVG_PAIRWISE, HULL_AREA):
+        raise ValueError(f"unknown omd measure {measure!r}")
     if len(doc.mentions) == 1:
         # zero pairs, measure vacuous: first candidate wins
         return _resolve_selection(doc, [0])
 
     if measure == AVG_PAIRWISE:
         best = _omd_avg_pairwise(doc, sizes)
-    elif measure == HULL_AREA:
+    else:
         combos = itertools.product(*(m.candidates for m in doc.mentions))
         areas = (_hull_area_m2([c.location for c in combo]) for combo in combos)
         best = min(enumerate(areas), key=lambda pair: pair[1])[0]  # the first least area
-    else:
-        raise ValueError(f"unknown omd measure {measure!r}")
     return _resolve_selection(doc, np.unravel_index(best, sizes))
 
 

@@ -19,7 +19,6 @@ from .kfunction import (
     DEFAULT_DELTA_D_M,
     KFunction,
     _blocked_k_function,
-    annular_k_function,
     with_cluster_distance,
 )
 
@@ -226,7 +225,7 @@ def densityk_pipeline(
     over its row blocks that store no pair distance: the first counts the
     rings of the curve, the second joins the pairs within the threshold
     into components, both through the chord kernel with the haversine's
-    decisions (see ``geo._ChordBlocks``).
+    decisions (see ``geo._chord_distances``).
 
     A document whose mentions hold a single candidate in total has no pair
     and no density curve: that candidate is its own cluster and resolves.
@@ -242,7 +241,8 @@ def densityk_pipeline(
     if n <= geo._ONE_BLOCK_N:
         distances = condensed_distances(cloud)
         in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
-        kf = with_cluster_distance(annular_k_function(in_bound, n, delta_d))
+        largest = float(in_bound.max()) if len(in_bound) else 0.0
+        kf = with_cluster_distance(_blocked_k_function((in_bound,), n, delta_d, largest, len(in_bound)))
         labels = _dbscan_groups(distances, n, kf.cluster_distance, 1)
     else:
         kf = with_cluster_distance(_streamed_curve(cloud, delta_d, upper_bound))
@@ -253,26 +253,23 @@ def densityk_pipeline(
 def _streamed_curve(cloud: PointCloud, delta_d: float, upper_bound: float | None) -> KFunction:
     # pass one: the annular curve of the pairs within upper_bound, a row block at a time
     n = len(cloud)
-
-    def in_bound():  # its buffers go when the pass ends
-        blocks = geo._ChordBlocks(cloud._radians, cloud._half_units)
-        for r0, r1 in geo._row_blocks(n):
-            yield blocks.distances(r0, r1, delta_d, upper_bound)
-
+    in_bound = (
+        geo._chord_distances(cloud._radians, cloud._half_units, r0, r1, delta_d, upper_bound)
+        for r0, r1 in geo._row_blocks(n)
+    )
     largest = geo._diameter_bound(cloud._radians)
     if upper_bound is not None:
         largest = min(largest, upper_bound)
-    return _blocked_k_function(in_bound(), n, delta_d, largest, n * (n - 1) // 2)
+    return _blocked_k_function(in_bound, n, delta_d, largest, n * (n - 1) // 2)
 
 
 def _streamed_components(cloud: PointCloud, threshold: float) -> np.ndarray:
     # pass two: _dbscan_groups(distances, n, threshold, 1), each row block's
     # edges hooked into the labels so far
     n = len(cloud)
-    blocks = geo._ChordBlocks(cloud._radians, cloud._half_units)
     label = np.arange(n)
     for r0, r1 in geo._row_blocks(n):
-        ii, jj = blocks.pairs_within(r0, r1, threshold)
+        ii, jj = geo._chord_pairs_within(cloud._radians, cloud._half_units, r0, r1, threshold)
         if len(ii):
             label = _component_labels(ii, jj, n, label)
     return label

@@ -129,7 +129,7 @@ class PointCloud:
 
     @cached_property
     def _half_units(self) -> np.ndarray:
-        # read by the chord kernel (geo._ChordBlocks)
+        # read by the chord kernel (geo._chord_haversines)
         return _half_unit_vectors(*self._radians)
 
     @cached_property
@@ -289,7 +289,7 @@ def dedupe_candidates(
     ``radius`` meters of an earlier survivor. Idempotent; survivor order is
     the input order.
     """
-    if radius < 0:
+    if not radius >= 0:  # NaN too: nothing is within it of anything
         raise ValueError(f"radius must be >= 0, got {radius}")
     survivors: list[CandidateEntry] = []
     for cand in mention.candidates:

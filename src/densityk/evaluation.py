@@ -10,6 +10,8 @@ macro (unweighted per-document) averages.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -309,13 +311,14 @@ def report_to_dict(report: CorpusReport) -> dict:
 
 
 def report_to_csv(report: CorpusReport) -> str:
-    """One row per configuration and document."""
-    lines = ["doc_id,algorithm,params,precision,avg_distance_error_km,resolved,failed"]
+    """One row per configuration and document; a field is quoted only where
+    it holds a comma, a quote or a newline."""
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")
+    rows.writerow(["doc_id", "algorithm", "params", "precision", "avg_distance_error_km", "resolved", "failed"])
     for cell in report.cells:
         params = ";".join(f"{k}={v}" for k, v in cell.config.params)
         for s in cell.scores:
-            lines.append(
-                f"{s.doc_id},{cell.config.algorithm},{params},{s.precision!r},"
-                f"{s.avg_distance_error_km!r},{s.resolved_count},{s.failed_count}"
-            )
-    return "\n".join(lines) + "\n"
+            scores = (repr(s.precision), repr(s.avg_distance_error_km), s.resolved_count, s.failed_count)
+            rows.writerow((s.doc_id, cell.config.algorithm, params, *scores))
+    return text.getvalue()

@@ -146,26 +146,13 @@ def condensed_distances(points: Sequence[GeoPoint] | PointCloud) -> np.ndarray:
 
 def _condensed(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
     # condensed_distances of the points with these radian arrays
-    if len(lat) <= _ONE_BLOCK_N:
-        return _condensed_gathered(lat, lon, cos_lat)
-    return _condensed_row_blocks(lat, lon, cos_lat)
-
-
-def _condensed_gathered(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
-    # _haversine_arc on the pairs alone, gathered into four pair-sized
-    # buffers; the points are read backwards (see _LOWER_A)
     n = len(lat)
+    if n > _ONE_BLOCK_N:
+        return _condensed_row_blocks(lat, lon, cos_lat)
+    # the pairs alone, gathered; the points are read backwards (see _LOWER_A)
     m = n * (n - 1) // 2
-    a, b = _LOWER_A[:m], _LOWER_B[:m]
-    lat, lon, cos_lat = lat[::-1], lon[::-1], cos_lat[::-1]
-    dphi, spare = lat.take(a), lat.take(b)
-    np.subtract(dphi, spare, out=dphi)
-    dlam, cos_b = lon.take(a), lon.take(b)
-    np.subtract(dlam, cos_b, out=dlam)
-    cos_ab = cos_lat.take(a, out=spare)
-    np.multiply(cos_ab, cos_lat.take(b, out=cos_b), out=cos_ab)
     out = np.empty(m, dtype=np.float64)
-    _haversine_arc(dphi, dlam, cos_ab, out=out[::-1])
+    _pair_distances((lat[::-1], lon[::-1], cos_lat[::-1]), _LOWER_A[:m], _LOWER_B[:m], out=out[::-1])
     return out
 
 
@@ -209,11 +196,19 @@ def _condensed_row_blocks(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray)
     return out
 
 
-def _pair_distances(radians, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # the haversine distances of the pairs (i[k], j[k]), i < j, bit for bit
-    # the row blocks' values
+def _pair_distances(radians, i: np.ndarray, j: np.ndarray, out=None) -> np.ndarray:
+    # _haversine_arc on the pairs (i[k], j[k]) alone, bit for bit the row
+    # blocks' values, on coordinates gathered into four pair-sized buffers
+    # (mode="clip" keeps take from buffering its out: the indices are in
+    # range); the distances are returned in ``out``, or else in a buffer
     lat, lon, cos_lat = radians
-    return _haversine_arc(lat[i] - lat[j], lon[i] - lon[j], cos_lat[i] * cos_lat[j])
+    dphi, spare = lat.take(i), lat.take(j)
+    np.subtract(dphi, spare, out=dphi)
+    dlam, cos_b = lon.take(i), lon.take(j)
+    np.subtract(dlam, cos_b, out=dlam)
+    cos_ab = cos_lat.take(i, out=spare, mode="clip")
+    np.multiply(cos_ab, cos_lat.take(j, out=cos_b, mode="clip"), out=cos_ab)
+    return _haversine_arc(dphi, dlam, cos_ab, out=out)
 
 
 # The chord kernel. Half the chord between two points' unit vectors u,
@@ -222,8 +217,11 @@ def _pair_distances(radians, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 # where the haversine formula takes two sines a pair. Its distance
 # 2R asin(sqrt(h)) stands in for the haversine distance wherever it lies
 # more than _CHORD_MARGIN_M from every value a decision turns on and within
-# _CHORD_REACH_M (179 degrees of arc); see _ChordBlocks.distances for the
-# bound.
+# _CHORD_REACH_M (179 degrees of arc); see _chord_distances for the bound.
+# Each function below reads the cloud's radian arrays and half unit vectors
+# and one row block (see _row_blocks), and returns that block's result, so
+# a pass that decides on each pair as the haversine distance decides, and
+# stores none, holds one block's arrays at a time.
 _CHORD_MARGIN_M = 1e-3
 _CHORD_REACH_M = EARTH_RADIUS_M * math.radians(179.0)
 
@@ -238,139 +236,130 @@ def _haversine_of(distance: float) -> float:
     return math.sin(distance / (2.0 * EARTH_RADIUS_M)) ** 2
 
 
-class _ChordBlocks:
-    """The row blocks (see :func:`_row_blocks`) of one cloud through the
-    chord kernel, for a pass that decides on each pair as the haversine
-    distance decides and stores none.
+def _chord_haversines(half_units: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    # h over row block (r0, r1) as |v_i - v_j|^2, v = u/2, from the
+    # differences of the coordinates: to a few ulps of h at every arc, short
+    # ones too
+    rows, cols = slice(r0, r1), slice(r0 + 1, None)
+    x, y, z = half_units
+    h = np.subtract(x[rows, None], x[None, cols])
+    np.square(h, out=h)
+    d = np.subtract(y[rows, None], y[None, cols])
+    h += np.square(d, out=d)
+    np.subtract(z[rows, None], z[None, cols], out=d)
+    h += np.square(d, out=d)
+    return h
 
-    ``radians`` and ``half_units`` are the cloud's arrays; a pass holds one
-    block's arrays at a time.
+
+def _chord_distances(
+    radians, half_units: np.ndarray, r0: int, r1: int, spacing: float, upper_bound: float | None
+) -> np.ndarray:
+    """The distances of row block (r0, r1)'s pairs i < j that lie within
+    ``upper_bound``, in row-major order. Each falls in the same ring
+    ``ceil(d / spacing)`` as the haversine distance of its pair, and only
+    pairs whose haversine distance is within the bound are kept.
+
+    A distance is the chord kernel's, or the haversine distance of its
+    pair alone where the chord's lies within ``_CHORD_MARGIN_M`` (M) of
+    a multiple of ``spacing`` or of ``upper_bound``, or beyond
+    ``_CHORD_REACH_M``.
+
+    Why M suffices. Let u = 2**-53, assume numpy's sin, cos and arcsin
+    within k ulps (an ulp of x is at most 2u|x|) and sqrt correctly
+    rounded, and let t be the true arc between the points of the given
+    float radians, 0 <= t <= 179.01 degrees, so that cos(t/2) >= 0.0086
+    and tan(t/2) <= 116. Both errors below grow with t, so their largest
+    value over every such arc is their value at 179.01 degrees:
+
+    - chord: a coordinate of u/2 is off by at most (2k+0.5)u, a
+      difference of two by (4k+2)u, so the root of H = |u_i/2 - u_j/2|^2
+      of the computed vectors is within sqrt(3)(4k+2)u of sin(t/2). The
+      block's h is H to 3u relative (three squares, two sums), its root
+      to 2u of sin(t/2) <= 1, and arcsin's slope 1/cos(t/2) and its own
+      k ulps of t/2 <= pi/2 make that
+      |d~ - Rt| <= 2R[(sqrt(3)(4k+2) + 2)u / cos(t/2) + k pi u] + pi R u,
+      at most 5.5e-6 m at k = 4;
+    - haversine: h = a^2 + c_i c_j b^2 with a = sin(dphi/2), b =
+      sin(dlam/2). Rounding the difference dphi moves a by at most
+      u |dphi| / 2 <= pi u / 2 (sin has slope at most 1), and dlam moves
+      b by at most pi u; as |a| and sqrt(c_i c_j) |b| are at most
+      sin(t/2), h moves by at most 2 sin(t/2)(pi u / 2 + pi u), and the
+      arc, whose slope in h is 2R / sin(t), by 3 pi R u / cos(t/2). The
+      rest of h is rounding and k-ulp functions, (8k+4)u relative, its
+      root (4k+2.5)u relative, which arcsin turns into tan(t/2) times as
+      much of t/2:
+      |d - Rt| <= 2R[tan(t/2)(4k+2.5)u + k pi u] + 3 pi R u / cos(t/2) + pi R u,
+      at most 3.9e-6 m at k = 4.
+
+    So |d~ - d| < 1e-5 m at every arc up to 179.01 degrees, and d~ /
+    spacing and d / spacing, each rounded, differ by less than (1e-5 +
+    4.5e-9) / spacing: a chord distance further than M from every ring
+    edge and from the bound decides as d does. M is 1 mm, over 100 times
+    the bound at k = 4, and covers k up to 500. Past 179 degrees both
+    errors grow without bound (the haversine's to over 1 m at the
+    antipode), and such pairs take the haversine.
     """
+    d = _chord_haversines(half_units, r0, r1)
+    np.minimum(d, 1.0, out=d)  # rounding can carry an antipodal pair past 1
+    np.sqrt(d, out=d)
+    np.arcsin(d, out=d)
+    d *= 2.0 * EARTH_RADIUS_M
+    rings = d / spacing
+    off = np.rint(rings)
+    off -= rings  # exact: from a value to its nearest integer
+    unsure = np.abs(off, out=off) <= _CHORD_MARGIN_M / spacing
+    unsure |= d > _CHORD_REACH_M
+    if upper_bound is not None:
+        np.subtract(d, upper_bound, out=off)
+        unsure |= np.abs(off, out=off) <= _CHORD_MARGIN_M
+    flat = np.flatnonzero(unsure)
+    k, c = np.divmod(flat, d.shape[1])
+    d.reshape(-1)[flat] = _pair_distances(radians, k + r0, c + (r0 + 1))
+    keep = _upper(r0, r1, len(half_units[0]))
+    if upper_bound is not None:
+        keep &= d <= upper_bound
+    return d[keep]
 
-    def __init__(self, radians, half_units: np.ndarray) -> None:
-        self.radians, self.half_units = radians, half_units
-        self.n = len(half_units[0])
 
-    def _haversines(self, r0: int, r1: int) -> np.ndarray:
-        # h over the block as |v_i - v_j|^2, v = u/2, from the differences of
-        # the coordinates: to a few ulps of h at every arc, short ones too
-        rows, cols = slice(r0, r1), slice(r0 + 1, None)
-        x, y, z = self.half_units
-        h = np.subtract(x[rows, None], x[None, cols])
-        np.square(h, out=h)
-        d = np.subtract(y[rows, None], y[None, cols])
-        h += np.square(d, out=d)
-        np.subtract(z[rows, None], z[None, cols], out=d)
-        h += np.square(d, out=d)
-        return h
+def _chord_pairs_within(
+    radians, half_units: np.ndarray, r0: int, r1: int, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (i, j) of row block (r0, r1) whose haversine distance
+    is at most ``limit``, as two index arrays: each pair i < j of the
+    block once, and from the block's leading square some pairs again
+    reversed and points with themselves, which join nothing new.
 
-    def distances(
-        self, r0: int, r1: int, spacing: float, upper_bound: float | None = None
-    ) -> np.ndarray:
-        """The distances of block (r0, r1)'s pairs i < j that lie within
-        ``upper_bound``, in row-major order. Each falls in the same ring
-        ``ceil(d / spacing)`` as the haversine distance of its pair, and
-        only pairs whose haversine distance is within the bound are kept.
-
-        A distance is the chord kernel's, or the haversine distance of its
-        pair alone where the chord's lies within ``_CHORD_MARGIN_M`` (M) of
-        a multiple of ``spacing`` or of ``upper_bound``, or beyond
-        ``_CHORD_REACH_M``.
-
-        Why M suffices. Let u = 2**-53, assume numpy's sin, cos and arcsin
-        within k ulps (an ulp of x is at most 2u|x|) and sqrt correctly
-        rounded, and let t be the true arc between the points of the given
-        float radians, 0 <= t <= 179.01 degrees, so that cos(t/2) >= 0.0086
-        and tan(t/2) <= 116. Both errors below grow with t, so their largest
-        value over every such arc is their value at 179.01 degrees:
-
-        - chord: a coordinate of u/2 is off by at most (2k+0.5)u, a
-          difference of two by (4k+2)u, so the root of H = |u_i/2 - u_j/2|^2
-          of the computed vectors is within sqrt(3)(4k+2)u of sin(t/2). The
-          block's h is H to 3u relative (three squares, two sums), its root
-          to 2u of sin(t/2) <= 1, and arcsin's slope 1/cos(t/2) and its own
-          k ulps of t/2 <= pi/2 make that
-          |d~ - Rt| <= 2R[(sqrt(3)(4k+2) + 2)u / cos(t/2) + k pi u] + pi R u,
-          at most 5.5e-6 m at k = 4;
-        - haversine: h = a^2 + c_i c_j b^2 with a = sin(dphi/2), b =
-          sin(dlam/2). Rounding the difference dphi moves a by at most
-          u |dphi| / 2 <= pi u / 2 (sin has slope at most 1), and dlam moves
-          b by at most pi u; as |a| and sqrt(c_i c_j) |b| are at most
-          sin(t/2), h moves by at most 2 sin(t/2)(pi u / 2 + pi u), and the
-          arc, whose slope in h is 2R / sin(t), by 3 pi R u / cos(t/2). The
-          rest of h is rounding and k-ulp functions, (8k+4)u relative, its
-          root (4k+2.5)u relative, which arcsin turns into tan(t/2) times as
-          much of t/2:
-          |d - Rt| <= 2R[tan(t/2)(4k+2.5)u + k pi u] + 3 pi R u / cos(t/2) + pi R u,
-          at most 3.9e-6 m at k = 4.
-
-        So |d~ - d| < 1e-5 m at every arc up to 179.01 degrees, and d~ /
-        spacing and d / spacing, each rounded, differ by less than (1e-5 +
-        4.5e-9) / spacing: a chord distance further than M from every ring
-        edge and from the bound decides as d does. M is 1 mm, over 100 times
-        the bound at k = 4, and covers k up to 500. Past 179 degrees both
-        errors grow without bound (the haversine's to over 1 m at the
-        antipode), and such pairs take the haversine.
-        """
-        d = self._haversines(r0, r1)
-        np.minimum(d, 1.0, out=d)  # rounding can carry an antipodal pair past 1
-        np.sqrt(d, out=d)
-        np.arcsin(d, out=d)
-        d *= 2.0 * EARTH_RADIUS_M
-        rings = d / spacing
-        off = np.rint(rings)
-        off -= rings  # exact: from a value to its nearest integer
-        unsure = np.abs(off, out=off) <= _CHORD_MARGIN_M / spacing
-        unsure |= d > _CHORD_REACH_M
-        if upper_bound is not None:
-            np.subtract(d, upper_bound, out=off)
-            unsure |= np.abs(off, out=off) <= _CHORD_MARGIN_M
-        flat = np.flatnonzero(unsure)
-        k, c = np.divmod(flat, d.shape[1])
-        d.reshape(-1)[flat] = _pair_distances(self.radians, k + r0, c + (r0 + 1))
-        keep = _upper(r0, r1, self.n)
-        if upper_bound is not None:
-            keep &= d <= upper_bound
-        return d[keep]
-
-    def pairs_within(self, r0: int, r1: int, limit: float) -> tuple[np.ndarray, np.ndarray]:
-        """The entries (i, j) of block (r0, r1) whose haversine distance is
-        at most ``limit``, as two index arrays: each pair i < j of the block
-        once, and from the block's leading square some pairs again reversed
-        and points with themselves, which join nothing new.
-
-        A pair is surely within when its h is below that of
-        ``min(limit - M, _CHORD_REACH_M)`` (see :meth:`distances`), and
-        surely not when it is above that of ``limit + M`` and ``limit + M``
-        lies within the reach: past the reach the chord loses the bound, but
-        the pair lies past 179 degrees all the same. Every other pair takes
-        the haversine. Comparing h with the h of ``limit -/+ M`` in place of
-        the distances moves the comparison by the rounding of that h, within
-        the chord's bound again.
-        """
-        h = self._haversines(r0, r1).reshape(-1)
-        if limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
-            flat = np.flatnonzero(h <= _haversine_of(limit + _CHORD_MARGIN_M))
-        else:
-            flat = np.arange(len(h))
-        i, j = np.divmod(flat, self.n - 1 - r0)
-        i += r0
-        j += r0 + 1
-        within = h[flat] < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
-        unsure = ~within
-        within[unsure] = _pair_distances(self.radians, i[unsure], j[unsure]) <= limit
-        return i[within], j[within]
+    A pair is surely within when its h is below that of
+    ``min(limit - M, _CHORD_REACH_M)`` (see :func:`_chord_distances`), and
+    surely not when it is above that of ``limit + M`` and ``limit + M``
+    lies within the reach: past the reach the chord loses the bound, but
+    the pair lies past 179 degrees all the same. Every other pair takes
+    the haversine. Comparing h with the h of ``limit -/+ M`` in place of
+    the distances moves the comparison by the rounding of that h, within
+    the chord's bound again.
+    """
+    h = _chord_haversines(half_units, r0, r1).reshape(-1)
+    if limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
+        flat = np.flatnonzero(h <= _haversine_of(limit + _CHORD_MARGIN_M))
+    else:
+        flat = np.arange(len(h))
+    i, j = np.divmod(flat, len(half_units[0]) - 1 - r0)
+    i += r0
+    j += r0 + 1
+    within = h[flat] < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
+    unsure = ~within
+    within[unsure] = _pair_distances(radians, i[unsure], j[unsure]) <= limit
+    return i[within], j[within]
 
 
 def _diameter_bound(radians) -> float:
-    # A bound, at most _MAX_DISTANCE_M, on the distances _ChordBlocks gives
-    # the pairs of these points. No two points are further apart than twice
-    # the farthest from point 0. Below 179 degrees the kernel's distances lie
-    # within 1e-5 m of the true arcs (see _ChordBlocks.distances), which the
-    # margin covers; beyond, the bound is the whole sphere's.
-    lat, lon, cos_lat = radians
-    from_first = _haversine_arc(lat[1:] - lat[0], lon[1:] - lon[0], cos_lat[0] * cos_lat[1:])
-    bound = 2.0 * float(from_first.max()) + _CHORD_MARGIN_M
+    # A bound, at most _MAX_DISTANCE_M, on the distances _chord_distances
+    # gives the pairs of these points. No two points are further apart than
+    # twice the farthest from point 0, whose distances are row block (0, 1).
+    # Below 179 degrees the kernel's distances lie within 1e-5 m of the true
+    # arcs (see _chord_distances), which the margin covers; beyond, the
+    # bound is the whole sphere's.
+    bound = 2.0 * float(_haversine_block(radians, 0, 1).max()) + _CHORD_MARGIN_M
     return bound if bound < _CHORD_REACH_M else _MAX_DISTANCE_M
 
 

@@ -181,20 +181,12 @@ def compute_k_function(
     """Bin pair distances into rings of width ``delta_d`` and compute the
     per-point ring density at each occupied ring.
 
+    The distances need not be sorted: the ring counts do not depend on
+    their order. They go to :func:`_blocked_k_function` in slices of
+    ``_COUNT_BLOCK`` distances, so no copy of them is made.
     ``cluster_distance`` is left unset; see :func:`derive_cluster_distance`.
     """
-    return annular_k_function(distances.values, n_points, delta_d)
-
-
-def annular_k_function(
-    values: np.ndarray, n_points: int, delta_d: float = DEFAULT_DELTA_D_M
-) -> KFunction:
-    """:func:`compute_k_function` on a bare vector of pair distances, which
-    need not be sorted: the ring counts do not depend on their order.
-
-    The vector goes to :func:`_blocked_k_function` in slices of
-    ``_COUNT_BLOCK`` distances, so no copy of it is made.
-    """
+    values = distances.values
     largest = float(values.max()) if len(values) else 0.0
     blocks = (values[start : start + _COUNT_BLOCK] for start in range(0, len(values), _COUNT_BLOCK))
     return _blocked_k_function(blocks, n_points, delta_d, largest, len(values))
@@ -205,8 +197,8 @@ def _blocked_k_function(
 ) -> KFunction:
     """The annular curve of the distances that ``blocks`` yields, an array
     at a time; no distance exceeds ``largest`` and there are at most
-    ``total`` of them. Both the pipeline's streamed pass and
-    :func:`annular_k_function` count through here.
+    ``total`` of them. Both branches of the pipeline and
+    :func:`compute_k_function` count through here.
 
     The checks come in one order: the point count and ``delta_d``, the ring
     limit on each block before its ring indices are cast, an empty list,

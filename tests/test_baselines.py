@@ -70,10 +70,18 @@ class TestOmd:
         doc = make_document("omd3", {"a": [(5, 5), (6, 6)]})
         assert chosen_ids(omd(doc)) == {"a": "a_e0"}
 
+    @pytest.mark.parametrize("mentions", [1, 2])
+    def test_unknown_measure_is_an_error_at_any_mention_count(self, mentions):
+        doc = make_document("omd3", {f"m{i}": [(0, 0), (1, 1)] for i in range(mentions)})
+        with pytest.raises(ValueError, match="unknown omd measure 'nope'"):
+            omd(doc, measure="nope")
+
     def test_combination_cap(self):
         doc = make_document("omd4", {f"m{i}": [(0, j) for j in range(10)] for i in range(8)})
         with pytest.raises(CombinationExplosionError):
             omd(doc, cap=10**6)
+        with pytest.raises(CombinationExplosionError):  # the cap is checked before the measure
+            omd(doc, measure="nope", cap=10**6)
 
     def test_cap_is_a_limit_not_a_truncation(self):
         doc = make_document("omd5", {f"m{i}": [(0, j) for j in range(4)] for i in range(5)})

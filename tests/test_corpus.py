@@ -275,9 +275,10 @@ class TestDedupeCandidates:
         twice = dedupe_candidates(once, radius=60.0)
         assert once == twice
 
-    def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            dedupe_candidates(mention_at_offsets([0.0]), radius=-1.0)
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_negative_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            dedupe_candidates(mention_at_offsets([0.0, 10_000.0]), radius=radius)
 
 
 class TestToPointCloud:

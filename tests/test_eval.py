@@ -1,3 +1,5 @@
+import csv
+import io
 import threading
 
 import pytest
@@ -462,6 +464,14 @@ class TestReportSerialization:
         assert lines[0] == "doc_id,algorithm,params,precision,avg_distance_error_km,resolved,failed"
         assert len(lines) == 1 + 3
         assert lines[1].startswith("doc0,dbscan,epsilon=2000.0;min_pts=2,")
+
+    def test_csv_quotes_a_doc_id_that_needs_it(self):
+        doc_id = 'doc,1 "x"'
+        doc = make_document(doc_id, {"a": [(0.0, 0.0)], "b": [(0.0, 0.01)]}, ground_truth={"a": "a_e0"})
+        text = report_to_csv(evaluate_corpus([doc], [AlgorithmConfig("centroid")]))
+        header, row = csv.reader(io.StringIO(text))
+        assert len(header) == len(row) == 7
+        assert row[:2] == [doc_id, "centroid"]
 
     def test_dict_round_trips_scores(self):
         raw = report_to_dict(self.report())

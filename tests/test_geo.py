@@ -19,8 +19,9 @@ from densityk import (
 )
 from densityk.geo import (
     BLOCK_ELEMENTS,
-    _condensed_gathered,
+    _condensed,
     _condensed_row_blocks,
+    _pair_distances,
     _radian_arrays,
 )
 from conftest import make_cloud, random_coords
@@ -191,9 +192,11 @@ class TestCondensedDistances:
         if n > 2:
             coords[1] = (-coords[0][0], coords[0][1] + 180.0)
         radians = _radian_arrays([GeoPoint(*xy) for xy in coords])
-        gathered = _condensed_gathered(*radians)
+        gathered = _condensed(*radians)  # the one-block branch: the pairs gathered
         blocked = _condensed_row_blocks(*radians)
         assert np.array_equal(gathered.view(np.int64), blocked.view(np.int64))
+        forward = _pair_distances(radians, *np.triu_indices(n, 1))
+        assert np.array_equal(forward.view(np.int64), blocked.view(np.int64))
 
     @pytest.mark.parametrize("n", [ONE_BLOCK_N, ONE_BLOCK_N + 1])
     def test_cloud_arrays_give_the_same_vector(self, n):

@@ -16,7 +16,7 @@ from densityk import (
     with_cluster_distance,
 )
 from densityk import kfunction
-from densityk.kfunction import _RingCounts, annular_k_function
+from densityk.kfunction import _RingCounts
 from oracles import annular_density_curve, two_sigma_threshold_distance
 from conftest import unique_ring_counts
 
@@ -127,8 +127,9 @@ def reference_curve(values, n_points, delta_d):
 
 
 def counted_curve(values, n_points, delta_d):
-    """annular_k_function's curve, whether its ring counter took the dense
-    side of the span rule, and the ring counts the curve was computed from."""
+    """compute_k_function's curve on an unsorted vector, whether its ring
+    counter took the dense side of the span rule, and the ring counts the
+    curve was computed from."""
     seen = []
 
     class Recorded(_RingCounts):
@@ -138,7 +139,7 @@ def counted_curve(values, n_points, delta_d):
             return seen[-1]
 
     with mock.patch.object(kfunction, "_RingCounts", Recorded):
-        kf = annular_k_function(values, n_points, delta_d)
+        kf = compute_k_function(DistanceList(values=values, n_points=n_points), n_points, delta_d)
     return kf, *seen
 
 

@@ -2,9 +2,10 @@
 
 A cloud past one row block is never held as a distance vector: one pass
 over its row blocks counts the rings of the curve, a second joins the pairs
-within the threshold, both through the chord kernel (``geo._ChordBlocks``)
-with the haversine's decisions. With the blocks patched small, clouds of
-10-60 points stream through many blocks.
+within the threshold, both through the chord kernel
+(``geo._chord_distances`` and ``geo._chord_pairs_within``) with the
+haversine's decisions. With the blocks patched small, clouds of 10-60
+points stream through many blocks.
 """
 
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from densityk import (
     EARTH_RADIUS_M,
+    DistanceList,
     compute_k_function,
     densityk_pipeline,
     disambiguate,
@@ -41,13 +43,15 @@ from densityk.corpus import to_point_cloud
 from densityk.geo import (
     _CHORD_MARGIN_M,
     _CHORD_REACH_M,
-    _ChordBlocks,
+    _chord_distances,
+    _chord_haversines,
+    _diameter_bound,
     _haversine_block,
     _row_blocks,
     _upper,
     condensed_distances,
 )
-from densityk.kfunction import _RingCounts, _ring_indices, annular_k_function
+from densityk.kfunction import _RingCounts, _ring_indices
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords, unique_ring_counts
 
@@ -100,6 +104,11 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def stored_curve(values, n_points, delta_d):
+    # the curve of a stored distance vector
+    return compute_k_function(DistanceList(values=values, n_points=n_points), n_points, delta_d)
+
+
 def curve_bytes(kf):
     return kf.distances_m.tobytes(), kf.densities.tobytes(), kf.delta_d
 
@@ -120,8 +129,10 @@ class TestStreamedEqualsExact:
             pair = float(exact[rng.integers(len(exact))])
             upper_bound = None if bound is None else near(pair, bound)
             in_bound = exact if upper_bound is None else exact[exact <= upper_bound]
-            blocks = _ChordBlocks(cloud._radians, cloud._half_units)
-            streamed = [blocks.distances(r0, r1, delta_d, upper_bound) for r0, r1 in _row_blocks(n)]
+            streamed = [
+                _chord_distances(cloud._radians, cloud._half_units, r0, r1, delta_d, upper_bound)
+                for r0, r1 in _row_blocks(n)
+            ]
             assert len(streamed) > 1
             got = np.concatenate(streamed)  # the blocks hold the pairs in condensed order
             assert np.array_equal(_ring_indices(got, delta_d), _ring_indices(in_bound, delta_d))
@@ -132,7 +143,7 @@ class TestStreamedEqualsExact:
                 for got_counts, want in zip(counts.take(), unique_ring_counts(in_bound, delta_d)):
                     assert got_counts.tobytes() == want.tobytes()
             kf = outcome(_streamed_curve, cloud, delta_d, upper_bound)
-            want = outcome(annular_k_function, in_bound, n, delta_d)
+            want = outcome(stored_curve, in_bound, n, delta_d)
             if isinstance(want, tuple):
                 assert kf == want
                 return
@@ -172,7 +183,7 @@ class TestStreamedEqualsExact:
         cloud = make_cloud(random_coords(np.random.default_rng(4), 30))
         with small_blocks(), warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = outcome(annular_k_function, condensed_distances(cloud), len(cloud), delta_d)
+            want = outcome(stored_curve, condensed_distances(cloud), len(cloud), delta_d)
             assert isinstance(want, tuple)
             assert outcome(_streamed_curve, cloud, delta_d, None) == want
 
@@ -180,7 +191,7 @@ class TestStreamedEqualsExact:
         cloud = make_cloud([(0.0, 0.1 * k) for k in range(10)])
         with small_blocks():
             got = outcome(_streamed_curve, cloud, 100.0, 5.0)
-        assert got == outcome(annular_k_function, np.empty(0), len(cloud), 100.0)
+        assert got == outcome(stored_curve, np.empty(0), len(cloud), 100.0)
 
 
 class TestChordKernel:
@@ -199,13 +210,12 @@ class TestChordKernel:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_chord_distance_within_the_bound(self, seed):
-        # the bound of _ChordBlocks.distances, 1e-5 m at every arc up to 179
+        # the bound of _chord_distances, 1e-5 m at every arc up to 179
         # degrees, short ones included
         cloud = make_cloud(self.stress_cloud(seed))
-        blocks = _ChordBlocks(cloud._radians, cloud._half_units)
         worst, short = 0.0, 0
         for r0, r1 in _row_blocks(len(cloud)):
-            h = np.minimum(blocks._haversines(r0, r1), 1.0)
+            h = np.minimum(_chord_haversines(cloud._half_units, r0, r1), 1.0)
             chord = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
             exact = _haversine_block(cloud._radians, r0, r1)
             within = _upper(r0, r1, len(cloud)) & (exact <= _CHORD_REACH_M)
@@ -217,12 +227,37 @@ class TestChordKernel:
     def test_pairs_past_the_reach_take_the_haversine(self):
         cloud = make_cloud(self.stress_cloud(3))
         n = len(cloud)
-        blocks = _ChordBlocks(cloud._radians, cloud._half_units)
-        got = np.concatenate([blocks.distances(r0, r1, 100.0) for r0, r1 in _row_blocks(n)])
+        got = np.concatenate(
+            [_chord_distances(cloud._radians, cloud._half_units, r0, r1, 100.0, None) for r0, r1 in _row_blocks(n)]
+        )
         exact = condensed_distances(cloud)
         far = exact > _CHORD_REACH_M
         assert far.sum() > 50
         assert np.array_equal(got[far].view(np.int64), exact[far].view(np.int64))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_span_bound_covers_every_chord_distance(self, seed):
+        # the dense ring count spans the rings up to _diameter_bound and
+        # indexes them by the chord kernel's distances. In the regional
+        # cloud point 0 lies midway between each point and its reflection,
+        # so the farthest pair is twice the farthest point from point 0 and
+        # the bound is tight to its margin.
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** -rng.integers(0, 6, 300)
+        half = [(lat * s, lon * s) for (lat, lon), s in zip(rng.uniform(-40.0, 40.0, (300, 2)), scales)]
+        regional = [(0.0, 0.0)] + half + [(-lat, -lon) for lat, lon in half]
+        for coords in (self.stress_cloud(seed), regional):
+            cloud = make_cloud(coords)
+            bound = _diameter_bound(cloud._radians)
+            assert bound <= geo._MAX_DISTANCE_M
+            for spacing in (1.0, 100.0):
+                farthest = max(
+                    float(_chord_distances(cloud._radians, cloud._half_units, r0, r1, spacing, None).max())
+                    for r0, r1 in _row_blocks(len(cloud))
+                )
+                assert farthest <= bound
+        assert bound < _CHORD_REACH_M
+        assert farthest > bound - 2 * _CHORD_MARGIN_M
 
 
 def synth_cloud_document(mentions: int, decoys: int, seed: int):
