@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -315,19 +316,26 @@ def kdist_epsilon(cloud: PointCloud, k: int) -> float:
     """Auto-epsilon from the k-th-nearest-neighbor distance distribution.
 
     Computes each point's distance to its k-th nearest neighbor (self
-    excluded) and returns mean + 2*std of those values.
+    excluded) and returns mean + 2*std of those values. The cloud keeps
+    the value for each k; the arguments are checked on every call.
     """
     return _kdist_epsilon(cloud, condensed_distances(cloud), k)
 
 
 def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
-    # kdist_epsilon from the cloud's condensed pair distances
+    # kdist_epsilon from the cloud's own condensed pair distances, which a
+    # cloud past one row block does not keep: k-dist computes them once a
+    # run and hands them here and to DBSCAN
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cloud) <= k:
         raise InsufficientPointsError(f"need more than {k} points, got {len(cloud)}")
-    kth = np.partition(_neighbour_matrix(distances, len(cloud)), k - 1, axis=1)[:, k - 1]
-    return float(np.mean(kth) + 2.0 * np.std(kth))
+    k = operator.index(k)  # a kept value answers only an integer k, as np.partition does
+    epsilons = cloud._kdist_epsilons
+    if k not in epsilons:
+        kth = np.partition(_neighbour_matrix(distances, len(cloud)), k - 1, axis=1)[:, k - 1]
+        epsilons[k] = float(np.mean(kth) + 2.0 * np.std(kth))
+    return epsilons[k]
 
 
 def dbscan_disambiguate(doc: DocumentInput, epsilon: float, min_pts: int) -> DisambiguationResult:

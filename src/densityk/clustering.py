@@ -157,9 +157,14 @@ def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
 
 
 def _spread(cloud: PointCloud, members: np.ndarray) -> float:
-    # _mean_pairwise of the points at the ascending indices ``members``, from
-    # the cloud's arrays: the same distances, in the same order
-    return float(np.mean(geo._condensed(*(a[members] for a in cloud._radians))))
+    # _mean_pairwise of the points at the ascending indices ``members``: the
+    # same distances, in the same order, gathered from a one-block cloud's
+    # vector or computed from a larger cloud's arrays
+    n = len(cloud)
+    if n > geo._ONE_BLOCK_N:
+        return float(np.mean(geo._condensed(*(a[members] for a in cloud._radians))))
+    i, j = np.triu_indices(len(members), 1)
+    return float(np.mean(condensed_distances(cloud)[geo.condensed_index(members[i], members[j], n)]))
 
 
 def rank_clusters(clusters: list[Cluster]) -> list[Cluster]:
@@ -218,9 +223,9 @@ def densityk_pipeline(
     """Full density-driven run: point cloud, pair distances, density curve,
     derived threshold, single-linkage clusters, ranking, disambiguation.
 
-    A cloud whose pairs fit one row block (``geo._ONE_BLOCK_N`` points) has
-    its one distance vector computed once: the curve reads the pairs within
-    ``upper_bound``, the linkage every pair (pairs in (upper_bound,
+    A cloud whose pairs fit one row block (``geo._ONE_BLOCK_N`` points)
+    reads the one distance vector it keeps: the curve reads the pairs
+    within ``upper_bound``, the linkage every pair (pairs in (upper_bound,
     threshold] are still edges). A larger cloud is streamed in two passes
     over its row blocks that store no pair distance: the first counts the
     rings of the curve, the second joins the pairs within the threshold
@@ -288,8 +293,8 @@ def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> Disam
 
     A cluster's spread only breaks ties in size, so it is computed only for
     clusters of two or more points whose size another cluster shares (a
-    singleton's is 0), from its members' coordinates. Entry ids are unique,
-    so the smallest one settles every remaining tie.
+    singleton's is 0), from its members' pairs (see :func:`_spread`).
+    Entry ids are unique, so the smallest one settles every remaining tie.
     """
     n = len(cloud)
     by_cluster = np.argsort(labels, kind="stable")  # members ascending, noise last

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import geo
 from .errors import DocumentParseError, DocumentSchemaError
 from .geo import GeoPoint, _half_unit_vectors, _radian_arrays, haversine
 
@@ -114,7 +115,10 @@ class PointCloud:
     """The locations of all candidates of a document, one point per candidate.
 
     The arrays the clusterers read are built from the points on first use
-    and kept: O(n) each, never the O(n^2) pair distances.
+    and kept: O(n) each. A cloud of at most ``geo._ONE_BLOCK_N`` (257)
+    points also keeps its n(n-1)/2 pair distances, at most 263 KB, and
+    every cloud its k-dist epsilon for each k asked; a larger cloud never
+    stores its pair distances.
     """
 
     points: tuple[CloudPoint, ...] = field(default_factory=tuple)
@@ -126,6 +130,19 @@ class PointCloud:
     def _radians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # read by geo.condensed_distances
         return _radian_arrays([p.location for p in self.points])
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        # the condensed pair distances, read-only; geo.condensed_distances
+        # reads them here only for a cloud of at most geo._ONE_BLOCK_N points
+        distances = geo._condensed(*self._radians)
+        distances.flags.writeable = False
+        return distances
+
+    @cached_property
+    def _kdist_epsilons(self) -> dict[int, float]:
+        # baselines.kdist_epsilon's value for each k asked so far
+        return {}
 
     @cached_property
     def _half_units(self) -> np.ndarray:

@@ -10,8 +10,6 @@ macro (unweighted per-document) averages.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -310,15 +308,25 @@ def report_to_dict(report: CorpusReport) -> dict:
     }
 
 
+def _csv_line(fields) -> str:
+    # csv.writer's minimal quoting, but a field holding a carriage return is
+    # quoted too: with "\n" line ends csv.writer leaves a bare \r, which
+    # csv.reader takes for the end of the row
+    quoted = (
+        '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n\r') else text
+        for text in map(str, fields)
+    )
+    return ",".join(quoted) + "\n"
+
+
 def report_to_csv(report: CorpusReport) -> str:
     """One row per configuration and document; a field is quoted only where
-    it holds a comma, a quote or a newline."""
-    text = io.StringIO()
-    rows = csv.writer(text, lineterminator="\n")
-    rows.writerow(["doc_id", "algorithm", "params", "precision", "avg_distance_error_km", "resolved", "failed"])
+    it holds a comma, a quote, a newline or a carriage return."""
+    header = ("doc_id", "algorithm", "params", "precision", "avg_distance_error_km", "resolved", "failed")
+    lines = [_csv_line(header)]
     for cell in report.cells:
         params = ";".join(f"{k}={v}" for k, v in cell.config.params)
         for s in cell.scores:
             scores = (repr(s.precision), repr(s.avg_distance_error_km), s.resolved_count, s.failed_count)
-            rows.writerow((s.doc_id, cell.config.algorithm, params, *scores))
-    return text.getvalue()
+            lines.append(_csv_line((s.doc_id, cell.config.algorithm, params, *scores)))
+    return "".join(lines)

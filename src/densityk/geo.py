@@ -137,11 +137,16 @@ def condensed_distances(points: Sequence[GeoPoint] | PointCloud) -> np.ndarray:
     pair is evaluated once, on coordinates gathered by pair index; beyond,
     row blocks of at most about ``BLOCK_ELEMENTS`` entries are evaluated in
     turn, so memory is the result plus one block.
+
+    A cloud of up to those 257 points computes its vector once and keeps
+    it: every call returns that same read-only array. A larger cloud's
+    vector is computed anew on each call and kept by nothing.
     """
-    radians = getattr(points, "_radians", None)  # a PointCloud keeps its arrays
-    if radians is None:
-        radians = _radian_arrays(points)
-    return _condensed(*radians)
+    if not hasattr(points, "_radians"):
+        return _condensed(*_radian_arrays(points))
+    if len(points) <= _ONE_BLOCK_N:
+        return points._distances
+    return _condensed(*points._radians)
 
 
 def _condensed(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:

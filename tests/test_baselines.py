@@ -556,6 +556,23 @@ class TestKdistEpsilon:
         kth = np.sort(matrix, axis=1)[:, k - 1]
         assert kdist_epsilon(cloud, k) == float(np.mean(kth) + 2.0 * np.std(kth))
 
+    def test_kept_per_k_and_checked_on_every_call(self):
+        coords = random_coords(np.random.default_rng(12), 40)
+        warm = make_cloud(coords)
+        first = {k: kdist_epsilon(warm, k) for k in (5, 10, 25)}
+        for k, epsilon in first.items():
+            assert kdist_epsilon(warm, k).hex() == epsilon.hex() == kdist_epsilon(make_cloud(coords), k).hex()
+        # a value kept for an out-of-range k would not be returned: the checks come first
+        warm._kdist_epsilons.update({0: 1.0, 40: 1.0})
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            kdist_epsilon(warm, 0)
+        with pytest.raises(InsufficientPointsError, match="need more than 40 points"):
+            kdist_epsilon(warm, 40)
+        with pytest.raises(ValueError):  # k < 1 before n <= k
+            kdist_epsilon(make_cloud([(0, 0)]), 0)
+        with pytest.raises(TypeError):  # as on a fresh cloud: k is a whole number
+            kdist_epsilon(warm, 5.0)
+
     def test_too_few_points(self):
         with pytest.raises(InsufficientPointsError):
             kdist_epsilon(make_cloud([(0, 0), (1, 1)]), k=2)

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 import threading
 
 import pytest
@@ -323,16 +324,15 @@ class TestRunAlgorithm:
             evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("upper_bound", -5),))])
 
     def test_one_distance_vector_per_clustering_run(self, monkeypatch, default_corpus):
-        # each clusterer reads its groups and (k-dist) its epsilon from one
-        # condensed vector per document; the spreads of clusters tied in
-        # size come from their members' coordinates through geo._condensed,
-        # which is not counted here
-        calls = []
+        # each clusterer reads its groups, (k-dist) its epsilon and the
+        # spreads of clusters tied in size from one condensed vector per
+        # document: every read returns the one array the cloud keeps
+        reads = []
         real = geo.condensed_distances
 
         def counted(points):
-            calls.append(len(points))
-            return real(points)
+            reads.append(real(points))
+            return reads[-1]
 
         def recomputed(*args):
             raise AssertionError("a spread recomputed from the cluster's points")
@@ -345,9 +345,9 @@ class TestRunAlgorithm:
         assert len(configs) == 19
         for doc in default_corpus:
             for config in configs:
-                calls.clear()
+                reads.clear()
                 run_algorithm(doc, config)
-                assert len(calls) == 1, (doc.doc_id, config.key)
+                assert reads and all(v is reads[0] for v in reads), (doc.doc_id, config.key)
 
 
 class TestOneResultPath:
@@ -445,6 +445,72 @@ class TestOneCloudPerDocument:
             t.join()
         assert len(clouds) == 4 and all(c == clouds[0] for c in clouds)
 
+    def test_one_distance_vector_and_one_epsilon_per_k_across_the_grid(self, monkeypatch):
+        # every cell of the grid, the tied spreads included, reads the one
+        # vector each document's cloud computes; k-dist derives its epsilon
+        # once per k, though its 9 cells ask 3 times for each
+        docs = synth_generate(SynthSpec())  # fresh: nothing computed yet
+        computed, derived = [], []
+        condensed, neighbours = geo._condensed, baselines._neighbour_matrix
+
+        def counted_vector(lat, lon, cos_lat):
+            computed.append(len(lat))
+            return condensed(lat, lon, cos_lat)
+
+        def counted_epsilon(distances, n):
+            derived.append(n)
+            return neighbours(distances, n)
+
+        monkeypatch.setattr(geo, "_condensed", counted_vector)
+        monkeypatch.setattr(baselines, "_neighbour_matrix", counted_epsilon)
+        report = evaluate_corpus(docs, table1_grid())
+        assert sum(len(cell.scores) for cell in report.cells) == 21 * len(docs)  # dtur: no anchors
+        sizes = sorted(len(to_point_cloud(doc)) for doc in docs)
+        assert sizes[-1] <= geo._ONE_BLOCK_N
+        assert sorted(computed) == sizes
+        assert sorted(derived) == sorted(sizes * 3)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_warm_documents_give_the_report_of_fresh_ones(self, workers):
+        # documents whose clouds already keep their vectors and epsilons
+        configs = table1_grid()
+        warm = synth_generate(SynthSpec())
+        evaluate_corpus(warm, configs)
+        again = evaluate_corpus(warm, configs, workers=workers)
+        fresh = evaluate_corpus(synth_generate(SynthSpec()), configs, workers=workers)
+        assert report_to_dict(again) == report_to_dict(fresh)
+        assert report_to_csv(again) == report_to_csv(fresh)
+
+    def test_threads_racing_on_a_fresh_vector_and_epsilon_agree(self):
+        # more threads than cores, switching often, run the k-dist and DBSCAN
+        # cells at once on one fresh document: every run reads the same
+        # values, and the cloud ends with one vector and one epsilon per k
+        configs = [c for c in table1_grid() if c.algorithm in ("dbscan", "kdist")]
+        want = [report_to_dict(evaluate_corpus(synth_generate(SynthSpec(n_docs=1)), [c])) for c in configs]
+        doc = synth_generate(SynthSpec(n_docs=1))[0]
+        barrier = threading.Barrier(8)
+        got = []
+
+        def run():
+            barrier.wait()
+            got.append([report_to_dict(evaluate_corpus([doc], [c])) for c in configs])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
+        cloud = to_point_cloud(doc)
+        assert geo.condensed_distances(cloud) is cloud.__dict__["_distances"]
+        assert sorted(cloud._kdist_epsilons) == [5, 10, 25]
+
     def test_threaded_grid_on_fresh_documents_equals_serial(self):
         configs = table1_grid()
         serial = evaluate_corpus(synth_generate(SynthSpec()), configs, workers=1)
@@ -465,13 +531,27 @@ class TestReportSerialization:
         assert len(lines) == 1 + 3
         assert lines[1].startswith("doc0,dbscan,epsilon=2000.0;min_pts=2,")
 
-    def test_csv_quotes_a_doc_id_that_needs_it(self):
-        doc_id = 'doc,1 "x"'
+    @pytest.mark.parametrize("doc_id", ['doc,1 "x"', "doc\r1", "doc\r\n1", '\r"x",\r'])
+    def test_csv_quotes_a_doc_id_that_needs_it(self, doc_id):
         doc = make_document(doc_id, {"a": [(0.0, 0.0)], "b": [(0.0, 0.01)]}, ground_truth={"a": "a_e0"})
         text = report_to_csv(evaluate_corpus([doc], [AlgorithmConfig("centroid")]))
         header, row = csv.reader(io.StringIO(text))
         assert len(header) == len(row) == 7
         assert row[:2] == [doc_id, "centroid"]
+
+    @pytest.mark.parametrize("doc_id", ["doc0", 'doc,1 "x"', "doc\n1", "", " x "])
+    def test_csv_bytes_of_csv_writer_without_a_carriage_return(self, doc_id):
+        doc = make_document(doc_id, {"a": [(0.0, 0.0)], "b": [(0.0, 0.01)]}, ground_truth={"a": "a_e0"})
+        report = evaluate_corpus([doc], [AlgorithmConfig("dbscan", (("epsilon", 2000.0), ("min_pts", 2)))])
+        (score,) = report.cells[0].scores
+        want = io.StringIO()
+        rows = csv.writer(want, lineterminator="\n")
+        rows.writerow(["doc_id", "algorithm", "params", "precision", "avg_distance_error_km", "resolved", "failed"])
+        rows.writerow(
+            [doc_id, "dbscan", "epsilon=2000.0;min_pts=2", repr(score.precision),
+             repr(score.avg_distance_error_km), score.resolved_count, score.failed_count]
+        )
+        assert report_to_csv(report) == want.getvalue()
 
     def test_dict_round_trips_scores(self):
         raw = report_to_dict(self.report())

@@ -207,6 +207,17 @@ class TestCondensedDistances:
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert cloud._radians is cloud._radians
 
+    def test_a_one_block_cloud_keeps_one_read_only_vector(self):
+        cloud = make_cloud(random_coords(np.random.default_rng(8), ONE_BLOCK_N))
+        vector = condensed_distances(cloud)
+        assert condensed_distances(cloud) is vector
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
+        # a sequence of points gets a fresh vector of its own
+        points = [p.location for p in cloud.points]
+        assert condensed_distances(points) is not condensed_distances(points)
+        assert condensed_distances(points).flags.writeable
+
     def test_no_pairs(self):
         assert condensed_distances([]).shape == (0,)
         assert condensed_distances([GeoPoint(1, 2)]).shape == (0,)

@@ -8,6 +8,7 @@ haversine's decisions. With the blocks patched small, clouds of 10-60
 points stream through many blocks.
 """
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -23,9 +24,11 @@ from densityk import (
     EARTH_RADIUS_M,
     DistanceList,
     compute_k_function,
+    dbscan,
     densityk_pipeline,
     disambiguate,
     form_clusters,
+    kdist_disambiguate,
     pairwise_distances,
     rank_clusters,
     result_to_dict,
@@ -276,6 +279,23 @@ def traced_peak(fn) -> tuple[object, int]:
 
 
 class TestMemory:
+    @pytest.mark.parametrize("patched", [False, True])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_only_a_one_block_cloud_keeps_its_vector(self, patched, past):
+        # after the pipeline, DBSCAN and k-dist, a cloud keeps its pair
+        # distances up to geo._ONE_BLOCK_N points, real or patched, and not
+        # one point beyond
+        with small_blocks() if patched else contextlib.nullcontext():
+            n = geo._ONE_BLOCK_N + past
+            coords = random_coords(np.random.default_rng(n), n)
+            doc = make_document("edge", {f"m{k}": coords[k::3] for k in range(3)})
+            cloud = to_point_cloud(doc)
+            assert len(cloud) == n
+            densityk_pipeline(doc)
+            dbscan(cloud, 2000.0, 2)
+            kdist_disambiguate(doc, 2, 1)
+            assert ("_distances" in cloud.__dict__) == (not past)
+
     def test_flat_memory_beside_the_distance_vector(self):
         # the pipeline stores no pair distance: a quarter of the vector is
         # more than its peak
