@@ -319,13 +319,6 @@ def kdist_epsilon(cloud: PointCloud, k: int) -> float:
     excluded) and returns mean + 2*std of those values. The cloud keeps
     the value for each k; the arguments are checked on every call.
     """
-    return _kdist_epsilon(cloud, condensed_distances(cloud), k)
-
-
-def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
-    # kdist_epsilon from the cloud's own condensed pair distances, which a
-    # cloud past one row block does not keep: k-dist computes them once a
-    # run and hands them here and to DBSCAN
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cloud) <= k:
@@ -333,7 +326,7 @@ def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
     k = operator.index(k)  # a kept value answers only an integer k, as np.partition does
     epsilons = cloud._kdist_epsilons
     if k not in epsilons:
-        kth = np.partition(_neighbour_matrix(distances, len(cloud)), k - 1, axis=1)[:, k - 1]
+        kth = np.partition(_neighbour_matrix(condensed_distances(cloud), len(cloud)), k - 1, axis=1)[:, k - 1]
         epsilons[k] = float(np.mean(kth) + 2.0 * np.std(kth))
     return epsilons[k]
 
@@ -341,18 +334,16 @@ def _kdist_epsilon(cloud: PointCloud, distances: np.ndarray, k: int) -> float:
 def dbscan_disambiguate(doc: DocumentInput, epsilon: float, min_pts: int) -> DisambiguationResult:
     """DBSCAN clusters fed through the shared ranking and top-cluster scan."""
     cloud = to_point_cloud(doc)
-    labels = _dbscan_groups(condensed_distances(cloud), len(cloud), epsilon, min_pts)
-    return _resolve(doc, cloud, labels)
+    return _resolve(doc, cloud, _dbscan_groups(cloud, epsilon, min_pts))
 
 
 def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> DisambiguationResult:
     """DBSCAN with the auto-derived epsilon."""
     cloud = to_point_cloud(doc)
-    distances = condensed_distances(cloud)
-    epsilon = _kdist_epsilon(cloud, distances, k)
+    epsilon = kdist_epsilon(cloud, k)
     if epsilon == 0:
         raise InsufficientPointsError(
             f"document {doc.doc_id!r}: every point has {k} or more coincident "
             f"neighbours, so the k={k} auto-epsilon is 0"
         )
-    return _resolve(doc, cloud, _dbscan_groups(distances, len(cloud), epsilon, min_pts))
+    return _resolve(doc, cloud, _dbscan_groups(cloud, epsilon, min_pts))

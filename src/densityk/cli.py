@@ -1,13 +1,14 @@
 """Command-line surface.
 
-Exit codes: 0 success; 1 input, schema, or configuration errors; 2
-algorithm errors (infeasible instances such as a combination explosion or
-a document with no unambiguous anchor).
+Exit codes: 0 success; 1 input, schema, or configuration errors, or an
+output that cannot be written; 2 algorithm errors (infeasible instances
+such as a combination explosion or a document with no unambiguous anchor).
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -41,6 +42,15 @@ _MEASURES = {"avg": AVG_PAIRWISE, "hull": HULL_AREA}
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextmanager
+def _writing(path: Path):
+    """Exit 1 when the writes in the block cannot write ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(1, f"cannot write {path}: {exc}")
 
 
 def _config(algorithm: str, flags: dict) -> AlgorithmConfig:
@@ -100,7 +110,8 @@ def disambiguate(algorithm, input_path, output_path, **flags) -> None:
     payload = result_to_dict(result)
     payload["algorithm"] = config.algorithm
     payload["params"] = config.param_dict
-    output_path.write_text(to_canonical_json(payload), encoding="utf-8")
+    with _writing(output_path):
+        output_path.write_text(to_canonical_json(payload), encoding="utf-8")
 
 
 @main.command()
@@ -140,9 +151,11 @@ def evaluate(corpus_path, output_path, grid_name, cells, csv_path, workers) -> N
         report = evaluate_corpus(docs, configs, workers=workers)
     except ValueError as exc:
         _fail(1, str(exc))
-    output_path.write_text(to_canonical_json(report_to_dict(report)), encoding="utf-8")
+    with _writing(output_path):
+        output_path.write_text(to_canonical_json(report_to_dict(report)), encoding="utf-8")
     if csv_path is not None:
-        csv_path.write_text(report_to_csv(report), encoding="utf-8")
+        with _writing(csv_path):
+            csv_path.write_text(report_to_csv(report), encoding="utf-8")
 
 
 def _parse_cell(text: str) -> AlgorithmConfig:
@@ -182,7 +195,8 @@ def kfunction(input_path, output_path, delta_d, upper_bound) -> None:
         return kf
 
     kf = _on_document(input_path, curve)
-    with output_path.open("w", encoding="utf-8") as out:  # kfunction_to_csv's text, a piece at a time
+    # kfunction_to_csv's text, a piece at a time
+    with _writing(output_path), output_path.open("w", encoding="utf-8") as out:
         out.writelines(_kfunction_csv_pieces(kf))
 
 
@@ -194,7 +208,8 @@ def clusters(algorithm, input_path, output_path, **flags) -> None:
     """Export the clusters an algorithm derives for a document as GeoJSON."""
     config = _config(algorithm, flags)
     result = _on_document(input_path, lambda doc: run_algorithm(doc, config))
-    output_path.write_text(to_canonical_json(clusters_to_geojson(result)), encoding="utf-8")
+    with _writing(output_path):
+        output_path.write_text(to_canonical_json(clusters_to_geojson(result)), encoding="utf-8")
 
 
 @main.command()
@@ -225,7 +240,8 @@ def synth(output_dir, n_docs, mentions, decoys_min, decoys_max, context_radius, 
         docs = synth_generate(spec)
     except DensityKError as exc:
         _fail(2, str(exc))
-    write_corpus(docs, output_dir)
+    with _writing(output_dir):
+        write_corpus(docs, output_dir)
     click.echo(f"wrote {len(docs)} documents to {output_dir}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import geo
 from .corpus import CloudPoint, DocumentInput, PointCloud, to_point_cloud
 from .errors import EmptyInputError
-from .geo import condensed_distances, condensed_pairs
+from .geo import condensed_distances
 from .kfunction import (
     DEFAULT_DELTA_D_M,
     KFunction,
@@ -110,7 +110,7 @@ def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
     input order; everything else is noise and belongs to no cluster.
     Clusters come in order of their first point, members in input order.
     """
-    labels = _dbscan_groups(condensed_distances(cloud), len(cloud), epsilon, min_pts).tolist()
+    labels = _dbscan_groups(cloud, epsilon, min_pts).tolist()
     groups: dict[int, list[CloudPoint]] = {}
     for point, label in zip(cloud.points, labels):
         if label < len(cloud):
@@ -118,36 +118,45 @@ def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
     return [Cluster(members=tuple(g)) for g in groups.values()]
 
 
-def _dbscan_groups(distances: np.ndarray, n: int, epsilon: float, min_pts: int) -> np.ndarray:
-    """The DBSCAN cluster of each of n points, from their condensed pair
-    distances (see ``geo.condensed_distances``): the smallest index of a
-    core point in it, or n for a noise point.
+def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarray:
+    """The DBSCAN cluster of each point of the cloud: the smallest index of
+    a core point in it, or n for a noise point.
 
     A point is core when it and at least ``min_pts - 1`` others lie within
     ``epsilon``. Core points within epsilon of each other share a cluster;
     a point that is not core joins the cluster of its smallest-index core
     neighbour, or is noise if it has none. At ``min_pts`` 1 every point is
     core and the clusters are the single-linkage components at epsilon.
-    The edges within epsilon are found, filtered and joined by whole-array
-    operations (:func:`_component_labels`).
+    The pairs within epsilon come a block at a time from one edge source
+    (``geo._pairs_within``) and are joined by whole-array operations
+    (:func:`_component_labels`): at ``min_pts`` 1 in one pass, otherwise
+    in two, the first counting each point's neighbours.
     """
+    n = len(cloud)
     if n == 0:
         raise EmptyInputError("cannot cluster an empty cloud")
     if not epsilon > 0:  # NaN too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    ii, jj = condensed_pairs(np.flatnonzero(distances <= epsilon), n)
+    pairs = geo._pairs_within(cloud, epsilon)
+    label = np.arange(n)
     if min_pts == 1:
-        return _component_labels(ii, jj, n)
-    core = np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n) + 1 >= min_pts
-    joins = np.where(core, np.arange(n), n)  # the point whose cluster each point joins
-    i_border, j_border = core[jj] & ~core[ii], core[ii] & ~core[jj]
-    np.minimum.at(joins, ii[i_border], jj[i_border])
-    np.minimum.at(joins, jj[j_border], ii[j_border])
-    linked = core[ii] & core[jj]
-    roots = _component_labels(ii[linked], jj[linked], n)
-    return np.append(roots, n)[joins]
+        for ii, jj in pairs():
+            label = _component_labels(ii, jj, n, label)
+        return label
+    degree = np.ones(n, dtype=np.intp)  # each point lies within epsilon of itself
+    for ii, jj in pairs():
+        degree += np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n)
+    core = degree >= min_pts
+    joins = np.where(core, label, n)  # the point whose cluster each point joins
+    for ii, jj in pairs():
+        i_border, j_border = core[jj] & ~core[ii], core[ii] & ~core[jj]
+        np.minimum.at(joins, ii[i_border], jj[i_border])
+        np.minimum.at(joins, jj[j_border], ii[j_border])
+        linked = core[ii] & core[jj]
+        label = _component_labels(ii[linked], jj[linked], n, label)
+    return np.append(label, n)[joins]
 
 
 def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
@@ -223,14 +232,12 @@ def densityk_pipeline(
     """Full density-driven run: point cloud, pair distances, density curve,
     derived threshold, single-linkage clusters, ranking, disambiguation.
 
-    A cloud whose pairs fit one row block (``geo._ONE_BLOCK_N`` points)
-    reads the one distance vector it keeps: the curve reads the pairs
-    within ``upper_bound``, the linkage every pair (pairs in (upper_bound,
-    threshold] are still edges). A larger cloud is streamed in two passes
-    over its row blocks that store no pair distance: the first counts the
-    rings of the curve, the second joins the pairs within the threshold
-    into components, both through the chord kernel with the haversine's
-    decisions (see ``geo._chord_distances``).
+    A cloud of up to ``geo._ONE_BLOCK_N`` points takes its curve from the
+    pairs within ``upper_bound`` of the vector it keeps, a larger one from
+    a pass over its row blocks through the chord kernel (see
+    ``geo._chord_distances``) that stores no pair distance. Either links
+    every pair within the threshold, past ``upper_bound`` too, by
+    :func:`_dbscan_groups` with ``min_pts`` 1.
 
     A document whose mentions hold a single candidate in total has no pair
     and no density curve: that candidate is its own cluster and resolves.
@@ -248,15 +255,14 @@ def densityk_pipeline(
         in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
         largest = float(in_bound.max()) if len(in_bound) else 0.0
         kf = with_cluster_distance(_blocked_k_function((in_bound,), n, delta_d, largest, len(in_bound)))
-        labels = _dbscan_groups(distances, n, kf.cluster_distance, 1)
     else:
         kf = with_cluster_distance(_streamed_curve(cloud, delta_d, upper_bound))
-        labels = _streamed_components(cloud, kf.cluster_distance)
+    labels = _dbscan_groups(cloud, kf.cluster_distance, 1)
     return replace(_resolve(doc, cloud, labels), diagnostics=kf)
 
 
 def _streamed_curve(cloud: PointCloud, delta_d: float, upper_bound: float | None) -> KFunction:
-    # pass one: the annular curve of the pairs within upper_bound, a row block at a time
+    # the annular curve of the pairs within upper_bound, a row block at a time
     n = len(cloud)
     in_bound = (
         geo._chord_distances(cloud._radians, cloud._half_units, r0, r1, delta_d, upper_bound)
@@ -266,18 +272,6 @@ def _streamed_curve(cloud: PointCloud, delta_d: float, upper_bound: float | None
     if upper_bound is not None:
         largest = min(largest, upper_bound)
     return _blocked_k_function(in_bound, n, delta_d, largest, n * (n - 1) // 2)
-
-
-def _streamed_components(cloud: PointCloud, threshold: float) -> np.ndarray:
-    # pass two: _dbscan_groups(distances, n, threshold, 1), each row block's
-    # edges hooked into the labels so far
-    n = len(cloud)
-    label = np.arange(n)
-    for r0, r1 in geo._row_blocks(n):
-        ii, jj = geo._chord_pairs_within(cloud._radians, cloud._half_units, r0, r1, threshold)
-        if len(ii):
-            label = _component_labels(ii, jj, n, label)
-    return label
 
 
 def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> DisambiguationResult:

@@ -329,10 +329,8 @@ def _chord_distances(
 def _chord_pairs_within(
     radians, half_units: np.ndarray, r0: int, r1: int, limit: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The entries (i, j) of row block (r0, r1) whose haversine distance
-    is at most ``limit``, as two index arrays: each pair i < j of the
-    block once, and from the block's leading square some pairs again
-    reversed and points with themselves, which join nothing new.
+    """The pairs (i, j), i < j, of row block (r0, r1) whose haversine
+    distance is at most ``limit``, as two index arrays in row-major order.
 
     A pair is surely within when its h is below that of
     ``min(limit - M, _CHORD_REACH_M)`` (see :func:`_chord_distances`), and
@@ -343,18 +341,34 @@ def _chord_pairs_within(
     the distances moves the comparison by the rounding of that h, within
     the chord's bound again.
     """
-    h = _chord_haversines(half_units, r0, r1).reshape(-1)
+    h = _chord_haversines(half_units, r0, r1)
+    maybe = _upper(r0, r1, len(half_units[0]))  # each pair once: not the leading square's lower half
     if limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
-        flat = np.flatnonzero(h <= _haversine_of(limit + _CHORD_MARGIN_M))
-    else:
-        flat = np.arange(len(h))
-    i, j = np.divmod(flat, len(half_units[0]) - 1 - r0)
+        maybe &= h <= _haversine_of(limit + _CHORD_MARGIN_M)
+    flat = np.flatnonzero(maybe)
+    i, j = np.divmod(flat, h.shape[1])
     i += r0
     j += r0 + 1
-    within = h[flat] < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
+    within = h.reshape(-1)[flat] < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
     unsure = ~within
     within[unsure] = _pair_distances(radians, i[unsure], j[unsure]) <= limit
     return i[within], j[within]
+
+
+def _pairs_within(cloud: PointCloud, limit: float):
+    """The edge source: a function whose every call yields each pair (i, j),
+    i < j, of the cloud's points within ``limit`` (haversine) once, as index
+    arrays a block at a time: the pairs of the vector a one-block cloud
+    keeps (see :func:`condensed_distances`), found once, or a larger cloud's
+    row blocks through the chord kernel, found anew on each call.
+    """
+    n = len(cloud)
+    if n > _ONE_BLOCK_N:
+        return lambda: (
+            _chord_pairs_within(cloud._radians, cloud._half_units, r0, r1, limit) for r0, r1 in _row_blocks(n)
+        )
+    pairs = (condensed_pairs(np.flatnonzero(condensed_distances(cloud) <= limit), n),)
+    return lambda: pairs
 
 
 def _diameter_bound(radians) -> float:

@@ -205,6 +205,35 @@ def test_bad_value_exits_1_with_one_error_line(runner, corpus_dir, doc_path, tmp
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["disambiguate", "--input", "{doc}", "--output", "{missing}"],
+        ["clusters", "--input", "{doc}", "--output", "{missing}"],
+        ["kfunction", "--input", "{doc}", "--output", "{missing}"],
+        ["evaluate", "--corpus", "{corpus}", "--cell", "centroid", "--output", "{missing}"],
+        ["evaluate", "--corpus", "{corpus}", "--cell", "centroid", "--output", "{ok}", "--csv", "{missing}"],
+        ["synth", "--n-docs", "1", "--output", "{file}"],
+    ],
+    ids=" ".join,
+)
+def test_unwritable_output_exits_1_with_one_error_line(runner, corpus_dir, doc_path, tmp_path, args):
+    # the last path lies in a missing directory, or names a file where synth makes a directory
+    (tmp_path / "file").write_text("")
+    paths = {
+        "{doc}": doc_path,
+        "{corpus}": corpus_dir,
+        "{ok}": tmp_path / "ok.json",
+        "{missing}": tmp_path / "missing" / "out",
+        "{file}": tmp_path / "file",
+    }
+    result = runner.invoke(main, [str(paths.get(arg, arg)) for arg in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: cannot write {paths[args[-1]]}: ")
+    assert result.output.count("\n") == 1
+
+
 class TestEvaluateCommand:
     def test_explicit_cells(self, runner, corpus_dir, tmp_path):
         out = tmp_path / "report.json"

@@ -25,6 +25,7 @@ from densityk import (
     to_canonical_json,
     with_cluster_distance,
 )
+from densityk import geo
 from densityk.clustering import (
     DisambiguationResult,
     MentionOutcome,
@@ -128,6 +129,15 @@ def graph_distances(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     return distances
 
 
+def vector_cloud(distances: np.ndarray, n: int) -> PointCloud:
+    """A one-block cloud of n points that keeps ``distances`` as its
+    condensed vector: the linkage's edge source reads that vector's pairs."""
+    assert n <= geo._ONE_BLOCK_N and len(distances) == n * (n - 1) // 2
+    cloud = make_cloud([(0.0, 0.0)] * n)
+    cloud.__dict__["_distances"] = distances
+    return cloud
+
+
 class TestComponents:
     # each graph but the last two needs more than one hooking round: a hook
     # joins only roots, and these graphs chain roots through larger indices
@@ -150,7 +160,7 @@ class TestComponents:
         jj = np.array([max(e) for e in edges], dtype=np.int64)
         smallest = {i: g[0] for g in groups for i in g}
         assert _component_labels(ii, jj, n).tolist() == [smallest[i] for i in range(n)]
-        assert groups_of(_dbscan_groups(graph_distances(n, edges), n, 1.5, 1)) == groups
+        assert groups_of(_dbscan_groups(vector_cloud(graph_distances(n, edges), n), 1.5, 1)) == groups
 
     @pytest.mark.parametrize("min_pts", range(1, 7))
     def test_dbscan_groups_equal_union_find(self, min_pts):
@@ -161,7 +171,7 @@ class TestComponents:
             distances = np.round(rng.uniform(0.0, 1.0, n * (n - 1) // 2), 2)
             epsilon = float(np.round(rng.uniform(0.02, 0.3), 2))
             want = union_find_dbscan_groups(distances.tolist(), n, epsilon, min_pts)
-            assert groups_of(_dbscan_groups(distances, n, epsilon, min_pts)) == want
+            assert groups_of(_dbscan_groups(vector_cloud(distances, n), epsilon, min_pts)) == want
 
 
 def vector_spread(distances: np.ndarray, n: int, members: list[int]) -> float:
@@ -176,7 +186,7 @@ class TestSharedDistanceVector:
         rng = np.random.default_rng(17)
         cloud = make_cloud(random_coords(rng, 700))
         distances = condensed_distances([p.location for p in cloud.points])
-        groups = groups_of(_dbscan_groups(distances, len(cloud), 50_000.0, 1))
+        groups = groups_of(_dbscan_groups(cloud, 50_000.0, 1))
         assert max(len(g) for g in groups) > 50
         for g in (g for g in groups if len(g) > 1):
             members = tuple(cloud.points[i] for i in g)
@@ -191,7 +201,7 @@ class TestSharedDistanceVector:
         cloud = make_cloud(random_coords(rng, 700))
         distances = condensed_distances([p.location for p in cloud.points])
         epsilon = 500_000.0
-        groups = groups_of(_dbscan_groups(distances, len(cloud), epsilon, min_pts))
+        groups = groups_of(_dbscan_groups(cloud, epsilon, min_pts))
         core = (squareform(distances) <= epsilon).sum(axis=1) >= min_pts  # the zero diagonal counts self
         clustered = [i for g in groups for i in g]
         assert not core[clustered].all()  # some border points
@@ -248,7 +258,7 @@ class TestResolveFromLabels:
         # holds the smallest entry id and ranks first
         doc = spot_document([[0, 3], [1, 4], [6]], ["e5", "e2", "e4", "e3", "e9"])
         cloud = to_point_cloud(doc)
-        got = _resolve(doc, cloud, _dbscan_groups(condensed_distances(cloud), len(cloud), 150.0, 1))
+        got = _resolve(doc, cloud, _dbscan_groups(cloud, 150.0, 1))
         assert got == disambiguate(doc, rank_clusters(dbscan(cloud, 150.0, 1)))
         assert [[p.entry_id for p in c.members] for c in got.ranked_clusters] == [
             ["e2", "e3"], ["e5", "e4"], ["e9"]
@@ -276,7 +286,7 @@ class TestResolveFromLabels:
         cloud = to_point_cloud(doc)
         distances = condensed_distances(cloud)
         n = len(cloud)
-        labels = _dbscan_groups(distances, n, epsilon, min_pts)
+        labels = _dbscan_groups(cloud, epsilon, min_pts)
         assert groups_of(labels) == union_find_dbscan_groups(distances.tolist(), n, epsilon, min_pts)
         want = disambiguate(doc, rank_clusters(dbscan(cloud, epsilon, min_pts)))
         assert _resolve(doc, cloud, labels) == want

@@ -1,8 +1,11 @@
-"""The streamed density pipeline against the exact distance vector.
+"""The streamed density pipeline and DBSCAN against the exact distance
+vector.
 
 A cloud past one row block is never held as a distance vector: one pass
-over its row blocks counts the rings of the curve, a second joins the pairs
-within the threshold, both through the chord kernel
+over its row blocks counts the rings of the curve, and DBSCAN, whose
+``min_pts=1`` case is the pipeline's single linkage, reads the pairs
+within its epsilon from the row blocks again, in one pass at ``min_pts``
+1 and two otherwise. Both go through the chord kernel
 (``geo._chord_distances`` and ``geo._chord_pairs_within``) with the
 haversine's decisions. With the blocks patched small, clouds of 10-60
 points stream through many blocks.
@@ -25,6 +28,7 @@ from densityk import (
     DistanceList,
     compute_k_function,
     dbscan,
+    dbscan_disambiguate,
     densityk_pipeline,
     disambiguate,
     form_clusters,
@@ -39,7 +43,6 @@ from densityk import clustering, geo, kfunction
 from densityk.clustering import (
     DisambiguationResult,
     _dbscan_groups,
-    _streamed_components,
     _streamed_curve,
 )
 from densityk.corpus import to_point_cloud
@@ -57,6 +60,8 @@ from densityk.geo import (
 from densityk.kfunction import _RingCounts, _ring_indices
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords, unique_ring_counts
+from oracles import union_find_dbscan_groups
+from test_clustering import groups_of
 
 
 @contextmanager
@@ -154,9 +159,12 @@ class TestStreamedEqualsExact:
             threshold = with_cluster_distance(kf).cluster_distance
             pair = float(exact[rng.integers(len(exact))])
             for limit in [threshold] + [near(pair, choice) for choice in LIMITS]:
-                if limit > 0:
-                    labels = _streamed_components(cloud, limit)
-                    assert labels.tolist() == _dbscan_groups(exact, n, limit, 1).tolist()
+                for min_pts in range(1, 7) if limit > 0 else ():
+                    want = union_find_dbscan_groups(exact.tolist(), n, limit, min_pts)
+                    labels = _dbscan_groups(cloud, limit, min_pts)
+                    assert groups_of(labels) == want
+                    if min_pts == 1:  # every point core: labelled with its component's smallest index
+                        assert labels.tolist() == [min(g) for i in range(n) for g in want if i in g]
 
     @pytest.mark.parametrize("upper_bound", [None, 3e6])
     def test_pipeline_equals_composed_stages(self, upper_bound):
@@ -303,6 +311,15 @@ class TestMemory:
         assert n == 3000
         _, peak = traced_peak(lambda: densityk_pipeline(doc))
         assert peak < 8 * (n * (n - 1) // 2) / 4
+
+    @pytest.mark.parametrize("epsilon, min_pts", [(2000.0, 1), (20_000.0, 5), (200.0, 10), (3e6, 10)])
+    def test_dbscan_streams_beside_the_distance_vector(self, epsilon, min_pts):
+        # DBSCAN, like the pipeline, stores no pair distance past one block
+        doc, n = synth_cloud_document(100, 29, seed=3)
+        cloud = to_point_cloud(doc)
+        for run in (lambda: dbscan(cloud, epsilon, min_pts), lambda: dbscan_disambiguate(doc, epsilon, min_pts)):
+            _, peak = traced_peak(run)
+            assert peak < 8 * (n * (n - 1) // 2) / 4
 
     def test_dense_ring_count_spans_the_cloud_not_the_sphere(self):
         # a regional cloud on the dense side of the span rule: the count
