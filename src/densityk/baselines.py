@@ -13,6 +13,7 @@ import numpy as np
 
 from .clustering import (
     DisambiguationResult,
+    _check_min_pts,
     _dbscan_groups,
     _resolve,
     dbscan,  # noqa: F401  (kept importable from here with the other clusterers)
@@ -338,7 +339,9 @@ def dbscan_disambiguate(doc: DocumentInput, epsilon: float, min_pts: int) -> Dis
 
 
 def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> DisambiguationResult:
-    """DBSCAN with the auto-derived epsilon."""
+    """DBSCAN with the auto-derived epsilon; ``min_pts`` is checked before
+    epsilon is derived."""
+    _check_min_pts(min_pts)
     cloud = to_point_cloud(doc)
     epsilon = kdist_epsilon(cloud, k)
     if epsilon == 0:

@@ -19,6 +19,7 @@ from .kfunction import (
     DEFAULT_DELTA_D_M,
     KFunction,
     _blocked_k_function,
+    _check_delta_d,
     with_cluster_distance,
 )
 
@@ -118,6 +119,11 @@ def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
     return [Cluster(members=tuple(g)) for g in groups.values()]
 
 
+def _check_min_pts(min_pts: int) -> None:
+    if min_pts < 1:
+        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+
+
 def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarray:
     """The DBSCAN cluster of each point of the cloud: the smallest index of
     a core point in it, or n for a noise point.
@@ -137,8 +143,7 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
         raise EmptyInputError("cannot cluster an empty cloud")
     if not epsilon > 0:  # NaN too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+    _check_min_pts(min_pts)
     pairs = geo._pairs_within(cloud, epsilon)
     label = np.arange(n)
     if min_pts == 1:
@@ -163,17 +168,6 @@ def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
     if len(members) < 2:
         return 0.0
     return float(np.mean(condensed_distances([p.location for p in members])))
-
-
-def _spread(cloud: PointCloud, members: np.ndarray) -> float:
-    # _mean_pairwise of the points at the ascending indices ``members``: the
-    # same distances, in the same order, gathered from a one-block cloud's
-    # vector or computed from a larger cloud's arrays
-    n = len(cloud)
-    if n > geo._ONE_BLOCK_N:
-        return float(np.mean(geo._condensed(*(a[members] for a in cloud._radians))))
-    i, j = np.triu_indices(len(members), 1)
-    return float(np.mean(condensed_distances(cloud)[geo.condensed_index(members[i], members[j], n)]))
 
 
 def rank_clusters(clusters: list[Cluster]) -> list[Cluster]:
@@ -232,46 +226,29 @@ def densityk_pipeline(
     """Full density-driven run: point cloud, pair distances, density curve,
     derived threshold, single-linkage clusters, ranking, disambiguation.
 
-    A cloud of up to ``geo._ONE_BLOCK_N`` points takes its curve from the
-    pairs within ``upper_bound`` of the vector it keeps, a larger one from
-    a pass over its row blocks through the chord kernel (see
-    ``geo._chord_distances``) that stores no pair distance. Either links
-    every pair within the threshold, past ``upper_bound`` too, by
-    :func:`_dbscan_groups` with ``min_pts`` 1.
+    The curve counts the pairs within ``upper_bound`` that one source,
+    ``geo._distances_within``, yields: a small cloud's kept vector, or a
+    larger cloud's row blocks, of which no pair distance is stored. The
+    linkage joins every pair within the threshold, past ``upper_bound``
+    too, by :func:`_dbscan_groups` with ``min_pts`` 1.
 
-    A document whose mentions hold a single candidate in total has no pair
-    and no density curve: that candidate is its own cluster and resolves.
+    Both parameters are checked before the document is read. A document
+    whose mentions hold a single candidate in total has no pair and no
+    density curve: that candidate is its own cluster and resolves.
     """
     if not (upper_bound is None or upper_bound >= 0):
         raise ValueError(f"upper_bound must be >= 0, got {upper_bound}")
+    _check_delta_d(delta_d)
     cloud = to_point_cloud(doc)
     n = len(cloud)
     if n == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
     if n == 1:
         return _resolve(doc, cloud, np.zeros(1, dtype=np.intp))
-    if n <= geo._ONE_BLOCK_N:
-        distances = condensed_distances(cloud)
-        in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
-        largest = float(in_bound.max()) if len(in_bound) else 0.0
-        kf = with_cluster_distance(_blocked_k_function((in_bound,), n, delta_d, largest, len(in_bound)))
-    else:
-        kf = with_cluster_distance(_streamed_curve(cloud, delta_d, upper_bound))
+    curve = _blocked_k_function(n, delta_d, *geo._distances_within(cloud, delta_d, upper_bound))
+    kf = with_cluster_distance(curve)
     labels = _dbscan_groups(cloud, kf.cluster_distance, 1)
     return replace(_resolve(doc, cloud, labels), diagnostics=kf)
-
-
-def _streamed_curve(cloud: PointCloud, delta_d: float, upper_bound: float | None) -> KFunction:
-    # the annular curve of the pairs within upper_bound, a row block at a time
-    n = len(cloud)
-    in_bound = (
-        geo._chord_distances(cloud._radians, cloud._half_units, r0, r1, delta_d, upper_bound)
-        for r0, r1 in geo._row_blocks(n)
-    )
-    largest = geo._diameter_bound(cloud._radians)
-    if upper_bound is not None:
-        largest = min(largest, upper_bound)
-    return _blocked_k_function(in_bound, n, delta_d, largest, n * (n - 1) // 2)
 
 
 def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> DisambiguationResult:
@@ -287,7 +264,8 @@ def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> Disam
 
     A cluster's spread only breaks ties in size, so it is computed only for
     clusters of two or more points whose size another cluster shares (a
-    singleton's is 0), from its members' pairs (see :func:`_spread`).
+    singleton's is 0), from its members' pairs (see
+    ``geo._member_distances``).
     Entry ids are unique, so the smallest one settles every remaining tie.
     """
     n = len(cloud)
@@ -300,7 +278,7 @@ def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> Disam
     smallest_id = np.minimum.reduceat(cloud._id_ranks[clustered], starts)
     spreads = np.zeros(len(roots))
     for k in np.flatnonzero((sizes > 1) & (np.bincount(sizes)[sizes] > 1)).tolist():
-        spreads[k] = _spread(cloud, by_cluster[starts[k] : starts[k] + sizes[k]])
+        spreads[k] = np.mean(geo._member_distances(cloud, by_cluster[starts[k] : starts[k] + sizes[k]]))
     order = np.lexsort((smallest_id, spreads, -sizes))
     unclustered = len(order) + 1  # the rank of a noise point: past every cluster's
     rank_of_label = np.full(n + 1, unclustered)

@@ -318,8 +318,9 @@ def _chord_distances(
         np.subtract(d, upper_bound, out=off)
         unsure |= np.abs(off, out=off) <= _CHORD_MARGIN_M
     flat = np.flatnonzero(unsure)
-    k, c = np.divmod(flat, d.shape[1])
-    d.reshape(-1)[flat] = _pair_distances(radians, k + r0, c + (r0 + 1))
+    if len(flat):
+        k, c = np.divmod(flat, d.shape[1])
+        d.reshape(-1)[flat] = _pair_distances(radians, k + r0, c + (r0 + 1))
     keep = _upper(r0, r1, len(half_units[0]))
     if upper_bound is not None:
         keep &= d <= upper_bound
@@ -351,7 +352,8 @@ def _chord_pairs_within(
     j += r0 + 1
     within = h.reshape(-1)[flat] < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
     unsure = ~within
-    within[unsure] = _pair_distances(radians, i[unsure], j[unsure]) <= limit
+    if unsure.any():
+        within[unsure] = _pair_distances(radians, i[unsure], j[unsure]) <= limit
     return i[within], j[within]
 
 
@@ -369,6 +371,41 @@ def _pairs_within(cloud: PointCloud, limit: float):
         )
     pairs = (condensed_pairs(np.flatnonzero(condensed_distances(cloud) <= limit), n),)
     return lambda: pairs
+
+
+def _distances_within(cloud: PointCloud, spacing: float, upper_bound: float | None):
+    """The curve source: ``(blocks, largest, total)``, where ``blocks``
+    yields the cloud's pair distances within ``upper_bound`` an array at a
+    time, none past ``largest`` and at most ``total`` of them: the vector a
+    one-block cloud keeps, filtered once, or a larger cloud's row blocks
+    through the chord kernel, each distance in its exact ring of ``spacing``
+    (see :func:`_chord_distances`), found as they are read, never stored.
+    """
+    n = len(cloud)
+    if n > _ONE_BLOCK_N:
+        blocks = (
+            _chord_distances(cloud._radians, cloud._half_units, r0, r1, spacing, upper_bound)
+            for r0, r1 in _row_blocks(n)
+        )
+        largest = _diameter_bound(cloud._radians)
+        if upper_bound is not None:
+            largest = min(largest, upper_bound)
+        return blocks, largest, n * (n - 1) // 2
+    distances = condensed_distances(cloud)
+    in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
+    return (in_bound,), float(in_bound.max()) if len(in_bound) else 0.0, len(in_bound)
+
+
+def _member_distances(cloud: PointCloud, members: np.ndarray) -> np.ndarray:
+    """``condensed_distances`` of the cloud's points at the ascending
+    indices ``members``, the same values in the same order: gathered from
+    the vector a one-block cloud keeps, or computed from a larger cloud's
+    arrays."""
+    n = len(cloud)
+    if n > _ONE_BLOCK_N:
+        return _condensed(*(a[members] for a in cloud._radians))
+    i, j = np.triu_indices(len(members), 1)
+    return condensed_distances(cloud)[condensed_index(members[i], members[j], n)]
 
 
 def _diameter_bound(radians) -> float:

@@ -15,6 +15,13 @@ ring, i.e. the first ring is effectively [0, delta_d].
 The cluster distance is read off the discretized curve with a 2-sigma
 rule: past the density peak, the first sampled distance whose density
 falls to at most mean + 2 * std of all sampled densities.
+
+Every annular curve is counted by one function, ``_count_rings``, through
+``_blocked_k_function``, from distances that come an array at a time: the
+slices of a stored list (:func:`compute_k_function`) or the pipeline's
+source, ``geo._distances_within``. The rings go into one array indexed by
+ring when they are few beside the distances; otherwise the occupied rings
+are merged as the blocks come, so memory follows the occupied rings.
 """
 
 from __future__ import annotations
@@ -56,11 +63,15 @@ class KFunction:
         return list(zip(self.distances_m.tolist(), self.densities.tolist()))
 
 
+def _check_delta_d(delta_d: float) -> None:
+    if not (math.isfinite(delta_d) and delta_d > 0):
+        raise ValueError(f"delta_d must be a positive finite number, got {delta_d}")
+
+
 def _check_curve_args(n_points: int, delta_d: float) -> None:
     if n_points < 2:
         raise InsufficientPointsError(f"need at least 2 points, got {n_points}")
-    if not (math.isfinite(delta_d) and delta_d > 0):
-        raise ValueError(f"delta_d must be a positive finite number, got {delta_d}")
+    _check_delta_d(delta_d)
 
 
 def _check_ring_limit(largest: float, delta_d: float) -> None:
@@ -86,93 +97,68 @@ def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
     return np.maximum(m, 1)
 
 
-class _RingCounts:
-    """Distances counted by ring, a block at a time; the one ring counter
-    behind every annular curve (see :func:`_blocked_k_function`).
+def _count_rings(
+    blocks, delta_d: float, span: float, total: int
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The rings of the distances that ``blocks`` yields, an array at a
+    time: the occupied rings, ascending, how many distances fall in each,
+    how many distances there were and the largest of them (0.0 for none).
 
     When the ``span`` rings from ring 1 on are at most a quarter as many as
     the ``total`` distances to come, each block is added into one array
-    over the span (``np.add.at``). Otherwise the blocks' ring indices are
+    indexed by ring (``np.add.at``). Otherwise the blocks' ring indices are
     held until they number ``_MERGE_RINGS`` and a quarter of the occupied
-    rings so far, then sorted and merged into the sorted occupied rings and
-    their counts, so memory follows the occupied rings, not the number of
-    distances. Each block's largest distance is checked against the ring
-    limit before its ring indices are cast.
+    rings so far, then merged into the sorted occupied rings and their
+    counts (:func:`_merge_rings`), so memory follows the occupied rings,
+    not the number of distances. The largest distance so far is checked
+    against the ring limit before a block's ring indices are cast.
     """
-
-    def __init__(self, delta_d: float, span: float, total: int) -> None:
-        self.delta_d = delta_d
-        self.added, self.largest = 0, 0.0
-        self.dense = np.zeros(math.ceil(span), dtype=np.int64) if 4 * span <= total else None
-        self.rings = self.counts = np.empty(0, dtype=np.int64)
-        self._pending: list[np.ndarray] = []  # ring indices not merged yet
-
-    def add(self, values: np.ndarray) -> None:
+    added, largest = 0, 0.0
+    dense = np.zeros(math.ceil(span) + 1, dtype=np.int64) if 4 * span <= total else None
+    occupied = [np.empty(0, dtype=np.int64)] * 2  # the sparse count's rings and counts
+    pending: list[np.ndarray] = []  # ring indices not merged yet
+    for values in blocks:
         if len(values) == 0:
-            return
-        largest = float(values.max())
-        _check_ring_limit(largest, self.delta_d)
-        self.added += len(values)
-        self.largest = max(self.largest, largest)
-        rings = _ring_indices(values, self.delta_d)
-        if self.dense is not None:
-            rings -= 1
-            np.add.at(self.dense, rings, 1)
-            return
-        self._pending.append(rings)
-        if sum(map(len, self._pending)) >= max(_MERGE_RINGS, len(self.rings) // 4):
-            self._merge()
+            continue
+        largest = max(largest, float(values.max()))
+        _check_ring_limit(largest, delta_d)
+        added += len(values)
+        indices = _ring_indices(values, delta_d)
+        if dense is not None:
+            np.add.at(dense, indices, 1)
+        else:
+            pending.append(indices)
+            if sum(map(len, pending)) >= max(_MERGE_RINGS, len(occupied[0]) // 4):
+                _merge_rings(pending, occupied)
+        del values, indices  # no block outlives the count
+    if dense is not None:
+        rings = np.flatnonzero(dense)
+        return rings, dense[rings], added, largest
+    if pending:
+        _merge_rings(pending, occupied)
+    return *occupied, added, largest
 
-    def _merge(self) -> None:
-        pending = self._pending[0] if len(self._pending) == 1 else np.concatenate(self._pending)
-        self._pending = []
-        pending.sort()  # np.unique(pending, return_counts=True), without its copy
-        starts = np.flatnonzero(np.concatenate(([True], pending[1:] != pending[:-1])))
-        rings, counts = pending[starts], np.diff(starts, append=len(pending))
-        del pending, starts
-        if len(self.rings) == 0:
-            self.rings, self.counts = rings, counts
-            return
-        at = np.searchsorted(self.rings, rings)
-        seen = at < len(self.rings)
-        seen[seen] = self.rings[at[seen]] == rings[seen]
-        self.counts[at[seen]] += counts[seen]
-        fresh = ~seen
-        self.rings = np.insert(self.rings, at[fresh], rings[fresh])
-        self.counts = np.insert(self.counts, at[fresh], counts[fresh])
 
-    def take(self) -> tuple[np.ndarray, np.ndarray]:
-        """The occupied rings, ascending, and how many distances fall in
-        each; the counter lets go of them."""
-        if self.dense is not None:
-            occupied = np.flatnonzero(self.dense)
-            counts = self.dense[occupied]
-            self.dense = None
-            occupied += 1
-            return occupied, counts
-        if self._pending:
-            self._merge()
-        occupied, counts = self.rings, self.counts
-        self.rings = self.counts = None
-        return occupied, counts
-
-    def curve(self, n_points: int) -> KFunction:
-        """The density curve of the counted distances among ``n_points``."""
-        occupied, counts = self.take()
-        d = occupied * self.delta_d
-        del occupied
-        # 2 * counts / (n_points * pi * (d**2 - (d - delta_d)**2)), rounded at
-        # the same steps (so to the same bits), a block of rings at a time
-        densities = np.empty_like(d)
-        for start in range(0, len(d), _CURVE_BLOCK):
-            ring = slice(start, start + _CURVE_BLOCK)
-            area, inner = np.square(d[ring], out=densities[ring]), d[ring] - self.delta_d
-            area -= np.square(inner, out=inner)
-            del inner
-            area *= np.pi
-            area *= n_points
-            np.divide(2.0 * counts[ring], area, out=area)
-        return KFunction(delta_d=self.delta_d, distances_m=d, densities=densities)
+def _merge_rings(pending: list[np.ndarray], occupied: list[np.ndarray]) -> None:
+    # Adds the ring indices ``pending`` into ``occupied``, the sorted
+    # occupied rings and their counts. It empties ``pending`` first and
+    # replaces the arrays of ``occupied`` one at a time, so each goes early.
+    merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
+    pending.clear()
+    merged.sort()  # np.unique(merged, return_counts=True), without its copy
+    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+    rings, counts = merged[starts], np.diff(starts, append=len(merged))
+    del merged, starts
+    if len(occupied[0]) == 0:
+        occupied[:] = rings, counts
+        return
+    at = np.searchsorted(occupied[0], rings)
+    seen = at < len(occupied[0])
+    seen[seen] = occupied[0][at[seen]] == rings[seen]
+    occupied[1][at[seen]] += counts[seen]
+    fresh = ~seen
+    occupied[0] = np.insert(occupied[0], at[fresh], rings[fresh])
+    occupied[1] = np.insert(occupied[1], at[fresh], counts[fresh])
 
 
 def compute_k_function(
@@ -189,33 +175,44 @@ def compute_k_function(
     values = distances.values
     largest = float(values.max()) if len(values) else 0.0
     blocks = (values[start : start + _COUNT_BLOCK] for start in range(0, len(values), _COUNT_BLOCK))
-    return _blocked_k_function(blocks, n_points, delta_d, largest, len(values))
+    return _blocked_k_function(n_points, delta_d, blocks, largest, len(values))
 
 
 def _blocked_k_function(
-    blocks, n_points: int, delta_d: float, largest: float, total: int
+    n_points: int, delta_d: float, blocks, largest: float, total: int
 ) -> KFunction:
     """The annular curve of the distances that ``blocks`` yields, an array
     at a time; no distance exceeds ``largest`` and there are at most
-    ``total`` of them. Both branches of the pipeline and
-    :func:`compute_k_function` count through here.
+    ``total`` of them (``geo._distances_within`` gives the pipeline's three).
+    The pipeline and :func:`compute_k_function` count through here.
 
     The checks come in one order: the point count and ``delta_d``, the ring
     limit on each block before its ring indices are cast, an empty list,
-    then the area of the farthest ring. The rings are counted by one
-    :class:`_RingCounts` spanning ring 1 up to ``largest``'s ring (and one
+    then the area of the farthest ring. The rings are counted by
+    :func:`_count_rings`, spanning ring 1 up to ``largest``'s ring (and one
     more for its rounding): into one array on at least four distances per
     ring spanned, otherwise as the sorted occupied rings, merged as the
     blocks come.
     """
     _check_curve_args(n_points, delta_d)
-    counts = _RingCounts(delta_d, largest / delta_d + 1, total)
-    for values in blocks:
-        counts.add(values)
-    if counts.added == 0:
+    occupied, counts, added, farthest = _count_rings(blocks, delta_d, largest / delta_d + 1, total)
+    if added == 0:
         raise InsufficientPointsError("distance list is empty")
-    _check_ring_area(counts.largest, n_points, delta_d)
-    return counts.curve(n_points)
+    _check_ring_area(farthest, n_points, delta_d)
+    d = occupied * delta_d
+    del occupied
+    # 2 * counts / (n_points * pi * (d**2 - (d - delta_d)**2)), rounded at
+    # the same steps (so to the same bits), a block of rings at a time
+    densities = np.empty_like(d)
+    for start in range(0, len(d), _CURVE_BLOCK):
+        ring = slice(start, start + _CURVE_BLOCK)
+        area, inner = np.square(d[ring], out=densities[ring]), d[ring] - delta_d
+        area -= np.square(inner, out=inner)
+        del inner
+        area *= np.pi
+        area *= n_points
+        np.divide(2.0 * counts[ring], area, out=area)
+    return KFunction(delta_d=delta_d, distances_m=d, densities=densities)
 
 
 def compute_circular_k_function(

@@ -628,6 +628,14 @@ class TestDisambiguatingWrappers:
             kdist_disambiguate(doc, k=5, min_pts=1)
         assert kdist_disambiguate(doc, k=10, min_pts=1).ranked_clusters
 
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_kdist_min_pts_checked_before_the_epsilon(self, k):
+        # at k=5 the epsilon is 0, at k=10 it is not: min_pts 0 is the
+        # error either way
+        doc = make_document("coincident", {f"m{i}": [(10, 20), (11, 20)] for i in range(7)})
+        with pytest.raises(ValueError, match="^min_pts must be >= 1, got 0$"):
+            kdist_disambiguate(doc, k=k, min_pts=0)
+
     def test_equal_the_composed_public_stages_on_default_documents(self, default_corpus):
         # the wrappers rank from the one distance vector; the public stages
         # recompute every spread from the cluster's own points

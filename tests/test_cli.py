@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densityk import (
-    clustering,
     compute_k_function,
     densityk_pipeline,
     export,
@@ -203,6 +202,33 @@ def test_bad_value_exits_1_with_one_error_line(runner, corpus_dir, doc_path, tmp
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("error:")
     assert result.output.count("\n") == 1
+
+
+ONE_CANDIDATE = {"a": [(0, 0)]}
+COINCIDENT = {f"m{i}": [(10, 20)] for i in range(4)}  # the k=2 auto-epsilon is 0
+SPREAD = {f"m{i}": [(10, 20 + i)] for i in range(4)}
+DELTA_D_MESSAGE = "delta_d must be a positive finite number, got -1.0"
+MIN_PTS_MESSAGE = "min_pts must be >= 1, got 0"
+
+
+@pytest.mark.parametrize(
+    "args, mentions, message",
+    [
+        (["disambiguate", "--delta-d", "-1"], ONE_CANDIDATE, DELTA_D_MESSAGE),
+        (["disambiguate", "--delta-d", "-1"], SPREAD, DELTA_D_MESSAGE),
+        (["kfunction", "--delta-d", "-1"], ONE_CANDIDATE, DELTA_D_MESSAGE),
+        (["kfunction", "--delta-d", "-1"], SPREAD, DELTA_D_MESSAGE),
+        (["disambiguate", "--algorithm", "kdist", "--k", "2", "--min-pts", "0"], COINCIDENT, MIN_PTS_MESSAGE),
+        (["disambiguate", "--algorithm", "kdist", "--k", "2", "--min-pts", "0"], SPREAD, MIN_PTS_MESSAGE),
+    ],
+)
+def test_bad_value_exits_1_whatever_the_document(runner, tmp_path, args, mentions, message):
+    # a parameter is checked before the document's shape can decide the run
+    path = tmp_path / "doc.json"
+    path.write_text(document_to_json(make_document("doc", mentions)))
+    result = runner.invoke(main, args + ["--input", str(path), "--output", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -459,9 +485,7 @@ class TestKFunctionCommand:
         if upper_bound is not None:
             args += ["--upper-bound", str(upper_bound)]
         stored = AssertionError("a stored distance vector")
-        with small_blocks(), mock.patch.object(geo, "condensed_distances", side_effect=stored), mock.patch.object(
-            clustering, "condensed_distances", side_effect=stored
-        ):
+        with small_blocks(), mock.patch.object(geo, "condensed_distances", side_effect=stored):
             result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == want.encode()

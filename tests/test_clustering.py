@@ -33,10 +33,9 @@ from densityk.clustering import (
     _dbscan_groups,
     _mean_pairwise,
     _resolve,
-    _spread,
 )
 from densityk.corpus import PointCloud, to_point_cloud
-from densityk.geo import BLOCK_ELEMENTS, condensed_distances, condensed_index
+from densityk.geo import BLOCK_ELEMENTS, _member_distances, condensed_distances, condensed_index
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords
 from oracles import label_propagation_components, union_find_dbscan_groups
@@ -190,7 +189,7 @@ class TestSharedDistanceVector:
         assert max(len(g) for g in groups) > 50
         for g in (g for g in groups if len(g) > 1):
             members = tuple(cloud.points[i] for i in g)
-            spread = _spread(cloud, np.asarray(g))
+            spread = float(np.mean(_member_distances(cloud, np.asarray(g))))
             assert spread == vector_spread(distances, len(cloud), g) == _mean_pairwise(members)
 
     @pytest.mark.parametrize("min_pts", [3, 5])
@@ -209,7 +208,7 @@ class TestSharedDistanceVector:
         assert max(len(g) for g in groups) > 50
         for g in (g for g in groups if len(g) > 1):
             members = tuple(cloud.points[i] for i in g)
-            spread = _spread(cloud, np.asarray(g))
+            spread = float(np.mean(_member_distances(cloud, np.asarray(g))))
             assert spread == vector_spread(distances, len(cloud), g) == _mean_pairwise(members)
 
 
@@ -451,6 +450,15 @@ class TestDensitykPipeline:
         # checked before the document: even one without candidates
         with pytest.raises(ValueError, match="upper_bound must be >= 0"):
             densityk_pipeline(make_document("none", {}), upper_bound=upper_bound)
+
+    @pytest.mark.parametrize("delta_d", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("candidates", [0, 1, 2])
+    def test_bad_delta_d_rejected_at_any_candidate_count(self, delta_d, candidates):
+        # checked before the document, as upper_bound is: one candidate,
+        # which has no curve, and none are rejected as two are
+        doc = make_document("few", {f"m{k}": [(0.0, k)] for k in range(candidates)})
+        with pytest.raises(ValueError, match=f"^delta_d must be a positive finite number, got {delta_d}$"):
+            densityk_pipeline(doc, delta_d=delta_d)
 
     def test_deterministic(self):
         doc = planted_document()

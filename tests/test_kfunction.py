@@ -16,7 +16,6 @@ from densityk import (
     with_cluster_distance,
 )
 from densityk import kfunction
-from densityk.kfunction import _RingCounts
 from oracles import annular_density_curve, two_sigma_threshold_distance
 from conftest import unique_ring_counts
 
@@ -130,17 +129,23 @@ def counted_curve(values, n_points, delta_d):
     """compute_k_function's curve on an unsorted vector, whether its ring
     counter took the dense side of the span rule, and the ring counts the
     curve was computed from."""
-    seen = []
+    counted, merged = [], []
+    count_rings, merge_rings = kfunction._count_rings, kfunction._merge_rings
 
-    class Recorded(_RingCounts):
-        def take(self):
-            seen.append(self.dense is not None)
-            seen.append(super().take())
-            return seen[-1]
+    def recorded_count(*args):
+        counted.append(count_rings(*args))
+        return counted[-1]
 
-    with mock.patch.object(kfunction, "_RingCounts", Recorded):
+    def recorded_merge(*args):  # only the sparse side merges
+        merged.append(True)
+        return merge_rings(*args)
+
+    with mock.patch.object(kfunction, "_count_rings", recorded_count), mock.patch.object(
+        kfunction, "_merge_rings", recorded_merge
+    ):
         kf = compute_k_function(DistanceList(values=values, n_points=n_points), n_points, delta_d)
-    return kf, *seen
+    [(occupied, counts, _, _)] = counted
+    return kf, not merged, (occupied, counts)
 
 
 @st.composite

@@ -1,14 +1,16 @@
 """The streamed density pipeline and DBSCAN against the exact distance
 vector.
 
-A cloud past one row block is never held as a distance vector: one pass
-over its row blocks counts the rings of the curve, and DBSCAN, whose
+A cloud past one row block is never held as a distance vector. The curve
+counts the rings of the blocks that ``geo._distances_within`` yields from
+its row blocks (``kfunction._count_rings``), and DBSCAN, whose
 ``min_pts=1`` case is the pipeline's single linkage, reads the pairs
 within its epsilon from the row blocks again, in one pass at ``min_pts``
 1 and two otherwise. Both go through the chord kernel
 (``geo._chord_distances`` and ``geo._chord_pairs_within``) with the
 haversine's decisions. With the blocks patched small, clouds of 10-60
-points stream through many blocks.
+points stream through many blocks; at the real block size, the pipeline
+is checked on either side of the 257 points of one block.
 """
 
 import contextlib
@@ -39,12 +41,8 @@ from densityk import (
     to_canonical_json,
     with_cluster_distance,
 )
-from densityk import clustering, geo, kfunction
-from densityk.clustering import (
-    DisambiguationResult,
-    _dbscan_groups,
-    _streamed_curve,
-)
+from densityk import geo, kfunction
+from densityk.clustering import DisambiguationResult, _dbscan_groups
 from densityk.corpus import to_point_cloud
 from densityk.geo import (
     _CHORD_MARGIN_M,
@@ -57,7 +55,7 @@ from densityk.geo import (
     _upper,
     condensed_distances,
 )
-from densityk.kfunction import _RingCounts, _ring_indices
+from densityk.kfunction import _blocked_k_function, _count_rings, _ring_indices
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords, unique_ring_counts
 from oracles import union_find_dbscan_groups
@@ -117,6 +115,25 @@ def stored_curve(values, n_points, delta_d):
     return compute_k_function(DistanceList(values=values, n_points=n_points), n_points, delta_d)
 
 
+def streamed_curve(cloud, delta_d, upper_bound):
+    # the pipeline's curve of a cloud, from the one curve source
+    return _blocked_k_function(len(cloud), delta_d, *geo._distances_within(cloud, delta_d, upper_bound))
+
+
+def composed_stages(doc, upper_bound):
+    # the pipeline's result from the public stages, each on its own
+    cloud = to_point_cloud(doc)
+    distances = pairwise_distances([p.location for p in cloud.points], upper_bound=upper_bound)
+    kf = with_cluster_distance(compute_k_function(distances, len(cloud)))
+    staged = disambiguate(doc, rank_clusters(form_clusters(cloud, kf.cluster_distance)))
+    return DisambiguationResult(
+        doc_id=staged.doc_id,
+        outcomes=staged.outcomes,
+        ranked_clusters=staged.ranked_clusters,
+        diagnostics=kf,
+    )
+
+
 def curve_bytes(kf):
     return kf.distances_m.tobytes(), kf.densities.tobytes(), kf.delta_d
 
@@ -145,12 +162,10 @@ class TestStreamedEqualsExact:
             got = np.concatenate(streamed)  # the blocks hold the pairs in condensed order
             assert np.array_equal(_ring_indices(got, delta_d), _ring_indices(in_bound, delta_d))
             if len(in_bound):
-                counts = _RingCounts(delta_d, geo._MAX_DISTANCE_M / delta_d + 1, len(exact))
-                for values in streamed:
-                    counts.add(values)
-                for got_counts, want in zip(counts.take(), unique_ring_counts(in_bound, delta_d)):
+                counts = _count_rings(streamed, delta_d, geo._MAX_DISTANCE_M / delta_d + 1, len(exact))
+                for got_counts, want in zip(counts[:2], unique_ring_counts(in_bound, delta_d)):
                     assert got_counts.tobytes() == want.tobytes()
-            kf = outcome(_streamed_curve, cloud, delta_d, upper_bound)
+            kf = outcome(streamed_curve, cloud, delta_d, upper_bound)
             want = outcome(stored_curve, in_bound, n, delta_d)
             if isinstance(want, tuple):
                 assert kf == want
@@ -170,22 +185,28 @@ class TestStreamedEqualsExact:
     def test_pipeline_equals_composed_stages(self, upper_bound):
         spec = SynthSpec(n_docs=1, mentions_per_doc=8, decoys_per_mention=(5, 5), seed=5)
         doc = synth_generate(spec)[0]
-        cloud = to_point_cloud(doc)
-        distances = pairwise_distances([p.location for p in cloud.points], upper_bound=upper_bound)
-        kf = with_cluster_distance(compute_k_function(distances, len(cloud)))
-        staged = disambiguate(doc, rank_clusters(form_clusters(cloud, kf.cluster_distance)))
-        staged = DisambiguationResult(
-            doc_id=staged.doc_id,
-            outcomes=staged.outcomes,
-            ranked_clusters=staged.ranked_clusters,
-            diagnostics=kf,
-        )
+        staged = composed_stages(doc, upper_bound)
         with small_blocks(), mock.patch.object(
-            clustering, "condensed_distances", side_effect=AssertionError("a stored vector")
+            geo, "condensed_distances", side_effect=AssertionError("a stored vector")
         ):
             piped = densityk_pipeline(doc, upper_bound=upper_bound)
         assert to_canonical_json(result_to_dict(piped)) == to_canonical_json(result_to_dict(staged))
-        assert curve_bytes(piped.diagnostics) == curve_bytes(kf)
+        assert curve_bytes(piped.diagnostics) == curve_bytes(staged.diagnostics)
+
+    @pytest.mark.parametrize("upper_bound", [None, 3e6])
+    @pytest.mark.parametrize("n", [257, 258])
+    def test_pipeline_equals_composed_stages_across_one_block(self, n, upper_bound):
+        # at the real block size: the largest cloud that keeps its vector
+        # and the smallest that streams
+        assert geo._ONE_BLOCK_N == 257
+        coords = random_coords(np.random.default_rng(n), n)
+        doc = make_document("edge", {f"m{k}": coords[k::5] for k in range(5)})
+        staged = composed_stages(doc, upper_bound)
+        piped = densityk_pipeline(doc, upper_bound=upper_bound)
+        assert len(to_point_cloud(doc)) == n
+        assert ("_distances" in to_point_cloud(doc).__dict__) == (n == 257)
+        assert to_canonical_json(result_to_dict(piped)) == to_canonical_json(result_to_dict(staged))
+        assert curve_bytes(piped.diagnostics) == curve_bytes(staged.diagnostics)
 
     @pytest.mark.parametrize("delta_d", [math.nan, math.inf, 0.0, -1.0, 1e-300, 1e154, 1e200])
     def test_curve_errors_and_their_order(self, delta_d):
@@ -196,12 +217,12 @@ class TestStreamedEqualsExact:
             warnings.simplefilter("error")
             want = outcome(stored_curve, condensed_distances(cloud), len(cloud), delta_d)
             assert isinstance(want, tuple)
-            assert outcome(_streamed_curve, cloud, delta_d, None) == want
+            assert outcome(streamed_curve, cloud, delta_d, None) == want
 
     def test_no_pair_within_the_bound(self):
         cloud = make_cloud([(0.0, 0.1 * k) for k in range(10)])
         with small_blocks():
-            got = outcome(_streamed_curve, cloud, 100.0, 5.0)
+            got = outcome(streamed_curve, cloud, 100.0, 5.0)
         assert got == outcome(stored_curve, np.empty(0), len(cloud), 100.0)
 
 
