@@ -286,7 +286,7 @@ def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> Disam
     point_rank = rank_of_label[labels].tolist()
     grouped = [cloud.points[i] for i in clustered.tolist()]
     ranked = tuple(
-        Cluster(members=tuple(grouped[start : start + size]), rank=rank)
+        Cluster(tuple(grouped[start : start + size]), rank)
         for rank, (start, size) in enumerate(zip(starts[order].tolist(), sizes[order].tolist()), 1)
     )
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
-
 from .clustering import DisambiguationResult
+from .corpus import to_canonical_json  # noqa: F401  (beside document_to_json, its other caller)
 from .kfunction import KFunction
 
 # the samples one piece of the CSV text holds
@@ -74,7 +73,3 @@ def result_to_dict(result: DisambiguationResult) -> dict:
     if result.diagnostics is not None and result.diagnostics.cluster_distance is not None:
         out["cluster_distance_m"] = result.diagnostics.cluster_distance
     return out
-
-
-def to_canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"

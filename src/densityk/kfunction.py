@@ -145,10 +145,9 @@ def _merge_rings(pending: list[np.ndarray], occupied: list[np.ndarray]) -> None:
     # replaces the arrays of ``occupied`` one at a time, so each goes early.
     merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
     pending.clear()
-    merged.sort()  # np.unique(merged, return_counts=True), without its copy
-    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-    rings, counts = merged[starts], np.diff(starts, append=len(merged))
-    del merged, starts
+    merged.sort()
+    rings, counts = _runs(merged)
+    del merged
     if len(occupied[0]) == 0:
         occupied[:] = rings, counts
         return
@@ -159,6 +158,20 @@ def _merge_rings(pending: list[np.ndarray], occupied: list[np.ndarray]) -> None:
     fresh = ~seen
     occupied[0] = np.insert(occupied[0], at[fresh], rings[fresh])
     occupied[1] = np.insert(occupied[1], at[fresh], counts[fresh])
+
+
+def _runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # np.unique(indices, return_counts=True) of sorted ``indices``, without
+    # its copy: each distinct index and how many times it occurs
+    first = np.empty(len(indices), dtype=bool)
+    first[0] = True
+    np.not_equal(indices[1:], indices[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = len(indices) - starts[-1]
+    return indices[starts], counts
 
 
 def compute_k_function(

@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately plain Python (no numpy) and written from
-the definitions, not from the library code paths it verifies.
+the definitions, not from the library code paths it verifies. The one
+exception is ``document_from_dict``, the library's former document parser,
+kept as it was: the reference for the parser's messages and fault order.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+
+from densityk.corpus import CandidateEntry, DocumentInput, PlaceMention
+from densityk.errors import DocumentParseError, DocumentSchemaError
+from densityk.geo import GeoPoint
 
 
 def slow_haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -219,3 +225,73 @@ def kth_neighbor_distances(
         )
         out.append(ds[k - 1])
     return out
+
+
+# The document parser written check by check, each message built before its
+# check: the reference for the library parser's documents, its messages and
+# which of several faults it reports first.
+
+_TYPE_NAMES = {str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise DocumentParseError(f"{what} must be {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _require(obj: dict, key: str, context: str, kind: type | None = None):
+    if key not in obj:
+        raise DocumentParseError(f"{context}: missing field '{key}'")
+    if kind is None:
+        return obj[key]
+    return _expect(obj[key], kind, f"{context}: '{key}'")
+
+
+def document_from_dict(raw: dict) -> DocumentInput:
+    """Build and validate a DocumentInput from already-parsed JSON."""
+    _expect(raw, dict, "document")
+    doc_id = _require(raw, "doc_id", "document", str)
+    mentions_raw = _require(raw, "mentions", f"document {doc_id!r}", list)
+
+    mentions: list[PlaceMention] = []
+    for mraw in mentions_raw:
+        _expect(mraw, dict, f"document {doc_id!r}: each mention")
+        ctx = f"document {doc_id!r}, mention {mraw.get('name', '?')!r}"
+        name = _require(mraw, "name", ctx, str)
+        cands_raw = _require(mraw, "candidates", ctx)
+        if not isinstance(cands_raw, list) or len(cands_raw) == 0:
+            raise DocumentSchemaError(f"{ctx}: candidate list is empty")
+        candidates = []
+        for craw in cands_raw:
+            _expect(craw, dict, f"{ctx}: each candidate")
+            entry_id = _require(craw, "entry_id", ctx, str)
+            where = f"{ctx}, entry {entry_id!r}"
+            lat = _require(craw, "lat", where)
+            lon = _require(craw, "lon", where)
+            if isinstance(lat, bool) or isinstance(lon, bool):
+                raise DocumentSchemaError(f"{where}: boolean coordinate")
+            if not (isinstance(lat, (int, float)) and isinstance(lon, (int, float))):
+                raise DocumentSchemaError(f"{where}: coordinates must be numbers")  # float() takes "45.5"
+            try:
+                location = GeoPoint(float(lat), float(lon))
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
+                raise DocumentSchemaError(f"{where}: {exc}") from exc
+            candidates.append(
+                CandidateEntry(
+                    entry_id=entry_id,
+                    name=_expect(craw.get("name", name), str, f"{where}: 'name'"),
+                    location=location,
+                    source=_expect(craw.get("source", ""), str, f"{where}: 'source'"),
+                )
+            )
+        mentions.append(PlaceMention(name=name, candidates=tuple(candidates)))
+
+    ground_truth = raw.get("ground_truth")
+    if ground_truth is not None:
+        _expect(ground_truth, dict, f"document {doc_id!r}: 'ground_truth'")
+        for gname, gentry in ground_truth.items():  # DocumentInput checks what they name
+            _expect(gentry, str, f"document {doc_id!r}: ground_truth for {gname!r}")
+        ground_truth = dict(ground_truth)
+
+    return DocumentInput(doc_id=doc_id, mentions=tuple(mentions), ground_truth=ground_truth)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -19,8 +20,9 @@ from densityk import (
     load_document,
     to_point_cloud,
 )
-from densityk.corpus import CandidateEntry, DocumentInput, PlaceMention
+from densityk.corpus import CandidateEntry, DocumentInput, PlaceMention, document_from_dict
 from conftest import make_document
+import oracles
 
 # ~1 degree of longitude at the equator, meters
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0
@@ -491,3 +493,91 @@ class TestAnyInput:
             load_document(data)
         except (DocumentParseError, DocumentSchemaError):
             pass
+
+
+def parsed(parse, raw):
+    # the document, or the type and message of what the parse raised
+    try:
+        return parse(copy.deepcopy(raw))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fields(raw):
+    """Every (container, key) of a document-shaped value, outermost first."""
+    found = []
+    stack = [raw]
+    while stack:
+        node = stack.pop(0)
+        keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            found.append((node, key))
+            stack.append(node[key])
+    return found
+
+
+# what a mutation puts in place of a field: a value of every JSON type, and
+# the coordinates the schema rejects
+ODD_VALUES = [None, True, False, 0, 7, 1.5, math.nan, math.inf, 10**400, "", "x", "45.5", [], [1], {}, {"k": 1}]
+BAD_COORDINATES = [True, "45.5", math.nan, -math.inf, 10**400, -(10**400), 90.5, -95, None, []]
+BAD_TRUTHS = [[], "alpha", {"alpha": 1}, {"alpha": ["a1"]}, {"zeta": "a1"}, {"alpha": "b1"}, {"alpha": "zz"}]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one or two faults: a dropped key or a value of
+    another type at any level, a bad coordinate, an empty candidate list, a
+    repeated mention name or entry id, or a bad ground truth."""
+    raw = doc_fixture()
+    if draw(st.booleans()):
+        del raw["ground_truth"]
+    for _ in range(draw(st.integers(1, 2))):
+        # the mentions and candidates an earlier mutation left objects
+        mentions = [node for node, key in _fields(raw) if key == "candidates"]
+        cands = [node for node, key in _fields(raw) if key == "entry_id"]
+        kind = draw(st.sampled_from(["drop", "retype", "coordinate", "empty", "repeat-name", "repeat-id", "truth"]))
+        if kind == "drop":
+            dicts = [(node, key) for node, key in _fields(raw) if isinstance(node, dict)]
+            if dicts:
+                node, key = draw(st.sampled_from(dicts))
+                del node[key]
+        elif kind == "retype":
+            node, key = draw(st.sampled_from(_fields(raw) or [(raw, "doc_id")]))
+            node[key] = draw(st.sampled_from(ODD_VALUES))
+        elif kind == "coordinate" and cands:
+            draw(st.sampled_from(cands))[draw(st.sampled_from(["lat", "lon"]))] = draw(st.sampled_from(BAD_COORDINATES))
+        elif kind == "empty" and mentions:
+            draw(st.sampled_from(mentions))["candidates"] = []
+        elif kind == "repeat-name" and len(mentions) > 1:
+            first, second = draw(st.permutations(mentions))[:2]
+            second["name"] = first.get("name")
+        elif kind == "repeat-id" and len(cands) > 1:
+            first, second = draw(st.permutations(cands))[:2]
+            second["entry_id"] = first.get("entry_id")
+        elif kind == "truth":
+            raw["ground_truth"] = copy.deepcopy(draw(st.sampled_from(BAD_TRUTHS)))
+    return raw
+
+
+class TestParserAgainstReference:
+    """The parser builds the document the reference parser builds, or
+    raises the same error with the same message: the same fault first."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_mutated_documents(self, raw):
+        ours, theirs = parsed(document_from_dict, raw), parsed(oracles.document_from_dict, raw)
+        assert ours == theirs
+        assert repr(ours) == repr(theirs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(documents | json_values)
+    def test_any_document_shaped_value(self, raw):
+        ours, theirs = parsed(document_from_dict, raw), parsed(oracles.document_from_dict, raw)
+        assert ours == theirs
+        assert repr(ours) == repr(theirs)
+
+    def test_valid_documents_are_equal(self):
+        raw = doc_fixture()
+        assert document_from_dict(copy.deepcopy(raw)) == oracles.document_from_dict(raw)
+

@@ -1,6 +1,10 @@
 import json
+import math
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from densityk import (
     KFunction,
@@ -89,3 +93,75 @@ class TestCanonicalJson:
         assert text == to_canonical_json(json.loads(text))
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
+
+
+def json_dumps(value) -> str:
+    """What ``to_canonical_json`` must write: json's own indented text."""
+    return json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+def written(write, value):
+    # the text, or the TypeError json raises for a value it cannot write
+    try:
+        return write(value)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+# every code point, lone surrogates and control characters included
+any_text = st.text(st.characters(exclude_categories=()), max_size=6)
+json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | json_floats
+    | json_floats.map(np.float64)
+    | any_text
+)
+# keys of one kind a dict, so that most dicts sort; json sorts the original
+# keys before it writes them as strings
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(any_text, children, max_size=4)
+    | st.dictionaries(st.integers() | json_floats | st.booleans(), children, max_size=4)
+    | st.dictionaries(st.none(), children, max_size=1),
+    max_leaves=16,
+)
+
+
+class TestCanonicalWriter:
+    """``to_canonical_json`` writes the bytes of ``json.dumps(sort_keys=True,
+    indent=1)`` and raises the TypeError it raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    @example({10: 0, 9: 0})
+    @example({"a": [(), {}, [[]], {"b": {}}]})
+    @example([math.nan, math.inf, -math.inf, -0.0, 2**70, np.float64(1.25), "\ud800\x00\u00e9"])
+    @example({1: 0, "a": 0})
+    @example({None: 0, True: 1})
+    def test_same_text_as_json(self, value):
+        assert written(to_canonical_json, value) == written(json_dumps, value)
+
+    def test_keys_sort_before_they_become_strings(self):
+        assert to_canonical_json({10: 0, 9: 0}) == '{\n "9": 0,\n "10": 0\n}\n'
+
+    @pytest.mark.parametrize("bad", [np.int64(1), {1}, b"x"], ids=["int64", "set", "bytes"])
+    @pytest.mark.parametrize(
+        "place", [lambda v: v, lambda v: ["a", v], lambda v: {"k": [1, v]}], ids=["top", "in-list", "nested"]
+    )
+    def test_what_json_cannot_write_is_a_type_error(self, bad, place):
+        with pytest.raises(TypeError) as ours:
+            to_canonical_json(place(bad))
+        with pytest.raises(TypeError) as theirs:
+            json_dumps(place(bad))
+        assert str(ours.value) == str(theirs.value)
+
+    def test_unwritable_key_is_a_type_error(self):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+            to_canonical_json({(1,): 0})
+
