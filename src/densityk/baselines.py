@@ -26,6 +26,7 @@ from .errors import (
     NoAnchorsError,
 )
 from .geo import (
+    BLOCK_ELEMENTS,
     EARTH_RADIUS_M,
     GeoPoint,
     condensed_distances,
@@ -133,13 +134,14 @@ def _omd_avg_pairwise(doc: DocumentInput, sizes: list[int]) -> int:
     """Index of the first combination minimizing mean pairwise distance.
 
     The combinations form an array shaped like ``sizes`` (C order, last mention
-    fastest). A depth-first branch-and-bound walks it mention by mention. A
-    node is a batch of prefix rows (choices for the first j mentions, in
-    lexicographic order); rows whose lower bound exceeds the best total known
-    are dropped. A batch whose rows times the grid of the remaining mentions
-    fit in ``_CHUNK`` totals is a leaf: :func:`_grid_totals` sums its grid and
-    the first strictly smaller total wins, so ties go to the first combination
-    in C order.
+    fastest). A branch-and-bound search makes one pass over it. Each
+    combination extends a prefix row, its choices for the first j mentions,
+    where j is the shallowest depth at which the grid of the remaining
+    mentions fits ``_CHUNK`` totals. The prefix rows are walked in C order, a
+    block at a time, and rows whose lower bound exceeds the best total known
+    are dropped. :func:`_grid_totals` sums the grids of the rows left, a leaf
+    of at most ``_CHUNK`` totals at a time, and the first strictly smaller
+    total wins, so ties go to the first combination in C order.
     """
     # one distance vector over every candidate, mention after mention
     distances = condensed_distances(to_point_cloud(doc))
@@ -174,42 +176,35 @@ def _omd_avg_pairwise(doc: DocumentInput, sizes: list[int]) -> int:
     bound = float(seed_totals.min())
 
     best_idx, best_val = 0, math.inf
-    # a node: prefix rows, their flat indices over sizes[:j], partial sums, lower bounds
-    stack = [(np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp), np.zeros(1), np.zeros(1))]
-    while stack:
-        node = stack.pop()
-        # The bound adds its terms in another order than the totals, so a row is
-        # dropped only beyond a relative slack of 1e-9 over the incumbent; the
-        # rounding of at most 171 non-negative terms stays below 1e-13.
-        limit = bound + bound * 1e-9
-        rows, flat, partial, _ = (part[node[3] <= limit] for part in node)
-        if len(rows) == 0:
-            continue
-        j = rows.shape[1]
-        per_row = math.prod(sizes[j:])
-        if len(rows) * per_row <= _CHUNK:
-            total = _grid_totals(blocks, rows, sizes)
+    # the leaf depth j, the totals under each prefix row, the number of rows,
+    # and the rows a block bounds at once: about BLOCK_ELEMENTS digits
+    j = next(j for j in range(len(sizes) + 1) if math.prod(sizes[j:]) <= _CHUNK)
+    per_row = math.prod(sizes[j:])
+    n_rows, step = math.prod(sizes[:j]), BLOCK_ELEMENTS // max(j, 1)
+    strides = np.array([math.prod(sizes[a + 1:j]) for a in range(j)], dtype=np.intp)
+    radix = np.array(sizes[:j], dtype=np.intp)
+    # The bound adds its terms in another order than the totals, so a row is
+    # dropped only beyond a relative slack of 1e-9 over the incumbent; the
+    # rounding of at most 171 non-negative terms stays below 1e-13.
+    limit = bound + bound * 1e-9
+    for first in range(0, n_rows, step):
+        rows = np.arange(first, min(first + step, n_rows))[:, None] // strides % radix
+        lower = sum(
+            (blocks[a, b][rows[:, a], rows[:, b]] for a, b in itertools.combinations(range(j), 2)),
+            sum((suffix[starts[a] + rows[:, a], j] for a in range(j)), np.full(len(rows), pair_floor[j])),
+        )
+        survivors = np.flatnonzero(lower <= limit)
+        for start in range(0, len(survivors), _CHUNK // per_row):
+            batch = survivors[start:start + _CHUNK // per_row]
+            batch = batch[lower[batch] <= limit]  # against the incumbent of now
+            if len(batch) == 0:
+                continue
+            total = _grid_totals(blocks, rows[batch], sizes)
             local = int(np.argmin(total))  # first occurrence on ties
             if total.flat[local] < best_val:
                 best_val = float(total.flat[local])
-                best_idx = int(flat[local // per_row]) * per_row + local % per_row
-                bound = min(bound, best_val)
-            continue
-        # expand mention j: every row times every candidate, in lexicographic order
-        size = sizes[j]
-        grown = sum((blocks[a, j][rows[:, a]] for a in range(j)), partial[:, None] + np.zeros(size))
-        ahead = sum((suffix[starts[a] + rows[:, a], j + 1] for a in range(j)), np.zeros(len(rows)))
-        lower = grown + ahead[:, None] + suffix[starts[j]:starts[j + 1], j + 1] + pair_floor[j + 1]
-        children = (
-            np.column_stack([np.repeat(rows, size, axis=0), np.tile(np.arange(size), len(rows))]),
-            (flat[:, None] * size + np.arange(size)).ravel(),
-            grown.ravel(),
-            lower.ravel(),
-        )
-        children = [part[children[3] <= limit] for part in children]
-        step = max(1, _CHUNK // math.prod(sizes[j + 1:]))
-        for first in reversed(range(0, len(children[0]), step)):  # popped in C order
-            stack.append(tuple(part[first:first + step] for part in children))
+                best_idx = (first + int(batch[local // per_row])) * per_row + local % per_row
+                limit = min(limit, best_val + best_val * 1e-9)
     return best_idx
 
 

@@ -14,7 +14,6 @@ from pathlib import Path
 import click
 
 from .baselines import AVG_PAIRWISE, DEFAULT_COMBINATION_CAP, HULL_AREA
-from .clustering import densityk_pipeline
 from .corpus import load_corpus, load_document_file
 from .errors import DensityKError, DocumentParseError, DocumentSchemaError, InsufficientPointsError
 from .evaluation import (
@@ -187,9 +186,10 @@ def _parse_cell(text: str) -> AlgorithmConfig:
 def kfunction(input_path, output_path, delta_d, upper_bound) -> None:
     """Export a document's density curve and derived threshold as CSV: the
     curve the densityk pipeline derives its threshold from."""
+    config = _config("densityk", {"delta_d": delta_d, "upper_bound": upper_bound})
 
     def curve(doc):
-        kf = densityk_pipeline(doc, delta_d, upper_bound).diagnostics
+        kf = run_algorithm(doc, config).diagnostics
         if kf is None:  # a single candidate: no pair, no curve
             raise InsufficientPointsError("need at least 2 points, got 1")
         return kf

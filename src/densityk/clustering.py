@@ -7,7 +7,7 @@ the density curve.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,13 +248,16 @@ def densityk_pipeline(
     curve = _blocked_k_function(n, delta_d, *geo._distances_within(cloud, delta_d, upper_bound))
     kf = with_cluster_distance(curve)
     labels = _dbscan_groups(cloud, kf.cluster_distance, 1)
-    return replace(_resolve(doc, cloud, labels), diagnostics=kf)
+    return _resolve(doc, cloud, labels, kf)
 
 
-def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> DisambiguationResult:
+def _resolve(
+    doc: DocumentInput, cloud: PointCloud, labels: np.ndarray, diagnostics: KFunction | None = None
+) -> DisambiguationResult:
     """``disambiguate(doc, rank_clusters(clusters))`` for ``cloud =
     to_point_cloud(doc)`` and the clusters of the labels ``labels`` of its
-    points: the one path from labels to a result, for every algorithm.
+    points: the one path from labels to a result, for every algorithm. The
+    result carries ``diagnostics``, the density pipeline's curve, as given.
 
     The labels follow ``_dbscan_groups``: a cluster's label is the index of
     one of its points, noise is n. They come from a clusterer, or from a
@@ -303,4 +306,6 @@ def _resolve(doc: DocumentInput, cloud: PointCloud, labels: np.ndarray) -> Disam
             outcomes[mention.name] = MentionOutcome(OutcomeStatus.RESOLVED, entry_id=chosen)
         else:
             outcomes[mention.name] = MentionOutcome(OutcomeStatus.AMBIGUOUS_IN_TOP_CLUSTER)
-    return DisambiguationResult(doc_id=doc.doc_id, outcomes=outcomes, ranked_clusters=ranked)
+    return DisambiguationResult(
+        doc_id=doc.doc_id, outcomes=outcomes, ranked_clusters=ranked, diagnostics=diagnostics
+    )

@@ -449,6 +449,8 @@ def pairwise_distances(
     values = condensed_distances(points)
     if upper_bound is not None:
         values = values[values <= upper_bound]
+    elif not values.flags.writeable:  # the vector a one-block cloud keeps
+        values = values.copy()
     values.sort()
     return DistanceList(values=values, n_points=len(points), upper_bound=upper_bound)
 

@@ -348,6 +348,61 @@ class TestOmdBranchAndBound:
         assert 0 < sum(counter.evaluated) < n_combos / 100
 
 
+def sphere_document(rng, sizes: list[int], doc_id: str = "omd-sphere", tied: bool = False):
+    # candidates uniform on the sphere, far from one another, so the bound
+    # prunes little; ``tied`` puts the first mention's candidates on one spot
+    mentions = {}
+    for i, size in enumerate(sizes):
+        lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, size)))
+        mentions[f"m{i}"] = [(float(a), float(b)) for a, b in zip(lat, rng.uniform(-180.0, 180.0, size))]
+    if tied:
+        mentions["m0"] = mentions["m0"][:1] * sizes[0]
+    return make_document(doc_id, mentions)
+
+
+class TestOmdFlatPass:
+    """The prefix rows at the leaf depth, walked in C order a block at a
+    time, choose the gather enumeration's index."""
+
+    def chosen(self, doc) -> int:
+        return _omd_avg_pairwise(doc, [len(m.candidates) for m in doc.mentions])
+
+    @pytest.mark.parametrize(
+        "sizes, chunk", [([2] * 14, 1 << 10), ([2] * 14, 1 << 5), ([3] * 9, 3**6), ([3] * 9, 3**3)]
+    )
+    def test_many_mentions_of_few_candidates(self, monkeypatch, sizes, chunk):
+        # at a leaf depth of 3 or more; in every other document the candidates
+        # of the first mention coincide, so the least total ties across rows
+        assert split_point(sizes, chunk) >= 3
+        monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        rng = np.random.default_rng(len(sizes) * chunk)
+        for trial in range(4):
+            doc = sphere_document(rng, sizes, f"omd-few{trial}", tied=trial % 2 == 1)
+            assert self.chosen(doc) == gathered_omd_index(doc), trial
+
+    @pytest.mark.parametrize("block", [6, 12])
+    def test_prefix_rows_span_many_blocks(self, monkeypatch, block):
+        # BLOCK_ELEMENTS patched down so that the prefix rows fill several
+        # blocks, with candidates on a few shared spots so that totals tie
+        # across blocks, or on the sphere so that one total is least
+        chunk = 4
+        monkeypatch.setattr(baselines, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(baselines, "_CHUNK", chunk)
+        rng = np.random.default_rng(block)
+        many_blocks = 0
+        for trial in range(40):
+            sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(4, 7)))]
+            j = split_point(sizes, chunk)
+            many_blocks += math.prod(sizes[:j]) > 2 * (block // max(j, 1))
+            if trial % 2:
+                doc = sphere_document(rng, sizes, f"omd-blocks{trial}")
+            else:
+                spots = {f"m{i}": [SPOTS[k] for k in rng.integers(0, len(SPOTS), s)] for i, s in enumerate(sizes)}
+                doc = make_document(f"omd-blocks{trial}", spots)
+            assert self.chosen(doc) == gathered_omd_index(doc), (trial, sizes)
+        assert many_blocks >= 20  # half the documents or more fill three blocks or more
+
+
 class TestCentroidHeuristic:
     def test_outlier_filtered_before_final_centroid(self):
         # eleven tight points near the origin and one candidate pair where the

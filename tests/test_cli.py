@@ -187,6 +187,8 @@ class TestDisambiguateCommand:
         ["disambiguate", "--upper-bound", "nan"],
         ["kfunction", "--upper-bound", "-5"],
         ["kfunction", "--upper-bound", "nan"],
+        ["disambiguate", "--upper-bound", "inf"],
+        ["kfunction", "--upper-bound", "inf"],
         ["evaluate", "--cell", "omd", "--workers", "0"],
         ["evaluate", "--cell", "omd", "--workers", "-3"],
     ],

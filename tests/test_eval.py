@@ -384,9 +384,9 @@ class TestOneResultPath:
         calls = []
         real = clustering._resolve
 
-        def counted(doc, cloud, labels):
+        def counted(doc, *args):
             calls.append(doc.doc_id)
-            return real(doc, cloud, labels)
+            return real(doc, *args)
 
         for module in (clustering, baselines):
             monkeypatch.setattr(module, "_resolve", counted)

@@ -227,6 +227,17 @@ class TestCondensedDistances:
         pts = [GeoPoint(lat, lon) for lat, lon in random_coords(rng, 2 * ONE_BLOCK_N)]
         assert np.array_equal(pairwise_distances(pts).values, np.sort(condensed_distances(pts)))
 
+    @pytest.mark.parametrize("n", [57, ONE_BLOCK_N + 1])
+    def test_pairwise_distances_of_a_cloud_leaves_its_vector_as_it_was(self, n):
+        # a one-block cloud's kept vector is read-only and must not be sorted in place
+        cloud = make_cloud(random_coords(np.random.default_rng(n), n))
+        before = condensed_distances(cloud).copy()
+        got = pairwise_distances(cloud)
+        expected = pairwise_distances([p.location for p in cloud.points])
+        assert np.array_equal(got.values, expected.values)
+        assert got.n_points == n and got.upper_bound is None
+        assert np.array_equal(condensed_distances(cloud), before)
+
 class TestSphericalCentroid:
     def test_single_point(self):
         assert spherical_centroid([GeoPoint(10, 20)]) == GeoPoint(10, 20)
