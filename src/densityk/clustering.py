@@ -20,7 +20,6 @@ from .kfunction import (
     KFunction,
     _blocked_k_function,
     _check_delta_d,
-    with_cluster_distance,
 )
 
 
@@ -134,9 +133,12 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
     neighbour, or is noise if it has none. At ``min_pts`` 1 every point is
     core and the clusters are the single-linkage components at epsilon.
     The pairs within epsilon come a block at a time from one edge source
-    (``geo._pairs_within``) and are joined by whole-array operations
-    (:func:`_component_labels`): at ``min_pts`` 1 in one pass, otherwise
-    in two, the first counting each point's neighbours.
+    (``geo._pairs_within``): past one block only those of a band over one
+    sorted axis, or every row block where that band is wide. They are
+    joined by whole-array operations (:func:`_component_labels`): at
+    ``min_pts`` 1 in one pass, otherwise in two, the first counting each
+    point's neighbours. The labels do not depend on the order in which
+    the pairs come.
     """
     n = len(cloud)
     if n == 0:
@@ -228,9 +230,11 @@ def densityk_pipeline(
 
     The curve counts the pairs within ``upper_bound`` that one source,
     ``geo._distances_within``, yields: a small cloud's kept vector, or a
-    larger cloud's row blocks, of which no pair distance is stored. The
-    linkage joins every pair within the threshold, past ``upper_bound``
-    too, by :func:`_dbscan_groups` with ``min_pts`` 1.
+    larger cloud's row blocks, of which no pair distance is stored; it is
+    built with its threshold. The linkage joins every pair within the
+    threshold, past ``upper_bound`` too, by :func:`_dbscan_groups` with
+    ``min_pts`` 1: past one block it visits only the pairs of the
+    threshold's band (see ``geo._pairs_within``), unless that band is wide.
 
     Both parameters are checked before the document is read. A document
     whose mentions hold a single candidate in total has no pair and no
@@ -245,8 +249,7 @@ def densityk_pipeline(
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
     if n == 1:
         return _resolve(doc, cloud, np.zeros(1, dtype=np.intp))
-    curve = _blocked_k_function(n, delta_d, *geo._distances_within(cloud, delta_d, upper_bound))
-    kf = with_cluster_distance(curve)
+    kf = _blocked_k_function(n, delta_d, *geo._distances_within(cloud, delta_d, upper_bound), derive=True)
     labels = _dbscan_groups(cloud, kf.cluster_distance, 1)
     return _resolve(doc, cloud, labels, kf)
 

@@ -112,10 +112,12 @@ class PointCloud:
     """The locations of all candidates of a document, one point per candidate.
 
     The arrays the clusterers read are built from the points on first use
-    and kept: O(n) each. A cloud of at most ``geo._ONE_BLOCK_N`` (257)
-    points also keeps its n(n-1)/2 pair distances, at most 263 KB, and
-    every cloud its k-dist epsilon for each k asked; a larger cloud never
-    stores its pair distances.
+    and kept: O(n) each, among them, past one block, the points' order
+    along one axis of their half unit vectors, over which the edge source
+    finds the pairs within a limit (``geo._band``). A cloud of at most
+    ``geo._ONE_BLOCK_N`` (257) points also keeps its n(n-1)/2 pair
+    distances, at most 263 KB, and every cloud its k-dist epsilon for each
+    k asked; a larger cloud never stores its pair distances.
     """
 
     points: tuple[CloudPoint, ...] = field(default_factory=tuple)
@@ -145,6 +147,12 @@ class PointCloud:
     def _half_units(self) -> np.ndarray:
         # read by the chord kernel (geo._chord_haversines)
         return _half_unit_vectors(*self._radians)
+
+    @cached_property
+    def _band_order(self) -> tuple[int, np.ndarray]:
+        # the sort axis and the points' order along it, read by the edge
+        # source past one block (geo._band)
+        return geo._band_order(self._half_units)
 
     @cached_property
     def _id_ranks(self) -> np.ndarray:

@@ -5,12 +5,15 @@ A cloud past one row block is never held as a distance vector. The curve
 counts the rings of the blocks that ``geo._distances_within`` yields from
 its row blocks (``kfunction._count_rings``), and DBSCAN, whose
 ``min_pts=1`` case is the pipeline's single linkage, reads the pairs
-within its epsilon from the row blocks again, in one pass at ``min_pts``
-1 and two otherwise. Both go through the chord kernel
-(``geo._chord_distances`` and ``geo._chord_pairs_within``) with the
-haversine's decisions. With the blocks patched small, clouds of 10-60
-points stream through many blocks; at the real block size, the pipeline
-is checked on either side of the 257 points of one block.
+within its epsilon from one edge source, ``geo._pairs_within``, in one
+pass at ``min_pts`` 1 and two otherwise: the pairs of a band over the
+cloud's sort axis (``geo._band``), or the row blocks of every pair where
+that band is wide or the limit lies near the reach. Both go through the
+chord kernel (``geo._chord_distances`` and ``geo._chord_pairs_within``)
+with the haversine's decisions, and the band yields exactly the row
+blocks' pairs. With the blocks patched small, clouds of 10-60 points
+stream through many blocks; at the real block size, the pipeline is
+checked on either side of the 257 points of one block.
 """
 
 import contextlib
@@ -49,6 +52,7 @@ from densityk.geo import (
     _CHORD_REACH_M,
     _chord_distances,
     _chord_haversines,
+    _chord_pairs_within,
     _diameter_bound,
     _haversine_block,
     _row_blocks,
@@ -224,6 +228,115 @@ class TestStreamedEqualsExact:
         with small_blocks():
             got = outcome(streamed_curve, cloud, 100.0, 5.0)
         assert got == outcome(stored_curve, np.empty(0), len(cloud), 100.0)
+
+
+def pair_set(blocks) -> list[tuple[int, int]]:
+    # the pairs that the blocks of an edge source hold, each checked to
+    # come once and as (i, j), i < j
+    pairs = [(i, j) for ii, jj in blocks for i, j in zip(ii.tolist(), jj.tolist())]
+    assert all(i < j for i, j in pairs)
+    assert len(set(pairs)) == len(pairs)
+    return sorted(pairs)
+
+
+def row_block_pairs(cloud, limit: float) -> list[tuple[int, int]]:
+    return pair_set(
+        _chord_pairs_within(cloud._radians, cloud._half_units, r0, r1, limit) for r0, r1 in _row_blocks(len(cloud))
+    )
+
+
+# limits at and past the reach, where the band gives way to the row blocks
+PAST_REACH = [_CHORD_REACH_M - _CHORD_MARGIN_M, _CHORD_REACH_M, math.pi * EARTH_RADIUS_M]
+DEG_PER_M = math.degrees(1.0 / EARTH_RADIUS_M)
+# a chain 10 m a link along the prime meridian, astride 40 points on the
+# equator within 5 degrees of it: the sort axis is y, and every point of
+# the chain has y = 0
+TIED_CHAIN = [(k * 10.0 * DEG_PER_M, 0.0) for k in range(12)] + [(0.0, lon) for lon in np.linspace(-5, 5, 40).tolist()]
+# two pairs of antipodes, one of them nudged by under 1 mm, twice over
+ANTIPODES = [(30.0, 40.0), (-30.0, -140.0 + 1e-3 * DEG_PER_M), (0.0, 0.0), (0.0, 180.0)] * 2
+
+
+class TestBand:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        clouds(),
+        st.sampled_from(LIMITS + [None]),
+        st.sampled_from(PAST_REACH),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    # coincident points: a band of every pair, so the row blocks serve
+    @example(([(10.0, 20.0)] * 12, 100.0), 0.0, PAST_REACH[0], 0, True)
+    @example((TIED_CHAIN, 1.0), -math.inf, PAST_REACH[0], 1, True)
+    @example((TIED_CHAIN, 1.0), 0.5, PAST_REACH[0], 3, False)
+    @example((ANTIPODES, 1.0), 0.5, PAST_REACH[0], 1, False)
+    @example((ANTIPODES, 1.0), None, PAST_REACH[1], 0, True)
+    def test_band_pairs_equal_row_block_pairs(self, case, choice, past, seed, patched):
+        # The band's pairs within a limit at, next to and half the margin
+        # off a pair's distance (one of the shortest quarter, so that the
+        # band falls on either side of the switch), or at and past the
+        # reach, are the row blocks' pairs, with blocks of 16 entries and
+        # of the real size; and past one (patched) block the edge source
+        # yields them.
+        coords, _ = case
+        cloud = make_cloud(coords)
+        n = len(cloud)
+        exact = np.sort(condensed_distances(cloud))
+        pair = float(exact[int(np.random.default_rng(seed).integers(len(exact))) // 4])
+        limit = past if choice is None else near(pair, choice)
+        with small_blocks() if patched else contextlib.nullcontext():
+            want = row_block_pairs(cloud, limit)
+            band = geo._band(cloud, limit)
+            if band is not None:
+                assert limit + _CHORD_MARGIN_M < _CHORD_REACH_M
+                blocks = list(geo._band_pairs_within(cloud._radians, limit, *band))
+                assert len(blocks) == -(-int(band[2][-1]) // geo.BLOCK_ELEMENTS)
+                assert pair_set(blocks) == want
+            if patched:
+                assert n > geo._ONE_BLOCK_N
+                assert pair_set(geo._pairs_within(cloud, limit)()) == want
+
+    def test_a_wide_band_takes_the_row_blocks(self):
+        # a regional cloud at a limit that reaches most of its pairs: the
+        # band would gather more than a third of them, so the edge source
+        # reads every row block
+        rng = np.random.default_rng(8)
+        cloud = make_cloud(np.column_stack((rng.uniform(44.7, 45.3, 300), rng.uniform(6.6, 7.4, 300))).tolist())
+        n = len(cloud)
+        assert n > geo._ONE_BLOCK_N
+        assert geo._band(cloud, 5_000.0) is not None
+        assert geo._band(cloud, 50_000.0) is None
+        blocks = list(geo._pairs_within(cloud, 50_000.0)())
+        assert len(blocks) == len(list(_row_blocks(n)))
+        assert pair_set(blocks) == row_block_pairs(cloud, 50_000.0)
+
+    @pytest.mark.parametrize("min_pts", [1, 5])
+    def test_band_labels_equal_union_find(self, min_pts):
+        # at the real block size, on a cloud whose edge source is the band
+        doc, n = synth_cloud_document(20, 29, seed=4)
+        cloud = to_point_cloud(doc)
+        assert n == 600 > geo._ONE_BLOCK_N
+        epsilon = 300_000.0
+        assert geo._band(cloud, epsilon) is not None
+        want = union_find_dbscan_groups(condensed_distances(cloud).tolist(), n, epsilon, min_pts)
+        assert groups_of(_dbscan_groups(cloud, epsilon, min_pts)) == want
+
+    def test_band_gathers_in_blocks_beside_the_distance_vector(self):
+        # a band of more candidate pairs than one block holds is gathered a
+        # block at a time, and DBSCAN on it stays within the bound of
+        # TestMemory.test_dbscan_streams_beside_the_distance_vector
+        doc, n = synth_cloud_document(100, 29, seed=3)
+        cloud = to_point_cloud(doc)
+        epsilon = 300_000.0
+        band = geo._band(cloud, epsilon)
+        assert band is not None
+        candidates = int(band[2][-1])
+        assert candidates > 3 * geo.BLOCK_ELEMENTS
+        blocks = list(geo._pairs_within(cloud, epsilon)())
+        assert len(blocks) == -(-candidates // geo.BLOCK_ELEMENTS)
+        for min_pts in (1, 5):
+            _, peak = traced_peak(lambda: dbscan(cloud, epsilon, min_pts))
+            assert peak < 8 * (n * (n - 1) // 2) / 4
 
 
 class TestChordKernel:
