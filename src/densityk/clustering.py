@@ -132,10 +132,9 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
     a point that is not core joins the cluster of its smallest-index core
     neighbour, or is noise if it has none. At ``min_pts`` 1 every point is
     core and the clusters are the single-linkage components at epsilon.
-    The pairs within epsilon come a block at a time from one edge source
-    (``geo._pairs_within``): past one block only those of a band over one
-    sorted axis, or every row block where that band is wide. They are
-    joined by whole-array operations (:func:`_component_labels`): at
+    The pairs within epsilon come a block at a time, the same on every
+    call, from the edge source ``geo._pairs_within``. They are joined by
+    whole-array operations (:func:`_component_labels`): at
     ``min_pts`` 1 in one pass, otherwise in two, the first counting each
     point's neighbours. The labels do not depend on the order in which
     the pairs come.
@@ -228,13 +227,11 @@ def densityk_pipeline(
     """Full density-driven run: point cloud, pair distances, density curve,
     derived threshold, single-linkage clusters, ranking, disambiguation.
 
-    The curve counts the pairs within ``upper_bound`` that one source,
-    ``geo._distances_within``, yields: a small cloud's kept vector, or a
-    larger cloud's row blocks, of which no pair distance is stored; it is
-    built with its threshold. The linkage joins every pair within the
+    The curve, built with its threshold, counts the pair distances within
+    ``upper_bound`` that ``geo._distances_within`` yields, of which none is
+    stored past one block. The linkage joins every pair within the
     threshold, past ``upper_bound`` too, by :func:`_dbscan_groups` with
-    ``min_pts`` 1: past one block it visits only the pairs of the
-    threshold's band (see ``geo._pairs_within``), unless that band is wide.
+    ``min_pts`` 1.
 
     Both parameters are checked before the document is read. A document
     whose mentions hold a single candidate in total has no pair and no

@@ -283,7 +283,7 @@ def load_corpus(path: str | Path) -> list[DocumentInput]:
     # bytes split on the line ends text mode reads (\n, \r, \r\n)
     for number, raw in enumerate(path.read_bytes().splitlines(), 1):
         try:
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8-sig").strip()  # drops a BOM, as json.loads does on bytes
         except UnicodeDecodeError as exc:
             raise DocumentParseError(f"{path}:{number}: not UTF-8: {exc}") from exc
         if line:

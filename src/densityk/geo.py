@@ -105,10 +105,10 @@ def _haversine_arc(dphi, dlam, cos_ab, out=None) -> np.ndarray:
 # the largest distance _haversine_arc returns, for h clipped to 1
 _MAX_DISTANCE_M = 2.0 * EARTH_RADIUS_M * math.asin(1.0)
 
-# Elements of one row block of condensed_distances. It bounds the block's
-# temporaries to about 0.5 MB each, whatever the number of points; smaller
-# blocks stay in cache and ran faster than blocks of a few 10^5 elements
-# (2-vCPU Xeon with AVX-512, numpy 2.4).
+# Elements of one block, the step of every block-at-a-time pass. It
+# bounds a block's temporaries to about 0.5 MB each, whatever the number
+# of points; smaller blocks stay in cache and ran faster than blocks of a
+# few 10^5 elements (2-vCPU Xeon with AVX-512, numpy 2.4).
 BLOCK_ELEMENTS = 1 << 16
 
 # The most points whose pairs condensed_distances computes in one block.
@@ -375,12 +375,10 @@ def _pairs_within(cloud: PointCloud, limit: float):
     """The edge source: a function whose every call yields each pair (i, j),
     i < j, of the cloud's points within ``limit`` (haversine) once, as index
     arrays a block at a time: the pairs of the vector a one-block cloud
-    keeps (see :func:`condensed_distances`), found once; past one block the
-    pairs of the band of ``limit`` (see :func:`_band`), or, where the band
-    holds more than a third of the pairs or ``limit`` lies within the
-    margin of the reach or past it, the row blocks of every pair; both go
-    through the chord kernel, found anew on each call, and yield the same
-    pairs.
+    keeps (see :func:`condensed_distances`), found once; past one block
+    those of the band of ``limit``, or of every row block where
+    :func:`_band` gives none, through the chord kernel, found anew on each
+    call. Both yield the same pairs.
     """
     n = len(cloud)
     if n <= _ONE_BLOCK_N:

@@ -32,13 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPointsError
-from .geo import DistanceList
+from .geo import BLOCK_ELEMENTS, DistanceList
 
 DEFAULT_DELTA_D_M = 100.0
 MAX_RING_INDEX = 2**53
 
-# the distances one step of the ring count reads
-_COUNT_BLOCK = 1 << 16
 # the fewest ring indices a sparse ring count merges at once
 _MERGE_RINGS = 1 << 20
 # the rings one step of the curve's arithmetic computes: its temporaries
@@ -182,12 +180,12 @@ def compute_k_function(
 
     The distances need not be sorted: the ring counts do not depend on
     their order. They go to :func:`_blocked_k_function` in slices of
-    ``_COUNT_BLOCK`` distances, so no copy of them is made.
+    ``geo.BLOCK_ELEMENTS`` distances, so no copy of them is made.
     ``cluster_distance`` is left unset; see :func:`derive_cluster_distance`.
     """
     values = distances.values
     largest = float(values.max()) if len(values) else 0.0
-    blocks = (values[start : start + _COUNT_BLOCK] for start in range(0, len(values), _COUNT_BLOCK))
+    blocks = (values[start : start + BLOCK_ELEMENTS] for start in range(0, len(values), BLOCK_ELEMENTS))
     return _blocked_k_function(n_points, delta_d, blocks, largest, len(values))
 
 

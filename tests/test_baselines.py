@@ -120,6 +120,20 @@ class TestOmd:
             "c": "c_e0",
         }
 
+    def test_every_hull_degenerate_picks_the_first_combination(self):
+        # candidates on one meridian: every hull has area 0, while the mean
+        # pairwise distance picks a later combination
+        doc = make_document(
+            "meridian",
+            {
+                "a": [(0, 10), (40, 10)],
+                "b": [(40.1, 10), (0.1, 10)],
+                "c": [(40.2, 10), (0.2, 10)],
+            },
+        )
+        assert chosen_ids(omd(doc, measure="hull_area")) == {"a": "a_e0", "b": "b_e0", "c": "c_e0"}
+        assert chosen_ids(omd(doc)) == {"a": "a_e0", "b": "b_e1", "c": "c_e1"}
+
     def test_result_has_single_rank1_cluster(self):
         doc = make_document("omd5", {"a": [(0, 0)], "b": [(1, 1)]})
         result = omd(doc)
@@ -653,6 +667,13 @@ class TestMentionWithoutCandidates:
         doc = make_document("z", {"a": [(0, 0)], "b": []})
         with pytest.raises(EmptyInputError, match="document 'z': mention 'b' has no candidates"):
             run_algorithm(doc, config)
+
+    @pytest.mark.parametrize(
+        "heuristic, message", [(omd, "document 'z' has no mentions"), (centroid_heuristic, "document 'z' has no candidates")]
+    )
+    def test_no_mentions_is_an_empty_input(self, heuristic, message):
+        with pytest.raises(EmptyInputError, match=message):
+            heuristic(make_document("z", {}))
 
 
 class TestDisambiguatingWrappers:

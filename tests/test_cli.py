@@ -262,6 +262,27 @@ def test_unwritable_output_exits_1_with_one_error_line(runner, corpus_dir, doc_p
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["disambiguate", "--input", "{empty}"], "cannot read {empty}: "),
+        (["evaluate", "--cell", "centroid", "--corpus", "{missing}"], "cannot read corpus {missing}: "),
+        (["evaluate", "--cell", "centroid", "--corpus", "{empty}"], "corpus {empty} holds no documents\n"),
+    ],
+    ids=["directory-input", "missing-corpus", "empty-corpus"],
+)
+def test_unreadable_input_exits_1_with_one_error_line(runner, tmp_path, args, message):
+    # a directory where a document is read, a missing corpus, and a directory of no documents
+    paths = {"empty": tmp_path / "empty", "missing": tmp_path / "missing.jsonl"}
+    paths["empty"].mkdir()
+    result = runner.invoke(main, [arg.format(**paths) for arg in args] + ["--output", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: " + message.format(**paths))
+    assert result.output.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 class TestEvaluateCommand:
     def test_explicit_cells(self, runner, corpus_dir, tmp_path):
         out = tmp_path / "report.json"
@@ -544,6 +565,16 @@ class TestSynthCommand:
         assert runner.invoke(main, args + ["--output", str(b)]).exit_code == 0
         for name in ("doc0000.json", "doc0001.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_decoys_that_cannot_be_placed_exit_2(self, runner, tmp_path):
+        # no point lies 21,000 km from the context, so every attempt is rejected
+        with mock.patch("densityk.synth.MAX_REJECTION_ATTEMPTS", 5):
+            result = runner.invoke(
+                main, ["synth", "--output", str(tmp_path / "x"), "--n-docs", "1", "--decoy-distance", "2.1e7"]
+            )
+        assert result.exit_code == 2
+        assert result.output == "error: doc0000/place_0: no admissible decoy in 5 attempts\n"
+        assert not (tmp_path / "x").exists()
 
     def test_bad_decoy_range_exits_1(self, runner, tmp_path):
         result = runner.invoke(

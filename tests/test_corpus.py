@@ -204,6 +204,16 @@ class TestLoadCorpus:
         path.write_bytes(end.join(lines) + end + b"  " + end)
         assert [d.doc_id for d in load_corpus(path)] == ["d0", "d1"]
 
+    def test_leading_bom_loads_both_ways(self, tmp_path):
+        # a document that starts with a UTF-8 BOM, as a directory's file and as a JSON-lines corpus
+        data = b"\xef\xbb\xbf" + json.dumps(doc_fixture()).encode()
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "d1.json").write_bytes(data)
+        (tmp_path / "corpus.jsonl").write_bytes(data + b"\n")
+        want = [load_document(json.dumps(doc_fixture()))]
+        assert load_corpus(tmp_path / "dir") == want
+        assert load_corpus(tmp_path / "corpus.jsonl") == want
+
     def test_bad_file_in_directory_is_named(self, tmp_path):
         for i in range(3):
             (tmp_path / f"{i}.json").write_text(json.dumps(dict(doc_fixture(), doc_id=f"d{i}")))

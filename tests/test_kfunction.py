@@ -169,7 +169,7 @@ class TestRingCounts:
     @settings(max_examples=60, deadline=None)
     def test_equal_unique_on_both_sides_of_the_span_rule(self, narrow, data, block):
         values, delta_d = data.draw(ring_values(narrow))
-        with mock.patch.object(kfunction, "_COUNT_BLOCK", block):
+        with mock.patch.object(kfunction, "BLOCK_ELEMENTS", block):
             kf, dense, (occupied, counts) = counted_curve(values, 5, delta_d)
         assume(dense == narrow)
         want_rings, want_counts = unique_ring_counts(values, delta_d)
@@ -235,6 +235,11 @@ class TestDeriveClusterDistance:
         )
         assert kf.cluster_distance in kf.distances_m
 
+    def test_curve_without_samples_raises(self):
+        empty = KFunction(delta_d=100.0, distances_m=np.empty(0), densities=np.empty(0))
+        with pytest.raises(InsufficientPointsError, match="density curve has no samples"):
+            derive_cluster_distance(empty)
+
 
 class TestCircularKFunction:
     def test_samples_every_step_after_first(self):
@@ -246,6 +251,10 @@ class TestCircularKFunction:
         # disk at 200 m holds one pair, disk at 1000 m holds both
         assert kf.densities[0] == pytest.approx(2 * 1 / (3 * math.pi * 200.0**2), rel=1e-12)
         assert kf.densities[-1] == pytest.approx(2 * 2 / (3 * math.pi * 1000.0**2), rel=1e-12)
+
+    def test_empty_list_raises(self):
+        with pytest.raises(InsufficientPointsError, match="distance list is empty"):
+            compute_circular_k_function(dl([], 3), 3)
 
     def test_smoother_than_annular_on_two_scale_data(self):
         values = [30, 40, 50, 5000, 5010, 5020]
