@@ -13,7 +13,6 @@ import numpy as np
 
 from .clustering import (
     DisambiguationResult,
-    _check_min_pts,
     _dbscan_groups,
     _resolve,
     dbscan,  # noqa: F401  (kept importable from here with the other clusterers)
@@ -34,10 +33,9 @@ from .geo import (
     haversine,
     spherical_centroid,
 )
+from .params import AVG_PAIRWISE, HULL_AREA, K, MEASURE, MIN_PTS
 
 DEFAULT_COMBINATION_CAP = 10**6
-AVG_PAIRWISE = "avg_pairwise"
-HULL_AREA = "hull_area"
 
 # candidates closer to the reference point than this are treated as tied
 TIE_TOLERANCE_M = 1e-3
@@ -222,6 +220,7 @@ def omd(
     enumeration. ``cap`` limits the number of combinations, the product of
     the mentions' candidate counts, and is checked before the search.
     """
+    MEASURE.check(measure)
     if len(doc.mentions) == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no mentions")
     _require_candidates(doc)
@@ -231,8 +230,6 @@ def omd(
         raise CombinationExplosionError(
             f"document {doc.doc_id!r}: {n_combos} combinations exceed cap {cap}"
         )
-    if measure not in (AVG_PAIRWISE, HULL_AREA):
-        raise ValueError(f"unknown omd measure {measure!r}")
     if len(doc.mentions) == 1:
         # zero pairs, measure vacuous: first candidate wins
         return _resolve_selection(doc, [0])
@@ -315,8 +312,7 @@ def kdist_epsilon(cloud: PointCloud, k: int) -> float:
     excluded) and returns mean + 2*std of those values. The cloud keeps
     the value for each k; the arguments are checked on every call.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    K.check(k)
     if len(cloud) <= k:
         raise InsufficientPointsError(f"need more than {k} points, got {len(cloud)}")
     k = operator.index(k)  # a kept value answers only an integer k, as np.partition does
@@ -336,7 +332,7 @@ def dbscan_disambiguate(doc: DocumentInput, epsilon: float, min_pts: int) -> Dis
 def kdist_disambiguate(doc: DocumentInput, k: int, min_pts: int) -> DisambiguationResult:
     """DBSCAN with the auto-derived epsilon; ``min_pts`` is checked before
     epsilon is derived."""
-    _check_min_pts(min_pts)
+    MIN_PTS.check(min_pts)
     cloud = to_point_cloud(doc)
     epsilon = kdist_epsilon(cloud, k)
     if epsilon == 0:

@@ -32,6 +32,7 @@ from .export import (
     to_canonical_json,
 )
 from .kfunction import DEFAULT_DELTA_D_M
+from .params import WORKERS
 from .synth import SynthSpec, synth_generate, write_corpus
 
 _INPUT_ERRORS = (DocumentParseError, DocumentSchemaError)
@@ -65,7 +66,7 @@ def _config(algorithm: str, flags: dict) -> AlgorithmConfig:
 
 def _on_document(input_path: Path, stage):
     """Load one document and return ``stage(doc)``, exiting 1 on bad input
-    or a bad parameter value and 2 on an algorithm error."""
+    or a ``delta_d`` past its ring limits and 2 on an algorithm error."""
     try:
         doc = load_document_file(input_path)
     except _INPUT_ERRORS as exc:
@@ -74,7 +75,7 @@ def _on_document(input_path: Path, stage):
         _fail(1, f"cannot read {input_path}: {exc}")
     try:
         return stage(doc)
-    except ValueError as exc:
+    except ValueError as exc:  # delta_d past the ring limits of this document's distances
         _fail(1, f"{input_path}: {exc}")
     except DensityKError as exc:
         _fail(2, f"{input_path}: {exc}")
@@ -136,6 +137,10 @@ def evaluate(corpus_path, output_path, grid_name, cells, csv_path, workers) -> N
     if not configs:
         _fail(1, "no cells to evaluate; pass --grid or --cell")
     try:
+        WORKERS.check(workers)
+    except ValueError as exc:
+        _fail(1, str(exc))
+    try:
         docs = load_corpus(corpus_path)
     except _INPUT_ERRORS as exc:
         _fail(1, str(exc))
@@ -148,7 +153,7 @@ def evaluate(corpus_path, output_path, grid_name, cells, csv_path, workers) -> N
         _fail(1, f"documents without ground truth cannot be evaluated: {missing[:5]}")
     try:
         report = evaluate_corpus(docs, configs, workers=workers)
-    except ValueError as exc:
+    except ValueError as exc:  # a cell's delta_d past the ring limits of a document
         _fail(1, str(exc))
     with _writing(output_path):
         output_path.write_text(to_canonical_json(report_to_dict(report)), encoding="utf-8")

@@ -15,12 +15,8 @@ from . import geo
 from .corpus import CloudPoint, DocumentInput, PointCloud, to_point_cloud
 from .errors import EmptyInputError
 from .geo import condensed_distances
-from .kfunction import (
-    DEFAULT_DELTA_D_M,
-    KFunction,
-    _blocked_k_function,
-    _check_delta_d,
-)
+from .kfunction import DEFAULT_DELTA_D_M, KFunction, _blocked_k_function
+from .params import DELTA_D, EPSILON, MIN_PTS, UPPER_BOUND
 
 
 @dataclass(frozen=True)
@@ -118,11 +114,6 @@ def dbscan(cloud: PointCloud, epsilon: float, min_pts: int) -> list[Cluster]:
     return [Cluster(members=tuple(g)) for g in groups.values()]
 
 
-def _check_min_pts(min_pts: int) -> None:
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-
-
 def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarray:
     """The DBSCAN cluster of each point of the cloud: the smallest index of
     a core point in it, or n for a noise point.
@@ -142,9 +133,8 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
     n = len(cloud)
     if n == 0:
         raise EmptyInputError("cannot cluster an empty cloud")
-    if not epsilon > 0:  # NaN too
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    _check_min_pts(min_pts)
+    EPSILON.check(epsilon)
+    MIN_PTS.check(min_pts)
     pairs = geo._pairs_within(cloud, epsilon)
     label = np.arange(n)
     if min_pts == 1:
@@ -237,9 +227,9 @@ def densityk_pipeline(
     whose mentions hold a single candidate in total has no pair and no
     density curve: that candidate is its own cluster and resolves.
     """
-    if not (upper_bound is None or upper_bound >= 0):
-        raise ValueError(f"upper_bound must be >= 0, got {upper_bound}")
-    _check_delta_d(delta_d)
+    if upper_bound is not None:
+        UPPER_BOUND.check(upper_bound)
+    DELTA_D.check(delta_d)
     cloud = to_point_cloud(doc)
     n = len(cloud)
     if n == 0:

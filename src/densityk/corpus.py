@@ -27,6 +27,7 @@ import numpy as np
 from . import geo
 from .errors import DocumentParseError, DocumentSchemaError
 from .geo import GeoPoint, _half_unit_vectors, _radian_arrays, haversine
+from .params import RADIUS
 
 DEFAULT_DEDUPE_RADIUS_M = 50.0
 
@@ -416,8 +417,7 @@ def dedupe_candidates(
     ``radius`` meters of an earlier survivor. Idempotent; survivor order is
     the input order.
     """
-    if not radius >= 0:  # NaN too: nothing is within it of anything
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    RADIUS.check(radius)
     survivors: list[CandidateEntry] = []
     for cand in mention.candidates:
         if all(haversine(cand.location, s.location) > radius for s in survivors):

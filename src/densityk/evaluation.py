@@ -10,72 +10,36 @@ macro (unweighted per-document) averages.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .baselines import (
-    AVG_PAIRWISE,
-    HULL_AREA,
-    centroid_heuristic,
-    dbscan_disambiguate,
-    dtur,
-    kdist_disambiguate,
-    omd,
-)
+from .baselines import centroid_heuristic, dbscan_disambiguate, dtur, kdist_disambiguate, omd
 from .clustering import DisambiguationResult, densityk_pipeline
 from .corpus import DocumentInput
 from .errors import DensityKError, MissingTruthError
 from .geo import haversine
+from .params import CAP, DELTA_D, EPSILON, K, MEASURE, MIN_PTS, UPPER_BOUND, WORKERS, Param
 
 ParamsTuple = tuple[tuple[str, float | int | str], ...]
 
 
-@dataclass(frozen=True)
-class Param:
-    """One algorithm parameter. A run receives ``kind(value)``; range checks
-    are the algorithm's own."""
-
-    kind: type  # float, int or str
-    required: bool = False
-    choices: tuple[str, ...] = ()  # the values a str parameter may take
-
-    def check(self, where: str, value) -> None:
-        if self.kind is str:
-            if value not in self.choices:
-                raise ValueError(f"{where} must be one of {', '.join(self.choices)}; got {value!r}")
-            return
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):  # not a number, or an int beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"{where} must be a finite number, got {value!r}")
-        if self.kind is int and value != int(value):
-            raise ValueError(f"{where} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
 class Algorithm:
-    """An entry point, called as ``run(doc, **params)``, and its parameters."""
+    """An entry point, called as ``run(doc, **params)``, and by name the
+    parameters it checks its arguments with."""
 
-    run: Callable[..., DisambiguationResult]
-    params: dict[str, Param]
+    def __init__(self, run: Callable[..., DisambiguationResult], *params: Param) -> None:
+        self.run = run
+        self.params = {param.name: param for param in params}
 
 
 ALGORITHMS: dict[str, Algorithm] = {
-    "densityk": Algorithm(densityk_pipeline, {"delta_d": Param(float), "upper_bound": Param(float)}),
-    "dbscan": Algorithm(
-        dbscan_disambiguate,
-        {"epsilon": Param(float, required=True), "min_pts": Param(int, required=True)},
-    ),
-    "kdist": Algorithm(
-        kdist_disambiguate, {"k": Param(int, required=True), "min_pts": Param(int, required=True)}
-    ),
-    "omd": Algorithm(omd, {"measure": Param(str, choices=(AVG_PAIRWISE, HULL_AREA)), "cap": Param(int)}),
-    "centroid": Algorithm(centroid_heuristic, {}),
-    "dtur": Algorithm(dtur, {}),
+    "densityk": Algorithm(densityk_pipeline, DELTA_D, UPPER_BOUND),
+    "dbscan": Algorithm(dbscan_disambiguate, EPSILON, MIN_PTS),
+    "kdist": Algorithm(kdist_disambiguate, K, MIN_PTS),
+    "omd": Algorithm(omd, MEASURE, CAP),
+    "centroid": Algorithm(centroid_heuristic),
+    "dtur": Algorithm(dtur),
 }
 
 
@@ -85,7 +49,9 @@ class AlgorithmConfig:
 
     Construction checks the name and every parameter against ``ALGORITHMS``
     and raises ``ValueError`` for an unknown name or parameter, a parameter
-    given twice, a missing required parameter or a value of the wrong type.
+    given twice, a missing required parameter or a bad value (see
+    :meth:`~densityk.params.Param.validate`; a value outside the domain gets
+    the entry point's message after the algorithm's name).
     """
 
     algorithm: str
@@ -106,7 +72,7 @@ class AlgorithmConfig:
             if name in seen:
                 raise ValueError(f"{self.algorithm} parameter {name!r} is given twice")
             seen.add(name)
-            spec.check(f"{self.algorithm} {name}", value)
+            spec.validate(value, f"{self.algorithm} ")
         missing = [name for name, spec in entry.params.items() if spec.required and name not in seen]
         if missing:
             raise ValueError(f"{self.algorithm} requires {' and '.join(missing)}")
@@ -214,7 +180,7 @@ def _evaluate_cell(
             return score_document(run_algorithm(doc, config), doc), None
         except DensityKError as exc:
             return None, (doc.doc_id, f"{type(exc).__name__}: {exc}")
-        except ValueError as exc:  # a parameter value out of the algorithm's range
+        except ValueError as exc:  # delta_d past the ring limits of this document's distances
             raise ValueError(f"cell {config.key}: {exc}") from exc
 
     if workers > 1:
@@ -240,8 +206,7 @@ def evaluate_corpus(
     never abort the run. Output is keyed by configuration, so worker count
     and completion order cannot change the report.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    WORKERS.check(workers)
     docs = sorted(docs, key=lambda d: d.doc_id)
     cells = tuple(_evaluate_cell(docs, config, workers) for config in configs)
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateCentroidError, EmptyInputError
+from .params import UPPER_BOUND
 
 if TYPE_CHECKING:
     from .corpus import PointCloud
@@ -536,8 +537,8 @@ def pairwise_distances(
     When ``upper_bound`` is given, only pairs at distance <= upper_bound are
     kept; otherwise the result has exactly n(n-1)/2 entries.
     """
-    if not (upper_bound is None or upper_bound >= 0):
-        raise ValueError(f"upper_bound must be >= 0, got {upper_bound}")
+    if upper_bound is not None:
+        UPPER_BOUND.check(upper_bound)
     if len(points) == 0:
         raise EmptyInputError("pairwise_distances needs at least one point")
     values = condensed_distances(points)

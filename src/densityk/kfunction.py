@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InsufficientPointsError
 from .geo import BLOCK_ELEMENTS, DistanceList
+from .params import DELTA_D
 
 DEFAULT_DELTA_D_M = 100.0
 MAX_RING_INDEX = 2**53
@@ -61,15 +62,10 @@ class KFunction:
         return list(zip(self.distances_m.tolist(), self.densities.tolist()))
 
 
-def _check_delta_d(delta_d: float) -> None:
-    if not (math.isfinite(delta_d) and delta_d > 0):
-        raise ValueError(f"delta_d must be a positive finite number, got {delta_d}")
-
-
 def _check_curve_args(n_points: int, delta_d: float) -> None:
     if n_points < 2:
         raise InsufficientPointsError(f"need at least 2 points, got {n_points}")
-    _check_delta_d(delta_d)
+    DELTA_D.check(delta_d)
 
 
 def _check_ring_limit(largest: float, delta_d: float) -> None:

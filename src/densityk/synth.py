@@ -19,14 +19,26 @@ import numpy as np
 from .corpus import CandidateEntry, DocumentInput, PlaceMention, document_to_json
 from .errors import RejectionOverflowError
 from .geo import EARTH_RADIUS_M, GeoPoint, haversine
+from .params import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE_FINITE, Param
 
 MAX_REJECTION_ATTEMPTS = 10**6
+
+_FIELDS = (
+    Param("n_docs", int, AT_LEAST_ONE),
+    Param("mentions_per_doc", int, AT_LEAST_ONE),
+    Param("context_radius", float, POSITIVE_FINITE),
+    Param("min_decoy_separation", float, NON_NEGATIVE),
+    Param("min_decoy_distance_from_context", float, NON_NEGATIVE),
+)
+_LEAST_DECOYS = Param("decoys_per_mention[0]", int, NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator configuration. The two separation minima must be much
-    larger than the context radius for the planted-recovery guarantee."""
+    larger than the context radius for the planted-recovery guarantee.
+    Construction raises ``ValueError`` for a field out of range, a reversed
+    decoy range, or decoys asked for that no point lies far enough out for."""
 
     n_docs: int = 100
     mentions_per_doc: int = 5
@@ -37,21 +49,15 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for param in _FIELDS:
+            param.validate(getattr(self, param.name))
         lo, hi = self.decoys_per_mention
-        if self.n_docs < 1:
-            raise ValueError(f"n_docs must be >= 1, got {self.n_docs}")
-        if self.mentions_per_doc < 1:
-            raise ValueError(f"mentions_per_doc must be >= 1, got {self.mentions_per_doc}")
-        if lo > hi or lo < 0:
-            raise ValueError(
-                f"decoys_per_mention must be (lo, hi) with 0 <= lo <= hi, got {self.decoys_per_mention}"
-            )
-        if not (math.isfinite(self.context_radius) and self.context_radius > 0):
-            raise ValueError(f"context_radius must be positive and finite, got {self.context_radius}")
-        for name in ("min_decoy_separation", "min_decoy_distance_from_context"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        _LEAST_DECOYS.validate(lo)
+        if lo > hi:
+            raise ValueError(f"decoys_per_mention must be (lo, hi) with lo <= hi, got {self.decoys_per_mention}")
+        reach = self.min_decoy_distance_from_context + self.context_radius
+        if hi > 0 and reach >= math.pi * EARTH_RADIUS_M:  # half the globe
+            raise ValueError(f"no decoy can be placed: no point lies {reach} m (min_decoy_distance_from_context + context_radius) from the context")
 
 
 def _uniform_sphere(rng: np.random.Generator) -> GeoPoint:

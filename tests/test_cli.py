@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -17,7 +18,8 @@ from densityk import (
 )
 from densityk.cli import main
 from densityk.corpus import document_to_json, to_point_cloud
-from densityk.evaluation import ALGORITHMS
+from densityk.evaluation import ALGORITHMS, AlgorithmConfig
+from densityk.params import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, POSITIVE_FINITE
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_document
 from test_corpus import M_PER_DEG
@@ -209,8 +211,8 @@ def test_bad_value_exits_1_with_one_error_line(runner, corpus_dir, doc_path, tmp
 ONE_CANDIDATE = {"a": [(0, 0)]}
 COINCIDENT = {f"m{i}": [(10, 20)] for i in range(4)}  # the k=2 auto-epsilon is 0
 SPREAD = {f"m{i}": [(10, 20 + i)] for i in range(4)}
-DELTA_D_MESSAGE = "delta_d must be a positive finite number, got -1.0"
-MIN_PTS_MESSAGE = "min_pts must be >= 1, got 0"
+DELTA_D_MESSAGE = "densityk delta_d must be a positive finite number, got -1.0"
+MIN_PTS_MESSAGE = "kdist min_pts must be >= 1, got 0"
 
 
 @pytest.mark.parametrize(
@@ -230,7 +232,50 @@ def test_bad_value_exits_1_whatever_the_document(runner, tmp_path, args, mention
     path.write_text(document_to_json(make_document("doc", mentions)))
     result = runner.invoke(main, args + ["--input", str(path), "--output", str(tmp_path / "out")])
     assert result.exit_code == 1
-    assert result.output == f"error: {path}: {message}\n"
+    assert result.output == f"error: {message}\n"
+
+
+# a value just outside each numeric domain; a str parameter gets the CLI's
+# own spelling of a measure, which the registry does not take
+OUTSIDE = {POSITIVE_FINITE: 0.0, POSITIVE: 0.0, NON_NEGATIVE: -1e-9, AT_LEAST_ONE: 0}
+REQUIRED_VALUES = {"epsilon": 2000.0, "min_pts": 1, "k": 2}
+
+
+@pytest.mark.parametrize(
+    "algorithm, param, value",
+    [
+        (algorithm, param, value)
+        for algorithm, entry in ALGORITHMS.items()
+        for param in entry.params.values()
+        if param.domain is not None
+        for value in ("hull" if param.kind is str else OUTSIDE[param.domain], math.nan)
+    ],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_a_value_outside_a_domain_is_one_message_before_any_read(runner, tmp_path, algorithm, param, value):
+    # the registry gives the entry point's own message after the algorithm's
+    # name, and the CLI prints it before it looks for the input or corpus
+    entry = ALGORITHMS[algorithm]
+    params = {name: REQUIRED_VALUES[name] for name, p in entry.params.items() if p.required}
+    params[param.name] = value
+    with pytest.raises(ValueError) as library:
+        entry.run(planted_doc(), **params)
+    message = f"{algorithm} {library.value}"
+    with pytest.raises(ValueError) as registry:
+        AlgorithmConfig(algorithm, tuple(params.items()))
+    assert str(registry.value) == message
+
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    cell = f"{algorithm}:" + ",".join(f"{name}={v}" for name, v in params.items())
+    result = runner.invoke(main, ["evaluate", "--cell", cell, "--corpus", str(missing), "--output", str(out)])
+    assert (result.exit_code, result.output) == (1, f"error: bad --cell {cell!r}: {message}\n")
+    if param.kind is float or (param.kind is int and isinstance(value, int)):  # a value the flag's type takes
+        flags = [f"--{name.replace('_', '-')}={v}" for name, v in params.items()]
+        commands = [["disambiguate", "--algorithm", algorithm], ["clusters", "--algorithm", algorithm]]
+        for command in commands + ([["kfunction"]] if algorithm == "densityk" else []):
+            result = runner.invoke(main, [*command, *flags, "--input", str(missing), "--output", str(out)])
+            assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -268,8 +313,9 @@ def test_unwritable_output_exits_1_with_one_error_line(runner, corpus_dir, doc_p
         (["disambiguate", "--input", "{empty}"], "cannot read {empty}: "),
         (["evaluate", "--cell", "centroid", "--corpus", "{missing}"], "cannot read corpus {missing}: "),
         (["evaluate", "--cell", "centroid", "--corpus", "{empty}"], "corpus {empty} holds no documents\n"),
+        (["evaluate", "--cell", "centroid", "--workers", "0", "--corpus", "{missing}"], "workers must be >= 1, got 0\n"),
     ],
-    ids=["directory-input", "missing-corpus", "empty-corpus"],
+    ids=["directory-input", "missing-corpus", "empty-corpus", "workers-before-missing-corpus"],
 )
 def test_unreadable_input_exits_1_with_one_error_line(runner, tmp_path, args, message):
     # a directory where a document is read, a missing corpus, and a directory of no documents
@@ -567,11 +613,10 @@ class TestSynthCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_decoys_that_cannot_be_placed_exit_2(self, runner, tmp_path):
-        # no point lies 21,000 km from the context, so every attempt is rejected
+        # no three points lie 15,000 km apart pairwise, so not every decoy finds a place
+        args = ["--n-docs", "1", "--mentions", "1", "--decoys-min", "3", "--decoys-max", "3", "--decoy-separation", "1.5e7"]
         with mock.patch("densityk.synth.MAX_REJECTION_ATTEMPTS", 5):
-            result = runner.invoke(
-                main, ["synth", "--output", str(tmp_path / "x"), "--n-docs", "1", "--decoy-distance", "2.1e7"]
-            )
+            result = runner.invoke(main, ["synth", "--output", str(tmp_path / "x"), *args])
         assert result.exit_code == 2
         assert result.output == "error: doc0000/place_0: no admissible decoy in 5 attempts\n"
         assert not (tmp_path / "x").exists()
@@ -589,6 +634,7 @@ class TestSynthCommand:
             ["--n-docs", "-1"],
             ["--mentions", "0"],
             ["--context-radius", "-5"],
+            ["--decoy-distance", "2.1e7"],  # no point lies 21,000 km from the context
         ],
         ids=" ".join,
     )

@@ -1,10 +1,11 @@
 import csv
 import io
+import re
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densityk import (
@@ -274,17 +275,23 @@ class TestAlgorithmConfig:
             max_size=3,
         ),
     )
+    @example("densityk", [("delta_d", -1)])
+    @example("kdist", [("k", 0), ("min_pts", 1)])
+    @example("densityk", [("delta_d", 1e-300)])
     @settings(max_examples=200, deadline=None)
     def test_constructs_or_raises_value_error(self, algorithm, params):
         try:
             config = AlgorithmConfig(algorithm, tuple(params))
         except ValueError:
             return
-        # a config that exists runs, or fails with a range or algorithm error
+        # a config that exists runs, or fails with an algorithm error or a
+        # ring limit of the document's distances, never a parameter range
         try:
             run_algorithm(planted_corpus()[0], config)
-        except (ValueError, DensityKError):
+        except DensityKError:
             pass
+        except ValueError as exc:
+            assert re.match(r"delta_d \S+ is too (small|large): ", str(exc)), exc
 
 
 class TestRunAlgorithm:
@@ -316,12 +323,16 @@ class TestRunAlgorithm:
             run_algorithm(planted_corpus()[0], AlgorithmConfig("dbscan"))
 
     def test_range_error_names_the_cell(self):
-        with pytest.raises(ValueError, match="cell densityk:delta_d=0"):
-            evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("delta_d", 0),))])
+        # a range is refused when the cell is built; a ring limit, which
+        # depends on the document's distances, names the cell
+        with pytest.raises(ValueError, match="^densityk delta_d must be a positive finite number, got 0$"):
+            AlgorithmConfig("densityk", (("delta_d", 0),))
+        with pytest.raises(ValueError, match="^cell densityk:delta_d=1e-300: delta_d 1e-300 is too small"):
+            evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("delta_d", 1e-300),))])
 
     def test_negative_upper_bound_names_the_cell(self):
-        with pytest.raises(ValueError, match="cell densityk:upper_bound=-5: upper_bound must be >= 0"):
-            evaluate_corpus(planted_corpus(), [AlgorithmConfig("densityk", (("upper_bound", -5),))])
+        with pytest.raises(ValueError, match="^densityk upper_bound must be >= 0, got -5$"):
+            AlgorithmConfig("densityk", (("upper_bound", -5),))
 
     def test_one_distance_vector_per_clustering_run(self, monkeypatch, default_corpus):
         # each clusterer reads its groups, (k-dist) its epsilon and the

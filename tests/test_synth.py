@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from densityk import (
+    EARTH_RADIUS_M,
     GeoPoint,
     OutcomeStatus,
     RejectionOverflowError,
@@ -138,15 +139,29 @@ class TestSeparationGuarantees:
             expected = all(haversine(p, t) >= separation for t in taken)
             assert _clear_of(p, taken, vectors, separation) is expected
 
-    def test_rejection_overflow(self):
+    def test_rejection_overflow(self, monkeypatch):
+        # each decoy can lie far enough from the context, but no three points
+        # on the sphere lie 15,000 km apart pairwise (120 degrees, 13,343 km, at most)
         impossible = SynthSpec(
             n_docs=1,
             mentions_per_doc=1,
-            decoys_per_mention=(1, 1),
-            min_decoy_distance_from_context=2.5e7,  # beyond any great-circle arc
+            decoys_per_mention=(3, 3),
+            min_decoy_separation=1.5e7,
         )
+        monkeypatch.setattr("densityk.synth.MAX_REJECTION_ATTEMPTS", 1000)
         with pytest.raises(RejectionOverflowError):
             synth_generate(impossible)
+
+    def test_decoys_beyond_half_the_globe_are_refused(self):
+        # a decoy must lie min_decoy_distance_from_context + context_radius
+        # from the context, and no point lies farther than pi * R
+        half = math.pi * EARTH_RADIUS_M
+        with pytest.raises(ValueError, match="^no decoy can be placed: "):
+            SynthSpec(min_decoy_distance_from_context=half - SynthSpec.context_radius)
+        with pytest.raises(ValueError, match="^no decoy can be placed: "):
+            SynthSpec(decoys_per_mention=(0, 1), min_decoy_distance_from_context=2.5e7)
+        SynthSpec(min_decoy_distance_from_context=half - SynthSpec.context_radius - 1.0)
+        SynthSpec(decoys_per_mention=(0, 0), min_decoy_distance_from_context=2.5e7)
 
 
 class TestRecoverability:
