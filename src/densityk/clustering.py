@@ -127,8 +127,11 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
     call, from the edge source ``geo._pairs_within``. They are joined by
     whole-array operations (:func:`_component_labels`): at
     ``min_pts`` 1 in one pass, otherwise in two, the first counting each
-    point's neighbours. The labels do not depend on the order in which
-    the pairs come.
+    point's neighbours. The second pass reads the first's blocks again
+    where they hold at most ``geo.BLOCK_ELEMENTS`` pairs in all, and
+    otherwise asks the source anew, so no more than a block's worth of
+    pairs is held. The labels do not depend on the order in which the
+    pairs come.
     """
     n = len(cloud)
     if n == 0:
@@ -142,11 +145,17 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
             label = _component_labels(ii, jj, n, label)
         return label
     degree = np.ones(n, dtype=np.intp)  # each point lies within epsilon of itself
+    kept, held = [], 0  # the first pass's blocks, while they are few
     for ii, jj in pairs():
         degree += np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n)
+        held += len(ii)
+        if held <= geo.BLOCK_ELEMENTS:
+            kept.append((ii, jj))
+        elif kept:
+            kept.clear()
     core = degree >= min_pts
     joins = np.where(core, label, n)  # the point whose cluster each point joins
-    for ii, jj in pairs():
+    for ii, jj in kept if held <= geo.BLOCK_ELEMENTS else pairs():
         i_border, j_border = core[jj] & ~core[ii], core[ii] & ~core[jj]
         np.minimum.at(joins, ii[i_border], jj[i_border])
         np.minimum.at(joins, jj[j_border], ii[j_border])
@@ -218,7 +227,7 @@ def densityk_pipeline(
     derived threshold, single-linkage clusters, ranking, disambiguation.
 
     The curve, built with its threshold, counts the pair distances within
-    ``upper_bound`` that ``geo._distances_within`` yields, of which none is
+    ``upper_bound`` that ``geo._rings_within`` yields, of which none is
     stored past one block. The linkage joins every pair within the
     threshold, past ``upper_bound`` too, by :func:`_dbscan_groups` with
     ``min_pts`` 1.
@@ -236,7 +245,7 @@ def densityk_pipeline(
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
     if n == 1:
         return _resolve(doc, cloud, np.zeros(1, dtype=np.intp))
-    kf = _blocked_k_function(n, delta_d, *geo._distances_within(cloud, delta_d, upper_bound), derive=True)
+    kf = _blocked_k_function(n, delta_d, *geo._rings_within(cloud, delta_d, upper_bound), derive=True)
     labels = _dbscan_groups(cloud, kf.cluster_distance, 1)
     return _resolve(doc, cloud, labels, kf)
 

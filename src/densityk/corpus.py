@@ -26,7 +26,7 @@ import numpy as np
 
 from . import geo
 from .errors import DocumentParseError, DocumentSchemaError
-from .geo import GeoPoint, _half_unit_vectors, _radian_arrays, haversine
+from .geo import GeoPoint, _radian_arrays, haversine
 from .params import RADIUS
 
 DEFAULT_DEDUPE_RADIUS_M = 50.0
@@ -115,7 +115,8 @@ class PointCloud:
     The arrays the clusterers read are built from the points on first use
     and kept: O(n) each, among them, past one block, the points' order
     along one axis of their half unit vectors, over which the edge source
-    finds the pairs within a limit (``geo._band``). A cloud of at most
+    finds the pairs within a limit (``geo._band``) and the chord kernel
+    walks its row blocks. A cloud of at most
     ``geo._ONE_BLOCK_N`` (257) points also keeps its n(n-1)/2 pair
     distances, at most 263 KB, and every cloud its k-dist epsilon for each
     k asked; a larger cloud never stores its pair distances.
@@ -145,15 +146,11 @@ class PointCloud:
         return {}
 
     @cached_property
-    def _half_units(self) -> np.ndarray:
-        # read by the chord kernel (geo._chord_haversines)
-        return _half_unit_vectors(*self._radians)
-
-    @cached_property
-    def _band_order(self) -> tuple[int, np.ndarray]:
-        # the sort axis and the points' order along it, read by the edge
-        # source past one block (geo._band)
-        return geo._band_order(self._half_units)
+    def _band_order(self) -> tuple[int, np.ndarray, np.ndarray]:
+        # the sort axis, the points' order along it and their half unit
+        # vectors in that order, read past one block by the edge source's
+        # band (geo._band) and by the chord kernel's row blocks
+        return geo._band_order(self._radians)
 
     @cached_property
     def _id_ranks(self) -> np.ndarray:

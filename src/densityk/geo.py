@@ -175,9 +175,15 @@ def _row_blocks(n: int):
         r0 = r1
 
 
-def _upper(r0: int, r1: int, n: int) -> np.ndarray:
-    # which entries of row block (r0, r1) are pairs: row r0+k keeps the columns past r0+k
-    return np.arange(n - 1 - r0) >= np.arange(r1 - r0)[:, None]
+def _lower(rows: int, cols: int) -> np.ndarray:
+    # The flat indices, in a row block of rows x cols entries (see
+    # _row_blocks), of the leading square's lower half: row k's first k
+    # columns, which pair row k with itself or an earlier row. Every other
+    # entry is a pair. A block has fewer rows than _ONE_BLOCK_N (at most
+    # BLOCK_ELEMENTS // cols, and at most cols), so these are the first
+    # rows(rows-1)/2 pairs (_LOWER_A, _LOWER_B).
+    m = rows * (rows - 1) // 2
+    return _LOWER_A[:m] * cols + _LOWER_B[:m]
 
 
 def _haversine_block(radians, r0: int, r1: int) -> np.ndarray:
@@ -196,7 +202,8 @@ def _condensed_row_blocks(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     pos = 0
     for r0, r1 in _row_blocks(n):
-        upper = _haversine_block((lat, lon, cos_lat), r0, r1)[_upper(r0, r1, n)]
+        block = _haversine_block((lat, lon, cos_lat), r0, r1)
+        upper = np.delete(block, _lower(*block.shape))
         out[pos : pos + len(upper)] = upper
         pos += len(upper)
     return out
@@ -219,29 +226,38 @@ def _pair_distances(radians, i: np.ndarray, j: np.ndarray, out=None) -> np.ndarr
 
 # The chord kernel. Half the chord between two points' unit vectors u,
 # squared, is the haversine h = |u_i/2 - u_j/2|^2 = sin^2(t/2) of their arc
-# t, which a block takes from the differences of the vectors' coordinates
-# where the haversine formula takes two sines a pair. Its distance
+# t, which the kernel takes with no trigonometry per pair, in one of two
+# forms: the band's gathered pairs sum the squares of their coordinates'
+# differences (_band_pairs_within), and the row blocks take the centred
+# Gram form, one matrix product a block (_gram_haversines). Its distance
 # 2R asin(sqrt(h)) stands in for the haversine distance wherever it lies
-# more than _CHORD_MARGIN_M from every value a decision turns on and within
-# _CHORD_REACH_M (179 degrees of arc); see _chord_distances for the bound.
-# Each function below reads the cloud's radian arrays and half unit vectors
-# and one row block (see _row_blocks), and returns that block's result, so
-# a pass that decides on each pair as the haversine distance decides, and
-# stores none, holds one block's arrays at a time.
+# more than _CHORD_MARGIN_M from every value a decision turns on, within
+# _CHORD_REACH_M (179 degrees of arc) and, in the Gram form, where h is at
+# least its column's floor; see _chord_rings for the bound. Each function
+# below reads the cloud's radian arrays and half unit vectors and one
+# block, and returns that block's result, so a pass that decides on each
+# pair as the haversine distance decides, and stores none, holds one
+# block's arrays at a time.
 _CHORD_MARGIN_M = 1e-3
 _CHORD_REACH_M = EARTH_RADIUS_M * math.radians(179.0)
+# F, the Gram form's floor over the square of |a_i|^2 + |b_j|^2: above it
+# the form's own rounding moves a distance by under 1e-5 m (see _chord_rings)
+_GRAM_FLOOR = (38 * 2.0**-53 * EARTH_RADIUS_M / 1e-5) ** 2
+# the ring of an entry of a row block that is no pair within the bound,
+# which the ring count counts nowhere (see kfunction._count_rings)
+_NO_RING = -1.0
 
 
-def _half_unit_vectors(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
-    # rows x, y, z of the unit vectors halved: what the chord kernel reads
-    return 0.5 * np.stack((cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)))
-
-
-def _band_order(half_units: np.ndarray) -> tuple[int, np.ndarray]:
-    # the half-unit coordinate of widest spread and the points' stable
-    # order along it: what the band (see _band) reads
+def _band_order(radians) -> tuple[int, np.ndarray, np.ndarray]:
+    # the coordinate of widest spread of the half unit vectors (rows x, y, z
+    # of the unit vectors halved), the points' stable order along it and
+    # the half unit vectors in that order: what the band (see _band) and
+    # the chord kernel's row blocks read
+    lat, lon, cos_lat = radians
+    half_units = 0.5 * np.stack((cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)))
     axis = int(np.ptp(half_units, axis=1).argmax())
-    return axis, np.argsort(half_units[axis], kind="stable")
+    order = np.argsort(half_units[axis], kind="stable")
+    return axis, order, half_units[:, order]
 
 
 def _haversine_of(distance: float) -> float:
@@ -249,49 +265,102 @@ def _haversine_of(distance: float) -> float:
     return math.sin(distance / (2.0 * EARTH_RADIUS_M)) ** 2
 
 
-def _chord_haversines(half_units: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    # h over row block (r0, r1) as |v_i - v_j|^2, v = u/2, from the
-    # differences of the coordinates: to a few ulps of h at every arc, short
-    # ones too
-    rows, cols = slice(r0, r1), slice(r0 + 1, None)
-    x, y, z = half_units
-    h = np.subtract(x[rows, None], x[None, cols])
-    np.square(h, out=h)
-    d = np.subtract(y[rows, None], y[None, cols])
-    h += np.square(d, out=d)
-    np.subtract(z[rows, None], z[None, cols], out=d)
-    h += np.square(d, out=d)
-    return h
+_REACH_H = _haversine_of(_CHORD_REACH_M)
 
 
-def _chord_distances(
-    radians, half_units: np.ndarray, r0: int, r1: int, spacing: float, upper_bound: float | None
+def _gram_haversines(units: np.ndarray, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    # h over row block (r0, r1) of the points whose half unit vectors are
+    # ``units`` (rows x, y, z, in band order), as -2 a_i.b_j + |a_i|^2 +
+    # |b_j|^2 for a and b the vectors less c, the mean of the block's rows:
+    # one matrix product of the rows (-2a, |a|^2, 1) by the columns
+    # (b, 1, |b|^2). Also each column's floor, F (max_i |a_i|^2 +
+    # |b_j|^2)^2, below which h is not trusted (see _chord_rings).
+    rows = units[:, r0:r1]
+    centre = rows.mean(axis=1, keepdims=True)
+    left, right = np.empty((5, r1 - r0)), np.empty((5, units.shape[1] - r0 - 1))
+    a = np.subtract(rows, centre, out=left[:3])
+    b = np.subtract(units[:, r0 + 1 :], centre, out=right[:3])
+    np.einsum("ij,ij->j", a, a, out=left[3])
+    np.einsum("ij,ij->j", b, b, out=right[4])
+    a *= -2.0
+    left[4] = right[3] = 1.0
+    h = np.matmul(left.T, right)
+    floor = right[4] + left[3].max()
+    np.square(floor, out=floor)
+    floor *= _GRAM_FLOOR
+    return h, floor
+
+
+def _ring_indices(values: np.ndarray, spacing: float) -> np.ndarray:
+    # The ring of ``spacing`` of each distance x, ceil(x / spacing) as a
+    # float: x falls in ring m iff (m-1)*spacing < x <= m*spacing, and 0
+    # gives 0, which counts in ring 1. A ring past the float range is inf,
+    # past every ring limit.
+    with np.errstate(over="ignore"):
+        return np.ceil(values / spacing)
+
+
+def _ring_blocks(values: np.ndarray, spacing: float):
+    # the ring indices of the distances ``values``, BLOCK_ELEMENTS at a
+    # time, each made as it is read, so that none outlives its count
+    starts = range(0, len(values), BLOCK_ELEMENTS)
+    return (_ring_indices(values[start : start + BLOCK_ELEMENTS], spacing) for start in starts)
+
+
+def _cloud_pairs(order: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the pairs (i, j), i < j, of the cloud's indices at the positions p and
+    # q of band order ``order``: the points on which the haversine decides
+    i, j = order.take(p), order.take(q)
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _chord_rings(
+    radians, order: np.ndarray, units: np.ndarray, r0: int, r1: int, spacing: float, upper_bound: float | None
 ) -> np.ndarray:
-    """The distances of row block (r0, r1)'s pairs i < j that lie within
-    ``upper_bound``, in row-major order. Each falls in the same ring
-    ``ceil(d / spacing)`` as the haversine distance of its pair, and only
-    pairs whose haversine distance is within the bound are kept.
+    """The rings of ``spacing`` of row block (r0, r1) over the points in
+    band order (``order``, ``units``; see :func:`_band_order`), row-major:
+    each pair's ``ceil(d / spacing)`` as a float, for d its haversine
+    distance, and ``_NO_RING`` for an entry that is no pair (see
+    :func:`_lower`) or a pair past ``upper_bound``.
 
-    A distance is the chord kernel's, or the haversine distance of its
-    pair alone where the chord's lies within ``_CHORD_MARGIN_M`` (M) of
-    a multiple of ``spacing`` or of ``upper_bound``, or beyond
+    A ring is that of the chord's distance d~ = 2R asin(sqrt(h)), for h
+    the Gram form's (:func:`_gram_haversines`), or that of the haversine
+    distance of its pair alone, on the cloud's indices (min, max), where h
+    lies below its column's floor, d~ within ``_CHORD_MARGIN_M`` (M) of a
+    multiple of ``spacing`` or of ``upper_bound``, or past
     ``_CHORD_REACH_M``.
 
     Why M suffices. Let u = 2**-53, assume numpy's sin, cos and arcsin
     within k ulps (an ulp of x is at most 2u|x|) and sqrt correctly
     rounded, and let t be the true arc between the points of the given
     float radians, 0 <= t <= 179.01 degrees, so that cos(t/2) >= 0.0086
-    and tan(t/2) <= 116. Both errors below grow with t, so their largest
+    and tan(t/2) <= 116. The errors below grow with t, so their largest
     value over every such arc is their value at 179.01 degrees:
 
-    - chord: a coordinate of u/2 is off by at most (2k+0.5)u, a
-      difference of two by (4k+2)u, so the root of H = |u_i/2 - u_j/2|^2
-      of the computed vectors is within sqrt(3)(4k+2)u of sin(t/2). The
-      block's h is H to 3u relative (three squares, two sums), its root
-      to 2u of sin(t/2) <= 1, and arcsin's slope 1/cos(t/2) and its own
-      k ulps of t/2 <= pi/2 make that
-      |d~ - Rt| <= 2R[(sqrt(3)(4k+2) + 2)u / cos(t/2) + k pi u] + pi R u,
-      at most 5.5e-6 m at k = 4;
+    - vectors: a coordinate of v = u/2 is off by at most (2k+0.5)u, a
+      difference of two by (4k+2)u, so the root of H = |v_i - v_j|^2 of
+      the computed vectors is within sqrt(3)(4k+2)u of sin(t/2);
+    - the difference form (the band): h is H to 3u relative (three
+      squares, two sums), its root to 2u of sin(t/2) <= 1;
+    - the Gram form (the row blocks): the centred a and b are within
+      rounding of v - c, |a|, |b| <= 1, so |a_i - b_j| is within 2.01u of
+      sqrt(H), and its root to 2.51u with sqrt's rounding. With
+      S = |a_i|^2 + |b_j|^2, the two norms are off by 3uS, and the
+      product's five terms sum to within 5.01u times the sum of their
+      magnitudes, 2|a_i||b_j| + S <= 2S (Higham 2002, section 3.1, in
+      any order, fused or not): h is within 13.1uS of |a_i - b_j|^2, and
+      its root within 13.1uS / sqrt(h). At or above its column's floor
+      F S'^2 (S' with the block's largest |a|^2, at least S) that is at
+      most 13.1u / sqrt(F); where h <= 1/2 arcsin's slope is under 1.415
+      and the arc moves by 2R 1.415 (13.1u / sqrt(F)) < 9.8e-6 m, and
+      above, the root moves by at most 13.1u 2 / sqrt(1/2) < 37.1u,
+      which the slope 1/cos(t/2) makes 6.1e-6 m;
+    - chord: arcsin adds its k ulps of t/2 <= pi/2 and the product with
+      2R its rounding, so
+      |d~ - Rt| <= 2R[(sqrt(3)(4k+2) + r)u / cos(t/2) + k pi u] + pi R u,
+      with r = 2 for the difference form, at most 5.5e-6 m at k = 4, and
+      r = 2.51 plus the 9.8e-6 m above for the Gram form, at most
+      1.6e-5 m;
     - haversine: h = a^2 + c_i c_j b^2 with a = sin(dphi/2), b =
       sin(dlam/2). Rounding the difference dphi moves a by at most
       u |dphi| / 2 <= pi u / 2 (sin has slope at most 1), and dlam moves
@@ -304,68 +373,98 @@ def _chord_distances(
       |d - Rt| <= 2R[tan(t/2)(4k+2.5)u + k pi u] + 3 pi R u / cos(t/2) + pi R u,
       at most 3.9e-6 m at k = 4.
 
-    So |d~ - d| < 1e-5 m at every arc up to 179.01 degrees, and d~ /
-    spacing and d / spacing, each rounded, differ by less than (1e-5 +
-    4.5e-9) / spacing: a chord distance further than M from every ring
-    edge and from the bound decides as d does. M is 1 mm, over 100 times
-    the bound at k = 4, and covers k up to 500. Past 179 degrees both
-    errors grow without bound (the haversine's to over 1 m at the
-    antipode), and such pairs take the haversine.
+    So |d~ - d| < 2e-5 m at every arc up to 179.01 degrees, in either
+    form, and d~ / spacing, rounded (here as asin(sqrt(h)) times
+    2R / spacing), and d / spacing, rounded, differ by less than
+    (2e-5 + 1e-8) / spacing: a chord distance further than M from every
+    ring edge and from the bound decides as d does. The distance from a
+    ring value x to its ceiling is exact, except below x = 1/2, where the
+    nearer edge is 0 and a distance of 0 counts in ring 1 all the same.
+    M is 1 mm, 50 times the bound at k = 4, and covers k up to 500. Past
+    179 degrees both errors grow without bound (the haversine's to over
+    1 m at the antipode), and such pairs take the haversine.
     """
-    d = _chord_haversines(half_units, r0, r1)
-    np.minimum(d, 1.0, out=d)  # rounding can carry an antipodal pair past 1
-    np.sqrt(d, out=d)
-    np.arcsin(d, out=d)
-    d *= 2.0 * EARTH_RADIUS_M
-    rings = d / spacing
-    off = np.rint(rings)
-    off -= rings  # exact: from a value to its nearest integer
-    unsure = np.abs(off, out=off) <= _CHORD_MARGIN_M / spacing
-    unsure |= d > _CHORD_REACH_M
+    h, floor = _gram_haversines(units, r0, r1)
+    unsure = h < floor
+    unsure |= h > _REACH_H
+    np.clip(h, 0.0, 1.0, out=h)  # rounding can carry h past either end
+    np.sqrt(h, out=h)
+    np.arcsin(h, out=h)
+    # x, each chord distance's ring value; past 2**60 (spacing under
+    # 1e-11 m) every x lies within the margin of a ring edge, and the cap
+    # keeps it finite
+    h *= min(2.0 * EARTH_RADIUS_M / spacing, 2.0**60)
+    ring = np.ceil(h)
+    margin = _CHORD_MARGIN_M / spacing
+    beyond = None
     if upper_bound is not None:
-        np.subtract(d, upper_bound, out=off)
-        unsure |= np.abs(off, out=off) <= _CHORD_MARGIN_M
+        bound = upper_bound / spacing
+        beyond = h > bound + margin
+        near = h >= bound - margin
+        near ^= beyond  # near and not beyond: beyond lies within near
+        unsure |= near
+        del near
+    np.subtract(ring, h, out=h)  # from x to its ceiling
+    h -= 0.5
+    unsure |= np.abs(h, out=h) >= 0.5 - margin
+    del h
+    if beyond is not None:
+        np.putmask(ring, beyond, _NO_RING)
+    lower = _lower(*ring.shape)
+    unsure.reshape(-1)[lower] = False
+    ring.reshape(-1)[lower] = _NO_RING
     flat = np.flatnonzero(unsure)
     if len(flat):
-        k, c = np.divmod(flat, d.shape[1])
-        d.reshape(-1)[flat] = _pair_distances(radians, k + r0, c + (r0 + 1))
-    keep = _upper(r0, r1, len(half_units[0]))
-    if upper_bound is not None:
-        keep &= d <= upper_bound
-    return d[keep]
+        p, q = np.divmod(flat, ring.shape[1])
+        p += r0
+        q += r0 + 1
+        d = _pair_distances(radians, *_cloud_pairs(order, p, q))
+        exact = _ring_indices(d, spacing)
+        if upper_bound is not None:
+            exact[d > upper_bound] = _NO_RING
+        ring.reshape(-1)[flat] = exact
+    return ring.reshape(-1)
 
 
 def _chord_pairs_within(
-    radians, half_units: np.ndarray, r0: int, r1: int, limit: float
+    radians, order: np.ndarray, units: np.ndarray, r0: int, r1: int, limit: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j), i < j, of row block (r0, r1) whose haversine
-    distance is at most ``limit``, as two index arrays in row-major order.
+    """The pairs (i, j), i < j, of the cloud's indices in row block
+    (r0, r1) over the points in band order (see :func:`_chord_rings`)
+    whose haversine distance is at most ``limit``, as two index arrays.
 
     A pair is surely within when its h is below that of
-    ``min(limit - M, _CHORD_REACH_M)`` (see :func:`_chord_distances`), and
-    surely not when it is above that of ``limit + M`` and ``limit + M``
-    lies within the reach: past the reach the chord loses the bound, but
-    the pair lies past 179 degrees all the same. Every other pair takes
-    the haversine. Comparing h with the h of ``limit -/+ M`` in place of
-    the distances moves the comparison by the rounding of that h, within
-    the chord's bound again.
+    ``min(limit - M, _CHORD_REACH_M)`` and at least its column's floor
+    (see :func:`_chord_rings`), and surely not when it is above that of
+    ``limit + M`` and that floor, and ``limit + M`` lies within the
+    reach: past the reach the chord loses the bound, but the pair lies
+    past 179 degrees all the same. Every other pair takes the haversine.
+    Comparing h with the h of ``limit -/+ M`` in place of the distances
+    moves the comparison by the rounding of that h, within the chord's
+    bound again.
     """
-    h = _chord_haversines(half_units, r0, r1)
-    maybe = _upper(r0, r1, len(half_units[0]))  # each pair once: not the leading square's lower half
+    h, floor = _gram_haversines(units, r0, r1)
     if limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
-        maybe &= h <= _haversine_of(limit + _CHORD_MARGIN_M)
+        maybe = h <= np.maximum(floor, _haversine_of(limit + _CHORD_MARGIN_M))
+    else:
+        maybe = np.ones(h.shape, dtype=bool)
+    maybe.reshape(-1)[_lower(*h.shape)] = False  # each pair once
     flat = np.flatnonzero(maybe)
-    i, j = np.divmod(flat, h.shape[1])
-    i += r0
-    j += r0 + 1
-    return _decided_within(radians, h.reshape(-1)[flat], i, j, limit)
+    p, q = np.divmod(flat, h.shape[1])
+    h, floor = h.reshape(-1)[flat], floor.take(q)
+    p += r0
+    q += r0 + 1
+    return _decided_within(radians, h, *_cloud_pairs(order, p, q), limit, floor)
 
 
-def _decided_within(radians, h: np.ndarray, i: np.ndarray, j: np.ndarray, limit: float):
+def _decided_within(radians, h: np.ndarray, i: np.ndarray, j: np.ndarray, limit: float, floor=None):
     # the pairs (i[k], j[k]), i < j, of chord h[k] that lie within ``limit``:
-    # surely those below the h of limit - M, and of the rest those whose
-    # haversine distance is within (see _chord_pairs_within)
+    # surely those below the h of limit - M and, in the Gram form, at least
+    # their floor ``floor[k]``, and of the rest those whose haversine
+    # distance is within (see _chord_pairs_within)
     within = h < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
+    if floor is not None:
+        within &= h >= floor
     unsure = ~within
     if unsure.any():
         within[unsure] = _pair_distances(radians, i[unsure], j[unsure]) <= limit
@@ -387,8 +486,9 @@ def _pairs_within(cloud: PointCloud, limit: float):
         return lambda: pairs
     band = _band(cloud, limit)
     if band is None:
+        _, order, units = cloud._band_order
         return lambda: (
-            _chord_pairs_within(cloud._radians, cloud._half_units, r0, r1, limit) for r0, r1 in _row_blocks(n)
+            _chord_pairs_within(cloud._radians, order, units, r0, r1, limit) for r0, r1 in _row_blocks(n)
         )
     return lambda: _band_pairs_within(cloud._radians, limit, *band)
 
@@ -414,18 +514,18 @@ def _band(cloud: PointCloud, limit: float):
     the computed reach is at least r (1 + 2**-40)(1 - u)**2 +
     2**-50 (1 - u). A point q past p's window has key[q] > fl(key[p] +
     reach), and that sum, at most 1.5, rounds by at most u, so key[q] -
-    key[p] > reach - u > r (1 + 2**-40)(1 - u)**2. The kernel's rounded
-    difference of the two keys is at least (1 - u) times that, its
-    rounded square (1 - u) times the square, and adding the other
-    non-negative squares in floating point never lowers the sum: the
-    pair's h is at least h (1 + 2**-40)**2 (1 - u)**9, above h, and
-    :func:`_chord_pairs_within` rejects the pair too.
+    key[p] > reach - u > r (1 + 2**-40)(1 - u)**2. The rounded difference
+    of the two keys is at least (1 - u) times that, its rounded square
+    (1 - u) times the square, and adding the other non-negative squares in
+    floating point never lowers the sum: the pair's h in the difference
+    form is at least h (1 + 2**-40)**2 (1 - u)**9, above h, so its chord
+    distance lies past ``limit + M`` and, by the bound of
+    :func:`_chord_rings`, its haversine distance past ``limit``.
     """
     n = len(cloud)
     if not limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
         return None
-    axis, order = cloud._band_order
-    half_units = cloud._half_units[:, order]
+    axis, order, half_units = cloud._band_order
     key = half_units[axis]
     reach = math.sqrt(_haversine_of(limit + _CHORD_MARGIN_M)) * (1.0 + 2.0**-40) + 2.0**-50
     ends = np.searchsorted(key, key + reach, side="right")
@@ -439,10 +539,9 @@ def _band(cloud: PointCloud, limit: float):
 def _band_pairs_within(radians, limit: float, order: np.ndarray, half_units: np.ndarray, bounds: np.ndarray):
     # The band's pairs within ``limit``, gathered BLOCK_ELEMENTS candidates
     # at a time. Candidate k of window p is the pair of sorted positions
-    # (p, p + 1 + k - bounds[p]); its h is summed as _chord_haversines sums
-    # it, to the same bits (a difference's sign does not reach its square),
-    # and it goes back to the cloud's indices as (min, max) before
-    # _decided_within, as the row blocks hand their pairs on.
+    # (p, p + 1 + k - bounds[p]); its h is the difference form's (see
+    # _chord_rings for its bound), and it goes back to the cloud's indices
+    # (min, max) before _decided_within.
     x, y, z = half_units
     h_near = _haversine_of(limit + _CHORD_MARGIN_M)
     total = int(bounds[-1])
@@ -464,23 +563,25 @@ def _band_pairs_within(radians, limit: float, order: np.ndarray, half_units: np.
         d -= z.take(q)
         h += np.square(d, out=d)
         near = np.flatnonzero(h <= h_near)
-        i, j = order.take(p.take(near)), order.take(q.take(near))
-        yield _decided_within(radians, h.take(near), np.minimum(i, j), np.maximum(i, j), limit)
+        yield _decided_within(radians, h.take(near), *_cloud_pairs(order, p.take(near), q.take(near)), limit)
 
 
-def _distances_within(cloud: PointCloud, spacing: float, upper_bound: float | None):
+def _rings_within(cloud: PointCloud, spacing: float, upper_bound: float | None):
     """The curve source: ``(blocks, largest, total)``, where ``blocks``
-    yields the cloud's pair distances within ``upper_bound`` an array at a
-    time, none past ``largest`` and at most ``total`` of them: the vector a
-    one-block cloud keeps, filtered once, or a larger cloud's row blocks
-    through the chord kernel, each distance in its exact ring of ``spacing``
-    (see :func:`_chord_distances`), found as they are read, never stored.
+    yields the rings of ``spacing`` of the cloud's pair distances within
+    ``upper_bound`` an array at a time, ``ceil(d / spacing)`` of each
+    distance d as a float and ``_NO_RING`` for an entry that is none. No
+    distance lies past ``largest``, and there are at most ``total`` of
+    them. A one-block cloud's rings are those of the vector it keeps,
+    filtered once, made as they are read; a larger cloud's come from its row blocks in band order
+    through the chord kernel, each pair's exact ring (see
+    :func:`_chord_rings`), found as they are read, never stored.
     """
     n = len(cloud)
     if n > _ONE_BLOCK_N:
+        _, order, units = cloud._band_order
         blocks = (
-            _chord_distances(cloud._radians, cloud._half_units, r0, r1, spacing, upper_bound)
-            for r0, r1 in _row_blocks(n)
+            _chord_rings(cloud._radians, order, units, r0, r1, spacing, upper_bound) for r0, r1 in _row_blocks(n)
         )
         largest = _diameter_bound(cloud._radians)
         if upper_bound is not None:
@@ -488,7 +589,7 @@ def _distances_within(cloud: PointCloud, spacing: float, upper_bound: float | No
         return blocks, largest, n * (n - 1) // 2
     distances = condensed_distances(cloud)
     in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
-    return (in_bound,), float(in_bound.max()) if len(in_bound) else 0.0, len(in_bound)
+    return _ring_blocks(in_bound, spacing), float(in_bound.max()) if len(in_bound) else 0.0, len(in_bound)
 
 
 def _member_distances(cloud: PointCloud, members: np.ndarray) -> np.ndarray:
@@ -504,12 +605,12 @@ def _member_distances(cloud: PointCloud, members: np.ndarray) -> np.ndarray:
 
 
 def _diameter_bound(radians) -> float:
-    # A bound, at most _MAX_DISTANCE_M, on the distances _chord_distances
-    # gives the pairs of these points. No two points are further apart than
-    # twice the farthest from point 0, whose distances are row block (0, 1).
-    # Below 179 degrees the kernel's distances lie within 1e-5 m of the true
-    # arcs (see _chord_distances), which the margin covers; beyond, the
-    # bound is the whole sphere's.
+    # A bound, at most _MAX_DISTANCE_M, on the distances whose rings
+    # _chord_rings gives the pairs of these points. No two points are
+    # further apart than twice the farthest from point 0, whose distances
+    # are row block (0, 1). Below 179 degrees the kernel's distances lie
+    # within 2e-5 m of the true arcs (see _chord_rings), which the margin
+    # covers; beyond, the bound is the whole sphere's.
     bound = 2.0 * float(_haversine_block(radians, 0, 1).max()) + _CHORD_MARGIN_M
     return bound if bound < _CHORD_REACH_M else _MAX_DISTANCE_M
 

@@ -17,11 +17,12 @@ rule: past the density peak, the first sampled distance whose density
 falls to at most mean + 2 * std of all sampled densities.
 
 Every annular curve is counted by one function, ``_count_rings``, through
-``_blocked_k_function``, from distances that come an array at a time: the
-slices of a stored list (:func:`compute_k_function`) or the pipeline's
-source, ``geo._distances_within``. The rings go into one array indexed by
-ring when they are few beside the distances; otherwise the occupied rings
-are merged as the blocks come, so memory follows the occupied rings.
+``_blocked_k_function``, from ring indices that come an array at a time:
+those of the slices of a stored list (:func:`compute_k_function`) or the
+pipeline's source, ``geo._rings_within``. The rings go into one array
+indexed by ring when they are few beside the distances; otherwise the
+occupied rings are merged as the blocks come, so memory follows the
+occupied rings.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPointsError
-from .geo import BLOCK_ELEMENTS, DistanceList
+from .geo import _NO_RING, DistanceList, _ring_blocks, _ring_indices
 from .params import DELTA_D
 
 DEFAULT_DELTA_D_M = 100.0
@@ -68,69 +69,84 @@ def _check_curve_args(n_points: int, delta_d: float) -> None:
     DELTA_D.check(delta_d)
 
 
-def _check_ring_limit(largest: float, delta_d: float) -> None:
-    # float64 holds every integer ring index only up to 2**53, int64 to 2**63
-    if largest / delta_d > MAX_RING_INDEX:
+def _check_ring_limit(ring: float, delta_d: float) -> None:
+    # float64 holds every integer ring index only up to 2**53, int64 to
+    # 2**63; ring is the largest ring index, ceil(largest / delta_d), past
+    # the limit just where largest / delta_d is
+    if ring > MAX_RING_INDEX:
         raise ValueError(
             f"delta_d {delta_d} is too small: the largest distance would fall in a ring "
             f"beyond {MAX_RING_INDEX}"
         )
 
 
-def _check_ring_area(largest: float, n_points: int, delta_d: float) -> None:
+def _check_ring_area(ring: float, n_points: int, delta_d: float) -> None:
     # a density divides by n times a ring's area; should that overflow, the
-    # density reads 0 (a factor 2 of headroom covers the order of rounding)
-    d = max(math.ceil(largest / delta_d), 1) * delta_d
+    # density reads 0 (a factor 2 of headroom covers the order of rounding).
+    # ring is the largest ring index; distance 0 counts in ring 1.
+    d = max(ring, 1.0) * delta_d
     if not math.isfinite(2.0 * n_points * math.pi * d * d):
         raise ValueError(f"delta_d {delta_d} is too large: the area of the ring at {d} m overflows")
 
 
-def _ring_indices(values: np.ndarray, delta_d: float) -> np.ndarray:
-    # distance x falls in ring m iff (m-1)*delta_d < x <= m*delta_d; x == 0 -> ring 1
-    m = np.ceil(values / delta_d).astype(np.int64)
-    return np.maximum(m, 1)
-
-
-def _count_rings(
-    blocks, delta_d: float, span: float, total: int
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """The rings of the distances that ``blocks`` yields, an array at a
-    time: the occupied rings, ascending, how many distances fall in each,
-    how many distances there were and the largest of them (0.0 for none).
+def _count_rings(blocks, delta_d: float, span: float, total: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """The rings that ``blocks`` yields, an array of ring indices at a time
+    (``ceil(d / delta_d)`` of each distance d as a float, see
+    ``geo._ring_indices``, or ``geo._NO_RING`` for an entry that is none):
+    the occupied rings, ascending, how many distances fall in each, how
+    many distances there were and the largest ring index (0.0 for none).
+    Ring 0, a distance of 0, counts in ring 1.
 
     When the ``span`` rings from ring 1 on are at most a quarter as many as
     the ``total`` distances to come, each block is added into one array
-    indexed by ring (``np.add.at``). Otherwise the blocks' ring indices are
-    held until they number ``_MERGE_RINGS`` and a quarter of the occupied
-    rings so far, then merged into the sorted occupied rings and their
-    counts (:func:`_merge_rings`), so memory follows the occupied rings,
-    not the number of distances. The largest distance so far is checked
-    against the ring limit before a block's ring indices are cast.
+    indexed by ring (``np.add.at``), whose last slot takes ``_NO_RING``.
+    Otherwise the blocks' ring indices are held until they number
+    ``_MERGE_RINGS`` and a quarter of the occupied rings so far, then
+    merged into the sorted occupied rings and their counts
+    (:func:`_merge_rings`), so memory follows the occupied rings, not the
+    number of distances. The largest ring index so far is checked against
+    the ring limit before a block's ring indices are cast.
     """
-    added, largest = 0, 0.0
-    dense = np.zeros(math.ceil(span) + 1, dtype=np.int64) if 4 * span <= total else None
+    largest = 0.0
+    # _NO_RING, -1, indexes the dense count's last slot
+    dense = np.zeros(math.ceil(span) + 2, dtype=np.int64) if 4 * span <= total else None
     occupied = [np.empty(0, dtype=np.int64)] * 2  # the sparse count's rings and counts
     pending: list[np.ndarray] = []  # ring indices not merged yet
-    for values in blocks:
-        if len(values) == 0:
+    for rings in blocks:
+        if len(rings) == 0:
             continue
-        largest = max(largest, float(values.max()))
+        largest = max(largest, float(rings.max()))
         _check_ring_limit(largest, delta_d)
-        added += len(values)
-        indices = _ring_indices(values, delta_d)
+        indices = rings.astype(np.int64)
         if dense is not None:
             np.add.at(dense, indices, 1)
         else:
             pending.append(indices)
             if sum(map(len, pending)) >= max(_MERGE_RINGS, len(occupied[0]) // 4):
                 _merge_rings(pending, occupied)
-        del values, indices  # no block outlives the count
+        del rings, indices  # no block outlives the count
     if dense is not None:
-        rings = np.flatnonzero(dense)
-        return rings, dense[rings], added, largest
-    if pending:
+        rings = np.flatnonzero(dense[:-1])
+        occupied = [rings, dense[rings]]
+    elif pending:
         _merge_rings(pending, occupied)
-    return *occupied, added, largest
+    rings, counts = _fold_ring_zero(*occupied)
+    return rings, counts, int(counts.sum()), largest
+
+
+def _fold_ring_zero(rings: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the sorted occupied rings and their counts without _NO_RING, and with
+    # ring 0's count, that of distance 0, in ring 1
+    start = int(np.searchsorted(rings, int(_NO_RING) + 1))  # an int: a float would copy rings
+    rings, counts = rings[start:], counts[start:]
+    if len(rings) == 0 or rings[0] != 0:
+        return rings, counts
+    if len(rings) > 1 and rings[1] == 1:
+        counts[1] += counts[0]
+        return rings[1:], counts[1:]
+    rings = rings.copy()
+    rings[0] = 1
+    return rings, counts
 
 
 def _merge_rings(pending: list[np.ndarray], occupied: list[np.ndarray]) -> None:
@@ -175,22 +191,22 @@ def compute_k_function(
     per-point ring density at each occupied ring.
 
     The distances need not be sorted: the ring counts do not depend on
-    their order. They go to :func:`_blocked_k_function` in slices of
-    ``geo.BLOCK_ELEMENTS`` distances, so no copy of them is made.
+    their order. Their ring indices go to :func:`_blocked_k_function` in
+    slices of ``geo.BLOCK_ELEMENTS`` distances, so no copy of them is made.
     ``cluster_distance`` is left unset; see :func:`derive_cluster_distance`.
     """
     values = distances.values
     largest = float(values.max()) if len(values) else 0.0
-    blocks = (values[start : start + BLOCK_ELEMENTS] for start in range(0, len(values), BLOCK_ELEMENTS))
-    return _blocked_k_function(n_points, delta_d, blocks, largest, len(values))
+    return _blocked_k_function(n_points, delta_d, _ring_blocks(values, delta_d), largest, len(values))
 
 
 def _blocked_k_function(
     n_points: int, delta_d: float, blocks, largest: float, total: int, derive: bool = False
 ) -> KFunction:
-    """The annular curve of the distances that ``blocks`` yields, an array
-    at a time; no distance exceeds ``largest`` and there are at most
-    ``total`` of them (``geo._distances_within`` gives the pipeline's three).
+    """The annular curve of the distances whose ring indices ``blocks``
+    yields, an array at a time (see :func:`_count_rings`); no distance
+    exceeds ``largest`` and there are at most ``total`` of them
+    (``geo._rings_within`` gives the pipeline's three).
     The pipeline and :func:`compute_k_function` count through here. With
     ``derive`` the curve is built with its cluster distance, as
     :func:`with_cluster_distance` would fill it in.
@@ -239,9 +255,10 @@ def compute_circular_k_function(
     if len(distances.values) == 0:
         raise InsufficientPointsError("distance list is empty")
     values = np.sort(distances.values)
-    _check_ring_limit(float(values[-1]), delta_d)
-    _check_ring_area(float(values[-1]), n_points, delta_d)
-    last_ring = int(_ring_indices(values[-1:], delta_d)[0])
+    last_ring = float(_ring_indices(values[-1:], delta_d)[0])
+    _check_ring_limit(last_ring, delta_d)
+    _check_ring_area(last_ring, n_points, delta_d)
+    last_ring = max(int(last_ring), 1)
     d = np.arange(1, last_ring + 1, dtype=np.float64) * delta_d
     cumulative = np.searchsorted(values, d, side="right")
     keep = cumulative > 0

@@ -38,7 +38,9 @@ class SynthSpec:
     """Generator configuration. The two separation minima must be much
     larger than the context radius for the planted-recovery guarantee.
     Construction raises ``ValueError`` for a field out of range, a reversed
-    decoy range, or decoys asked for that no point lies far enough out for."""
+    decoy range, decoys asked for that no point lies far enough out for, or
+    two decoys asked for in a document that no two points lie far enough
+    apart for."""
 
     n_docs: int = 100
     mentions_per_doc: int = 5
@@ -58,6 +60,8 @@ class SynthSpec:
         reach = self.min_decoy_distance_from_context + self.context_radius
         if hi > 0 and reach >= math.pi * EARTH_RADIUS_M:  # half the globe
             raise ValueError(f"no decoy can be placed: no point lies {reach} m (min_decoy_distance_from_context + context_radius) from the context")
+        if self.mentions_per_doc * hi >= 2 and self.min_decoy_separation >= math.pi * EARTH_RADIUS_M:
+            raise ValueError(f"no two decoys can be placed: no two points lie {self.min_decoy_separation} m (min_decoy_separation) apart")
 
 
 def _uniform_sphere(rng: np.random.Generator) -> GeoPoint:

@@ -16,7 +16,6 @@ from densityk import (
     PlaceMention,
     PointCloud,
 )
-from densityk.kfunction import _ring_indices
 from densityk.synth import SynthSpec, synth_generate
 
 
@@ -71,8 +70,9 @@ def random_coords(rng: np.random.Generator, n: int, scales=(0.001, 0.1, 10.0)) -
 
 def unique_ring_counts(values: np.ndarray, delta_d: float) -> tuple[np.ndarray, np.ndarray]:
     """The occupied rings of the distances ``values`` and how many fall in
-    each, from ``np.unique``: the reference for every ring count."""
-    return np.unique(_ring_indices(values, delta_d), return_counts=True)
+    each, from ``np.unique``: the reference for every ring count. Distance
+    x falls in ring ceil(x / delta_d), and distance 0 in ring 1."""
+    return np.unique(np.maximum(np.ceil(values / delta_d), 1).astype(np.int64), return_counts=True)
 
 
 @pytest.fixture(scope="session")

@@ -635,6 +635,8 @@ class TestSynthCommand:
             ["--mentions", "0"],
             ["--context-radius", "-5"],
             ["--decoy-distance", "2.1e7"],  # no point lies 21,000 km from the context
+            # no two points lie 21,000 km apart: refused before any decoy is drawn
+            ["--n-docs", "1", "--mentions", "1", "--decoys-min", "2", "--decoys-max", "2", "--decoy-separation", "2.1e7"],
         ],
         ids=" ".join,
     )

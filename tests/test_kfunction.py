@@ -15,7 +15,7 @@ from densityk import (
     derive_cluster_distance,
     with_cluster_distance,
 )
-from densityk import kfunction
+from densityk import geo, kfunction
 from oracles import annular_density_curve, two_sigma_threshold_distance
 from conftest import unique_ring_counts
 
@@ -169,7 +169,7 @@ class TestRingCounts:
     @settings(max_examples=60, deadline=None)
     def test_equal_unique_on_both_sides_of_the_span_rule(self, narrow, data, block):
         values, delta_d = data.draw(ring_values(narrow))
-        with mock.patch.object(kfunction, "BLOCK_ELEMENTS", block):
+        with mock.patch.object(geo, "BLOCK_ELEMENTS", block):  # the slices of a stored list
             kf, dense, (occupied, counts) = counted_curve(values, 5, delta_d)
         assume(dense == narrow)
         want_rings, want_counts = unique_ring_counts(values, delta_d)

@@ -2,18 +2,21 @@
 vector.
 
 A cloud past one row block is never held as a distance vector. The curve
-counts the rings of the blocks that ``geo._distances_within`` yields from
-its row blocks (``kfunction._count_rings``), and DBSCAN, whose
-``min_pts=1`` case is the pipeline's single linkage, reads the pairs
-within its epsilon from one edge source, ``geo._pairs_within``, in one
-pass at ``min_pts`` 1 and two otherwise: the pairs of a band over the
-cloud's sort axis (``geo._band``), or the row blocks of every pair where
-that band is wide or the limit lies near the reach. Both go through the
-chord kernel (``geo._chord_distances`` and ``geo._chord_pairs_within``)
-with the haversine's decisions, and the band yields exactly the row
-blocks' pairs. With the blocks patched small, clouds of 10-60 points
-stream through many blocks; at the real block size, the pipeline is
-checked on either side of the 257 points of one block.
+counts the rings that ``geo._rings_within`` yields from its row blocks
+(``kfunction._count_rings``), and DBSCAN, whose ``min_pts=1`` case is the
+pipeline's single linkage, reads the pairs within its epsilon from one
+edge source, ``geo._pairs_within``, in one pass at ``min_pts`` 1 and two
+otherwise: the pairs of a band over the cloud's sort axis
+(``geo._band``), or the row blocks of every pair where that band is wide
+or the limit lies near the reach. The row blocks walk the points in band
+order through the chord kernel's centred Gram form
+(``geo._gram_haversines``, read by ``geo._chord_rings`` and
+``geo._chord_pairs_within``), the band through its difference form, both
+with the haversine's decisions, so the band yields exactly the row
+blocks' pairs and every ring is the exact vector's. With the blocks
+patched small, clouds of 10-60 points stream through many blocks; at the
+real block size, the pipeline is checked on either side of the 257
+points of one block.
 """
 
 import contextlib
@@ -50,16 +53,19 @@ from densityk.corpus import to_point_cloud
 from densityk.geo import (
     _CHORD_MARGIN_M,
     _CHORD_REACH_M,
-    _chord_distances,
-    _chord_haversines,
+    _NO_RING,
+    _REACH_H,
     _chord_pairs_within,
+    _chord_rings,
     _diameter_bound,
-    _haversine_block,
+    _gram_haversines,
+    _lower,
     _row_blocks,
-    _upper,
     condensed_distances,
+    condensed_index,
+    condensed_pairs,
 )
-from densityk.kfunction import _blocked_k_function, _count_rings, _ring_indices
+from densityk.kfunction import _blocked_k_function, _count_rings
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords, unique_ring_counts
 from oracles import union_find_dbscan_groups
@@ -121,7 +127,43 @@ def stored_curve(values, n_points, delta_d):
 
 def streamed_curve(cloud, delta_d, upper_bound):
     # the pipeline's curve of a cloud, from the one curve source
-    return _blocked_k_function(len(cloud), delta_d, *geo._distances_within(cloud, delta_d, upper_bound))
+    return _blocked_k_function(len(cloud), delta_d, *geo._rings_within(cloud, delta_d, upper_bound))
+
+
+def block_pairs(cloud, r0: int, r1: int):
+    # the condensed positions of row block (r0, r1)'s entries over the
+    # cloud's band order, row-major, and which of them are pairs
+    _, order, _ = cloud._band_order
+    n = len(cloud)
+    p, q = np.divmod(np.arange((r1 - r0) * (n - 1 - r0)), n - 1 - r0)
+    i, j = order[p + r0], order[q + r0 + 1]
+    pair = np.ones(len(p), dtype=bool)
+    pair[_lower(r1 - r0, n - 1 - r0)] = False
+    return condensed_index(np.minimum(i, j), np.maximum(i, j), n), pair
+
+
+def chord_rings_by_pair(cloud, delta_d, upper_bound):
+    # each pair's ring from the row blocks of the chord kernel, in condensed
+    # order; checked to give each pair once and every other entry _NO_RING
+    _, order, units = cloud._band_order
+    n = len(cloud)
+    rings = np.full(n * (n - 1) // 2, np.nan)
+    for r0, r1 in _row_blocks(n):
+        ring = _chord_rings(cloud._radians, order, units, r0, r1, delta_d, upper_bound)
+        at, pair = block_pairs(cloud, r0, r1)
+        assert (ring[~pair] == _NO_RING).all()
+        assert np.isnan(rings[at[pair]]).all()
+        rings[at[pair]] = ring[pair]
+    assert not np.isnan(rings).any()
+    return rings
+
+
+def exact_rings(exact, delta_d, upper_bound):
+    # the ring of each distance of the exact vector, _NO_RING past the bound
+    rings = np.ceil(exact / delta_d)
+    if upper_bound is not None:
+        rings[exact > upper_bound] = _NO_RING
+    return rings
 
 
 def composed_stages(doc, upper_bound):
@@ -158,15 +200,12 @@ class TestStreamedEqualsExact:
             pair = float(exact[rng.integers(len(exact))])
             upper_bound = None if bound is None else near(pair, bound)
             in_bound = exact if upper_bound is None else exact[exact <= upper_bound]
-            streamed = [
-                _chord_distances(cloud._radians, cloud._half_units, r0, r1, delta_d, upper_bound)
-                for r0, r1 in _row_blocks(n)
-            ]
-            assert len(streamed) > 1
-            got = np.concatenate(streamed)  # the blocks hold the pairs in condensed order
-            assert np.array_equal(_ring_indices(got, delta_d), _ring_indices(in_bound, delta_d))
+            assert len(list(_row_blocks(n))) > 1
+            got = chord_rings_by_pair(cloud, delta_d, upper_bound)
+            assert got.tobytes() == exact_rings(exact, delta_d, upper_bound).tobytes()
             if len(in_bound):
-                counts = _count_rings(streamed, delta_d, geo._MAX_DISTANCE_M / delta_d + 1, len(exact))
+                blocks, _, _ = geo._rings_within(cloud, delta_d, upper_bound)
+                counts = _count_rings(blocks, delta_d, geo._MAX_DISTANCE_M / delta_d + 1, len(exact))
                 for got_counts, want in zip(counts[:2], unique_ring_counts(in_bound, delta_d)):
                     assert got_counts.tobytes() == want.tobytes()
             kf = outcome(streamed_curve, cloud, delta_d, upper_bound)
@@ -212,7 +251,7 @@ class TestStreamedEqualsExact:
         assert to_canonical_json(result_to_dict(piped)) == to_canonical_json(result_to_dict(staged))
         assert curve_bytes(piped.diagnostics) == curve_bytes(staged.diagnostics)
 
-    @pytest.mark.parametrize("delta_d", [math.nan, math.inf, 0.0, -1.0, 1e-300, 1e154, 1e200])
+    @pytest.mark.parametrize("delta_d", [math.nan, math.inf, 0.0, -1.0, 1e-310, 1e-300, 1e154, 1e200])
     def test_curve_errors_and_their_order(self, delta_d):
         # the exact vector's error, raised with no warning on the way: the
         # ring limit is checked on each block before its ring indices are cast
@@ -240,8 +279,9 @@ def pair_set(blocks) -> list[tuple[int, int]]:
 
 
 def row_block_pairs(cloud, limit: float) -> list[tuple[int, int]]:
+    _, order, units = cloud._band_order
     return pair_set(
-        _chord_pairs_within(cloud._radians, cloud._half_units, r0, r1, limit) for r0, r1 in _row_blocks(len(cloud))
+        _chord_pairs_within(cloud._radians, order, units, r0, r1, limit) for r0, r1 in _row_blocks(len(cloud))
     )
 
 
@@ -321,6 +361,27 @@ class TestBand:
         want = union_find_dbscan_groups(condensed_distances(cloud).tolist(), n, epsilon, min_pts)
         assert groups_of(_dbscan_groups(cloud, epsilon, min_pts)) == want
 
+    @pytest.mark.parametrize("epsilon", [300_000.0, 1.5e7])
+    def test_dbscan_asks_the_source_again_only_past_one_block_of_pairs(self, epsilon):
+        # at min_pts > 1 the second pass reads the first pass's blocks again
+        # while they hold at most BLOCK_ELEMENTS pairs, and past that asks
+        # the edge source anew; the labels are union-find's either way
+        doc, n = synth_cloud_document(20, 29, seed=4)
+        cloud = to_point_cloud(doc)
+        pairs_within, calls = geo._pairs_within, []
+
+        def counted(cloud, limit):
+            source = pairs_within(cloud, limit)
+            return lambda: calls.append(limit) or source()
+
+        with mock.patch.object(geo, "_pairs_within", counted):
+            labels = _dbscan_groups(cloud, epsilon, 3)
+        held = sum(len(ii) for ii, _ in pairs_within(cloud, epsilon)())
+        assert (held <= geo.BLOCK_ELEMENTS) == (epsilon < 1e6)
+        assert len(calls) == (1 if held <= geo.BLOCK_ELEMENTS else 2)
+        want = union_find_dbscan_groups(condensed_distances(cloud).tolist(), n, epsilon, 3)
+        assert groups_of(labels) == want
+
     def test_band_gathers_in_blocks_beside_the_distance_vector(self):
         # a band of more candidate pairs than one block holds is gathered a
         # block at a time, and DBSCAN on it stays within the bound of
@@ -339,7 +400,74 @@ class TestBand:
             assert peak < 8 * (n * (n - 1) // 2) / 4
 
 
+@st.composite
+def gram_clouds(draw):
+    """Coordinates and a ring width for the Gram form: two tight groups on
+    opposite sides of the globe, a little global scatter, coincident
+    points, antipodes of some points nudged by up to a millimetre, and
+    pairs along a meridian at whole ring widths and 0.5 mm either side."""
+    delta_d = draw(st.sampled_from([7.3, 100.0, 2500.0, 1e5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lat0, lon0 = float(rng.uniform(-60, 60)), float(rng.uniform(-180, 180))
+    spread = draw(st.sampled_from([1e-6, 1e-4, 1e-2]))  # degrees
+    coords = []
+    for lat, lon in ((lat0, lon0), (-lat0, lon0 + 180.0 + draw(st.sampled_from([0.0, 1.0, 20.0])))):
+        k = draw(st.integers(3, 12))
+        coords += list(zip((lat + rng.normal(0, spread, k)).tolist(), (lon + rng.normal(0, spread, k)).tolist()))
+    coords += random_coords(rng, draw(st.integers(0, 6)))
+    coords += [coords[i] for i in draw(st.lists(st.integers(0, len(coords) - 1), max_size=4))]
+    mm = math.degrees(1e-3 / EARTH_RADIUS_M)
+    for i in draw(st.lists(st.integers(0, len(coords) - 1), max_size=4)):
+        lat, lon = coords[i]
+        nudge = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        coords.append((float(np.clip(-lat + nudge * mm, -90, 90)), lon + 180.0 + nudge * mm))
+    lat1, lon1 = float(rng.uniform(-60, 20)), float(rng.uniform(-180, 180))
+    for k in draw(st.lists(st.integers(1, 40), max_size=3)):
+        for off in (-5e-4, 0.0, 5e-4):
+            coords += [(lat1, lon1), (lat1 + math.degrees((k * delta_d + off) / EARTH_RADIUS_M), lon1)]
+    return coords, delta_d
+
+
+def exact_pairs(exact, n: int, limit: float) -> list[tuple[int, int]]:
+    # the pairs (i, j), i < j, of the exact vector within the limit
+    return sorted(zip(*(a.tolist() for a in condensed_pairs(np.flatnonzero(exact <= limit), n))))
+
+
 class TestChordKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(gram_clouds(), st.sampled_from([None] + LIMITS), st.integers(0, 2**32 - 1))
+    @example(([(10.0, 20.0)] * 8 + [(-10.0, -160.0)] * 8, 100.0), 0.0, 0)  # coincident, and antipodal
+    def test_rings_and_pairs_equal_the_exact_vector(self, case, bound, seed):
+        # Past one (patched) block, each pair's ring, the ring counts on
+        # either side of the span rule with and without upper_bound, and
+        # the edge source's pairs within a limit, from the band or from
+        # every row block, are those of the exact vector.
+        coords, delta_d = case
+        cloud = make_cloud(coords)
+        n = len(cloud)
+        rng = np.random.default_rng(seed)
+        exact = condensed_distances(cloud)
+        pair = float(exact[rng.integers(len(exact))])
+        upper_bound = None if bound is None else near(pair, bound)
+        in_bound = exact if upper_bound is None else exact[exact <= upper_bound]
+        want_rings, want_counts = unique_ring_counts(in_bound, delta_d)
+        with small_blocks():
+            assert n > geo._ONE_BLOCK_N
+            got = chord_rings_by_pair(cloud, delta_d, upper_bound)
+            assert got.tobytes() == exact_rings(exact, delta_d, upper_bound).tobytes()
+            blocks, largest, total = geo._rings_within(cloud, delta_d, upper_bound)
+            blocks, span = list(blocks), largest / delta_d + 1
+            for dense in (True, False) if span < 2**20 else (False,):  # either side of the span rule, forced
+                rings, counts, added, farthest = _count_rings(iter(blocks), delta_d, span, 4 * span if dense else 0)
+                assert rings.tobytes() == want_rings.tobytes()
+                assert counts.tobytes() == want_counts.tobytes()
+                assert added == len(in_bound)
+                assert farthest == (math.ceil(in_bound.max() / delta_d) if len(in_bound) else 0.0)
+            for limit in [near(pair, choice) for choice in LIMITS] + PAST_REACH[:1]:
+                want = exact_pairs(exact, n, limit)
+                assert pair_set(geo._pairs_within(cloud, limit)()) == want
+                assert row_block_pairs(cloud, limit) == want
+
     def stress_cloud(self, seed: int) -> list[tuple[float, float]]:
         # global scatter, tight groups, antipodes of some points, and pairs
         # 1 m to 100 m apart, some astride the antimeridian or by a pole
@@ -354,53 +482,67 @@ class TestChordKernel:
         return coords
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_chord_distance_within_the_bound(self, seed):
-        # the bound of _chord_distances, 1e-5 m at every arc up to 179
-        # degrees, short ones included
+    def test_trusted_chord_distance_within_the_bound(self, seed):
+        # every pair that the Gram form keeps from the haversine, at or
+        # above its column's floor and within the reach, lies within 1e-5 m
+        # of its haversine distance (see _chord_rings), short ones included
         cloud = make_cloud(self.stress_cloud(seed))
+        _, _, units = cloud._band_order
+        exact = condensed_distances(cloud)
         worst, short = 0.0, 0
         for r0, r1 in _row_blocks(len(cloud)):
-            h = np.minimum(_chord_haversines(cloud._half_units, r0, r1), 1.0)
-            chord = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
-            exact = _haversine_block(cloud._radians, r0, r1)
-            within = _upper(r0, r1, len(cloud)) & (exact <= _CHORD_REACH_M)
-            worst = max(worst, float(np.abs(chord - exact)[within].max()))
-            short += int((within & (exact >= 1.0) & (exact <= 100.0)).sum())
+            h, floor = _gram_haversines(units, r0, r1)
+            trusted = ((h >= floor) & (h <= _REACH_H)).reshape(-1)
+            chord = 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0))).reshape(-1)
+            at, pair = block_pairs(cloud, r0, r1)
+            trusted &= pair
+            d = exact[at]
+            worst = max(worst, float(np.abs(chord - d)[trusted].max()))
+            short += int((trusted & (d >= 1.0) & (d <= 100.0)).sum())
         assert short >= 80
         assert worst < 1e-5
 
     def test_pairs_past_the_reach_take_the_haversine(self):
         cloud = make_cloud(self.stress_cloud(3))
         n = len(cloud)
-        got = np.concatenate(
-            [_chord_distances(cloud._radians, cloud._half_units, r0, r1, 100.0, None) for r0, r1 in _row_blocks(n)]
-        )
         exact = condensed_distances(cloud)
-        far = exact > _CHORD_REACH_M
-        assert far.sum() > 50
-        assert np.array_equal(got[far].view(np.int64), exact[far].view(np.int64))
+        asked = []
+        pair_distances = geo._pair_distances
+
+        def recorded(radians, i, j, out=None):
+            asked.append(condensed_index(i, j, n))
+            return pair_distances(radians, i, j, out=out)
+
+        with mock.patch.object(geo, "_pair_distances", recorded):
+            got = chord_rings_by_pair(cloud, 100.0, None)
+        far = np.flatnonzero(exact > _CHORD_REACH_M)
+        assert len(far) > 50
+        assert np.isin(far, np.concatenate(asked)).all()
+        assert got.tobytes() == exact_rings(exact, 100.0, None).tobytes()
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_span_bound_covers_every_chord_distance(self, seed):
-        # the dense ring count spans the rings up to _diameter_bound and
-        # indexes them by the chord kernel's distances. In the regional
-        # cloud point 0 lies midway between each point and its reflection,
-        # so the farthest pair is twice the farthest point from point 0 and
-        # the bound is tight to its margin.
+    def test_span_bound_covers_every_ring(self, seed):
+        # the dense ring count spans the rings up to _diameter_bound's and
+        # indexes them by the chord kernel's rings. In the regional cloud
+        # point 0 lies midway between each point and its reflection, so the
+        # farthest pair is twice the farthest point from point 0 and the
+        # bound is tight to its margin.
         rng = np.random.default_rng(seed)
         scales = 10.0 ** -rng.integers(0, 6, 300)
         half = [(lat * s, lon * s) for (lat, lon), s in zip(rng.uniform(-40.0, 40.0, (300, 2)), scales)]
         regional = [(0.0, 0.0)] + half + [(-lat, -lon) for lat, lon in half]
         for coords in (self.stress_cloud(seed), regional):
             cloud = make_cloud(coords)
+            _, order, units = cloud._band_order
             bound = _diameter_bound(cloud._radians)
-            assert bound <= geo._MAX_DISTANCE_M
+            farthest = float(condensed_distances(cloud).max())
+            assert farthest <= bound <= geo._MAX_DISTANCE_M
             for spacing in (1.0, 100.0):
-                farthest = max(
-                    float(_chord_distances(cloud._radians, cloud._half_units, r0, r1, spacing, None).max())
+                ring = max(
+                    float(_chord_rings(cloud._radians, order, units, r0, r1, spacing, None).max())
                     for r0, r1 in _row_blocks(len(cloud))
                 )
-                assert farthest <= bound
+                assert ring <= math.ceil(bound / spacing)
         assert bound < _CHORD_REACH_M
         assert farthest > bound - 2 * _CHORD_MARGIN_M
 

@@ -163,6 +163,18 @@ class TestSeparationGuarantees:
         SynthSpec(min_decoy_distance_from_context=half - SynthSpec.context_radius - 1.0)
         SynthSpec(decoys_per_mention=(0, 0), min_decoy_distance_from_context=2.5e7)
 
+    def test_two_decoys_beyond_half_the_globe_apart_are_refused(self):
+        # two decoys of a document, of one mention or of two, must lie
+        # min_decoy_separation apart, and no two points lie farther than pi * R
+        half = math.pi * EARTH_RADIUS_M
+        for mentions, decoys in ((1, (2, 2)), (2, (0, 1)), (1, (1, 5))):
+            with pytest.raises(ValueError, match="^no two decoys can be placed: "):
+                SynthSpec(mentions_per_doc=mentions, decoys_per_mention=decoys, min_decoy_separation=half)
+        SynthSpec(mentions_per_doc=1, decoys_per_mention=(2, 2), min_decoy_separation=half - 1.0)
+        # a document that holds at most one decoy never compares two
+        SynthSpec(mentions_per_doc=1, decoys_per_mention=(0, 1), min_decoy_separation=2.1e7)
+        SynthSpec(mentions_per_doc=3, decoys_per_mention=(0, 0), min_decoy_separation=2.1e7)
+
 
 class TestRecoverability:
     def test_no_decoys_gives_perfect_densityk_precision(self):

@@ -1,0 +1,212 @@
+"""Pass one, the density curve of one cloud past one row block, timed on
+eight cloud shapes at two revisions, interleaved.
+
+    python3 tools/kernel_shapes.py BASE [HEAD] [--rounds N]
+
+Run it inside the repository. BASE and HEAD are git revisions; without
+HEAD the working tree's ``src`` is timed. Each revision's ``src`` runs in
+its own worker process with ``OPENBLAS_NUM_THREADS=1`` in that process's
+environment, so a gain is not hidden BLAS threads. Every round times each
+shape once in each worker, the workers in turn, so drift in the machine
+falls on both alike. The table gives each shape's median milliseconds
+over the rounds at each revision, their ratio, and the share of the
+cloud's pairs that fell back to the exact haversine at each revision
+(those the chord kernel did not decide).
+
+Pass one is ``kfunction._blocked_k_function`` over the curve source at
+the pipeline's default ring width of 100 m, on a cloud whose O(n) arrays
+are already built; the two curves are checked equal on every shape
+before any timing. The shapes, each seeded:
+
+- the ``large-docs`` benchmark document on seeds 42 and 7 (1,705 points);
+- uniform on the sphere, 4,000 points;
+- regional, 3,000 points within 10 km;
+- one city block, 1,000 points within 1 km;
+- two cities, 1,000 points within 5 km of each of two centres;
+- 1,200 points uniform on the sphere and 500 within 1 km of one centre;
+- 250 points uniform, each twice, and the antipodes of 500 of them,
+  nudged by up to half a metre, 1,000 points.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+DELTA_D = 100.0
+EARTH_RADIUS_M = 6_371_000.0
+
+
+def _uniform(rng, n: int) -> list[tuple[float, float]]:
+    import numpy as np
+
+    lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+    return list(zip(lat.tolist(), rng.uniform(-180.0, 180.0, n).tolist()))
+
+
+def _disc(rng, n: int, lat0: float, lon0: float, radius_m: float) -> list[tuple[float, float]]:
+    import numpy as np
+
+    r = radius_m * np.sqrt(rng.random(n)) / EARTH_RADIUS_M
+    bearing = rng.uniform(0.0, 2.0 * math.pi, n)
+    lat = lat0 + np.degrees(r * np.cos(bearing))
+    lon = lon0 + np.degrees(r * np.sin(bearing)) / math.cos(math.radians(lat0))
+    return list(zip(lat.tolist(), lon.tolist()))
+
+
+def shapes() -> dict[str, list[tuple[float, float]]]:
+    """The eight clouds, as (lat, lon) lists."""
+    import numpy as np
+    from densityk.corpus import to_point_cloud
+    from densityk.synth import SynthSpec, synth_generate
+
+    clouds = {}
+    for seed in (42, 7):
+        spec = SynthSpec(n_docs=1, mentions_per_doc=55, decoys_per_mention=(30, 30), seed=seed)
+        cloud = to_point_cloud(synth_generate(spec)[0])
+        clouds[f"large-docs seed {seed}"] = [(p.location.lat, p.location.lon) for p in cloud.points]
+    rng = np.random.default_rng(24)
+    clouds["uniform 4,000"] = _uniform(rng, 4000)
+    clouds["regional 3,000 in 10 km"] = _disc(rng, 3000, 45.0, 7.0, 10_000.0)
+    clouds["city block 1,000 in 1 km"] = _disc(rng, 1000, 48.85, 2.35, 1_000.0)
+    clouds["two cities 2 x 1,000"] = _disc(rng, 1000, 48.85, 2.35, 5_000.0) + _disc(rng, 1000, -33.9, 151.2, 5_000.0)
+    clouds["global 1,200 + 500 in 1 km"] = _uniform(rng, 1200) + _disc(rng, 500, 10.0, 20.0, 1_000.0)
+    base = _uniform(rng, 250)
+    nudge = math.degrees(0.5 / EARTH_RADIUS_M)
+    antipodes = [(-lat + nudge * k / 500, lon + 180.0 + nudge * k / 500) for k, (lat, lon) in enumerate(base * 2)]
+    clouds["duplicates + antipodes 1,000"] = base * 2 + antipodes
+    return clouds
+
+
+def _worker(src: str) -> None:
+    # Serves one revision: builds the shapes, then answers "time NAME" with
+    # pass one's milliseconds, "share NAME" with its fallback share and
+    # "curve NAME" with a digest of its curve, one line each.
+    sys.path.insert(0, src)
+    import hashlib
+
+    from densityk import geo
+    from densityk.corpus import CloudPoint, PointCloud
+    from densityk.geo import GeoPoint
+    from densityk.kfunction import _blocked_k_function
+
+    # the curve source; it yielded distances, as _distances_within, before it yielded rings
+    source = getattr(geo, "_rings_within", None) or geo._distances_within
+    clouds = {}
+    for name, coords in shapes().items():
+        clouds[name] = PointCloud(tuple(CloudPoint(GeoPoint(a, b), f"p{k}", "m") for k, (a, b) in enumerate(coords)))
+
+    def pass_one(cloud):
+        return _blocked_k_function(len(cloud), DELTA_D, *source(cloud, DELTA_D, None))
+
+    exact = geo._pair_distances
+    print(json.dumps(list(clouds)), flush=True)
+    for line in sys.stdin:
+        command, name = line.rstrip("\n").split(" ", 1)
+        cloud = clouds[name]
+        if command == "time":
+            start = time.perf_counter()
+            pass_one(cloud)
+            answer = (time.perf_counter() - start) * 1e3
+        elif command == "share":
+            fell_back = []
+
+            def counted(*args, **kwargs):
+                fell_back.append(len(args[1]))
+                return exact(*args, **kwargs)
+
+            geo._pair_distances = counted
+            try:
+                pass_one(cloud)
+            finally:
+                geo._pair_distances = exact
+            n = len(cloud)
+            answer = sum(fell_back) / (n * (n - 1) // 2)
+        else:
+            kf = pass_one(cloud)
+            answer = hashlib.sha256(kf.distances_m.tobytes() + kf.densities.tobytes()).hexdigest()
+        print(json.dumps(answer), flush=True)
+
+
+def _export(revision: str | None, into: Path) -> str:
+    # the revision's src directory, unpacked into ``into``, or the working tree's
+    git = subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True, capture_output=True, text=True)
+    top = Path(git.stdout.strip())
+    if revision is None:
+        return str(top / "src")
+    archive = subprocess.run(["git", "-C", str(top), "archive", "--format=tar", revision, "src"], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return str(into / "src")
+
+
+class _Worker:
+    def __init__(self, src: str):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        self.process = subprocess.Popen(
+            [sys.executable, __file__, "--worker", src], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env
+        )
+        self.names = json.loads(self.process.stdout.readline())
+
+    def ask(self, command: str, name: str):
+        self.process.stdin.write(f"{command} {name}\n")
+        self.process.stdin.flush()
+        return json.loads(self.process.stdout.readline())
+
+    def close(self) -> None:
+        self.process.stdin.close()
+        self.process.wait()
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--worker"]:
+        _worker(argv[1])
+        return 0
+    rounds = 15
+    if "--rounds" in argv:
+        at = argv.index("--rounds")
+        rounds = int(argv[at + 1])
+        del argv[at : at + 2]
+    if len(argv) not in (1, 2):
+        print("usage: python3 tools/kernel_shapes.py BASE [HEAD] [--rounds N]", file=sys.stderr)
+        return 2
+    base, head = argv[0], argv[1] if len(argv) == 2 else None
+    with tempfile.TemporaryDirectory() as scratch:
+        workers = [_Worker(_export(rev, Path(scratch) / str(k))) for k, rev in enumerate((base, head))]
+        try:
+            names = workers[0].names
+            for name in names:
+                digests = [w.ask("curve", name) for w in workers]
+                if digests[0] != digests[1]:
+                    print(f"{name}: the curves differ", file=sys.stderr)
+                    return 1
+            shares = {name: [w.ask("share", name) for w in workers] for name in names}
+            times = {name: ([], []) for name in names}
+            for r in range(rounds):
+                for name in names:
+                    for k in (0, 1) if r % 2 == 0 else (1, 0):
+                        times[name][k].append(workers[k].ask("time", name))
+        finally:
+            for w in workers:
+                w.close()
+    head_label = head or "working tree"
+    print(f"pass one at delta_d {DELTA_D:g} m, median of {rounds} rounds, OPENBLAS_NUM_THREADS=1")
+    print(f"{'shape':<30}{base[:12]:>14}{head_label[:12]:>14}{'ratio':>8}{'fallback':>12}{'fallback':>12}")
+    for name in names:
+        ms = [statistics.median(times[name][k]) for k in (0, 1)]
+        share = shares[name]
+        print(f"{name:<30}{ms[0]:>11.1f} ms{ms[1]:>11.1f} ms{ms[1] / ms[0]:>8.2f}{share[0]:>12.2e}{share[1]:>12.2e}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
