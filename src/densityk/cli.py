@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success; 1 input, schema, or configuration errors, or an
-output that cannot be written; 2 algorithm errors (infeasible instances
-such as a combination explosion or a document with no unambiguous anchor).
+Exit codes: 0 success; 1 input, schema, or configuration errors, a
+command line that does not parse, or an output that cannot be written;
+2 algorithm errors (infeasible instances such as a combination explosion
+or a document with no unambiguous anchor).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .evaluation import (
     ALGORITHMS,
     GRID_PRESETS,
     AlgorithmConfig,
+    check_cells,
     evaluate_corpus,
     report_to_csv,
     report_to_dict,
@@ -93,7 +95,21 @@ def _algorithm_options(fn):
     return fn
 
 
-@click.group()
+class _Commands(click.Group):
+    # a command line that does not parse is an input error: one line, exit 1
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.exceptions.NoArgsIsHelpError as exc:  # no command: the command list
+            exc.show()
+            sys.exit(1)
+        except click.ClickException as exc:
+            _fail(1, exc.format_message())
+        except click.Abort:
+            _fail(1, "aborted")
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Disambiguate fine-grained place names by clustering their candidate
     locations."""
@@ -117,7 +133,7 @@ def disambiguate(algorithm, input_path, output_path, **flags) -> None:
 @main.command()
 @click.option("--corpus", "corpus_path", type=click.Path(path_type=Path), required=True, help="Directory of document JSON files or a JSON-lines file.")
 @click.option("--output", "output_path", type=click.Path(path_type=Path), required=True)
-@click.option("--grid", "grid_name", default=None, help="Named grid preset (e.g. table1).")
+@click.option("--grid", "grid_name", type=click.Choice(list(GRID_PRESETS)), default=None, help="Named grid preset.")
 @click.option("--cell", "cells", multiple=True, help="Explicit cell, e.g. dbscan:epsilon=2000,min_pts=5. Repeatable.")
 @click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None, help="Also write the flattened per-document CSV here.")
 @click.option("--workers", type=int, default=1, show_default=True)
@@ -126,8 +142,6 @@ def evaluate(corpus_path, output_path, grid_name, cells, csv_path, workers) -> N
     per-cell macro precision and distance error."""
     configs: list[AlgorithmConfig] = []
     if grid_name is not None:
-        if grid_name not in GRID_PRESETS:
-            _fail(1, f"unknown grid preset {grid_name!r}; known: {sorted(GRID_PRESETS)}")
         configs.extend(GRID_PRESETS[grid_name]())
     for cell in cells:
         try:
@@ -137,6 +151,7 @@ def evaluate(corpus_path, output_path, grid_name, cells, csv_path, workers) -> N
     if not configs:
         _fail(1, "no cells to evaluate; pass --grid or --cell")
     try:
+        check_cells(configs)
         WORKERS.check(workers)
     except ValueError as exc:
         _fail(1, str(exc))

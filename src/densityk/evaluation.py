@@ -194,6 +194,15 @@ def _evaluate_cell(
     return CellReport(config=config, scores=scores, errors=errors)
 
 
+def check_cells(configs: list[AlgorithmConfig]) -> None:
+    """Raise ``ValueError`` naming the first key given twice: a report holds
+    one cell a key, as written (``epsilon=2000`` and ``2000.0`` are two)."""
+    keys = [config.key for config in configs]
+    for k, key in enumerate(keys):
+        if key in keys[:k]:
+            raise ValueError(f"cell {key} is given twice")
+
+
 def evaluate_corpus(
     docs: list[DocumentInput],
     configs: list[AlgorithmConfig],
@@ -204,8 +213,10 @@ def evaluate_corpus(
 
     Per-document algorithm errors are recorded as cell annotations; they
     never abort the run. Output is keyed by configuration, so worker count
-    and completion order cannot change the report.
+    and completion order cannot change the report, and a repeated key is
+    refused (see :func:`check_cells`).
     """
+    check_cells(configs)
     WORKERS.check(workers)
     docs = sorted(docs, key=lambda d: d.doc_id)
     cells = tuple(_evaluate_cell(docs, config, workers) for config in configs)

@@ -268,6 +268,13 @@ def _haversine_of(distance: float) -> float:
 _REACH_H = _haversine_of(_CHORD_REACH_M)
 
 
+def _near_h(limit: float) -> float:
+    # the h of limit + M, above which a pair's chord puts it past ``limit``;
+    # inf where limit + M reaches the reach, past which the chord bounds nothing
+    near = limit + _CHORD_MARGIN_M
+    return _haversine_of(near) if near < _CHORD_REACH_M else math.inf
+
+
 def _gram_haversines(units: np.ndarray, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
     # h over row block (r0, r1) of the points whose half unit vectors are
     # ``units`` (rows x, y, z, in band order), as -2 a_i.b_j + |a_i|^2 +
@@ -426,45 +433,12 @@ def _chord_rings(
     return ring.reshape(-1)
 
 
-def _chord_pairs_within(
-    radians, order: np.ndarray, units: np.ndarray, r0: int, r1: int, limit: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j), i < j, of the cloud's indices in row block
-    (r0, r1) over the points in band order (see :func:`_chord_rings`)
-    whose haversine distance is at most ``limit``, as two index arrays.
-
-    A pair is surely within when its h is below that of
-    ``min(limit - M, _CHORD_REACH_M)`` and at least its column's floor
-    (see :func:`_chord_rings`), and surely not when it is above that of
-    ``limit + M`` and that floor, and ``limit + M`` lies within the
-    reach: past the reach the chord loses the bound, but the pair lies
-    past 179 degrees all the same. Every other pair takes the haversine.
-    Comparing h with the h of ``limit -/+ M`` in place of the distances
-    moves the comparison by the rounding of that h, within the chord's
-    bound again.
-    """
-    h, floor = _gram_haversines(units, r0, r1)
-    if limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
-        maybe = h <= np.maximum(floor, _haversine_of(limit + _CHORD_MARGIN_M))
-    else:
-        maybe = np.ones(h.shape, dtype=bool)
-    maybe.reshape(-1)[_lower(*h.shape)] = False  # each pair once
-    flat = np.flatnonzero(maybe)
-    p, q = np.divmod(flat, h.shape[1])
-    h, floor = h.reshape(-1)[flat], floor.take(q)
-    p += r0
-    q += r0 + 1
-    return _decided_within(radians, h, *_cloud_pairs(order, p, q), limit, floor)
-
-
-def _decided_within(radians, h: np.ndarray, i: np.ndarray, j: np.ndarray, limit: float, floor=None):
+def _decided_within(radians, h: np.ndarray, i: np.ndarray, j: np.ndarray, limit: float):
     # the pairs (i[k], j[k]), i < j, of chord h[k] that lie within ``limit``:
-    # surely those below the h of limit - M and, in the Gram form, at least
-    # their floor ``floor[k]``, and of the rest those whose haversine
-    # distance is within (see _chord_pairs_within)
+    # surely those below the h of limit - M and of the reach (the rounding
+    # of that h stays within the chord's bound, see _chord_rings), and of
+    # the rest those whose haversine distance is within
     within = h < _haversine_of(min(max(limit - _CHORD_MARGIN_M, 0.0), _CHORD_REACH_M))
-    if floor is not None:
-        within &= h >= floor
     unsure = ~within
     if unsure.any():
         within[unsure] = _pair_distances(radians, i[unsure], j[unsure]) <= limit
@@ -476,20 +450,14 @@ def _pairs_within(cloud: PointCloud, limit: float):
     i < j, of the cloud's points within ``limit`` (haversine) once, as index
     arrays a block at a time: the pairs of the vector a one-block cloud
     keeps (see :func:`condensed_distances`), found once; past one block
-    those of the band of ``limit``, or of every row block where
-    :func:`_band` gives none, through the chord kernel, found anew on each
-    call. Both yield the same pairs.
+    those of the band of ``limit`` (:func:`_band`), decided through the
+    chord kernel and found anew on each call. Both yield the same pairs.
     """
     n = len(cloud)
     if n <= _ONE_BLOCK_N:
         pairs = (condensed_pairs(np.flatnonzero(condensed_distances(cloud) <= limit), n),)
         return lambda: pairs
     band = _band(cloud, limit)
-    if band is None:
-        _, order, units = cloud._band_order
-        return lambda: (
-            _chord_pairs_within(cloud._radians, order, units, r0, r1, limit) for r0, r1 in _row_blocks(n)
-        )
     return lambda: _band_pairs_within(cloud._radians, limit, *band)
 
 
@@ -498,41 +466,33 @@ def _band(cloud: PointCloud, limit: float):
     ``PointCloud._band_order``), as ``(order, half_units, bounds)``: the
     sort order, the half unit vectors in that order, and where each sorted
     point's window starts among the candidate pairs (``bounds[p]``; the
-    last entry is their number). It is None, and the row blocks serve,
-    where ``limit + M`` lies at or past the reach, or where the windows
-    hold more than a third of the n(n-1)/2 pairs: a gathered pair costs
-    two to three times a row block's. On a regional cloud of 3,000 points
-    the band took 33 ms and the row blocks 53 ms at a band of 0.27 of the
-    pairs, 53 and 48 ms at 0.42, and 164 and 92 ms at all of them (2-vCPU
-    Xeon, numpy 2.4).
+    last entry is their number).
 
     The window of the point at sorted position p holds the later points
     whose coordinate on the axis is at most ``key[p] + reach``, for
-    ``reach`` the root of the h of ``limit + M`` widened by a slack. No
-    pair outside every window is within ``limit``. Let u = 2**-53, h the
-    h of ``limit + M`` and r its computed root, at least (1 - u) sqrt(h):
-    the computed reach is at least r (1 + 2**-40)(1 - u)**2 +
-    2**-50 (1 - u). A point q past p's window has key[q] > fl(key[p] +
-    reach), and that sum, at most 1.5, rounds by at most u, so key[q] -
-    key[p] > reach - u > r (1 + 2**-40)(1 - u)**2. The rounded difference
-    of the two keys is at least (1 - u) times that, its rounded square
-    (1 - u) times the square, and adding the other non-negative squares in
-    floating point never lowers the sum: the pair's h in the difference
-    form is at least h (1 + 2**-40)**2 (1 - u)**9, above h, so its chord
-    distance lies past ``limit + M`` and, by the bound of
-    :func:`_chord_rings`, its haversine distance past ``limit``.
+    ``reach`` the root of the h of ``limit + M`` widened by a slack (every
+    later point where ``limit + M`` lies at or past the reach). No pair
+    outside every window is within ``limit``. Let u = 2**-53, h the h of
+    ``limit + M`` and r its computed root, at least (1 - u) sqrt(h): the
+    computed reach is at least r (1 + 2**-40)(1 - u)**2 + 2**-50 (1 - u).
+    A point q past p's window has key[q] > fl(key[p] + reach), and that
+    sum, at most 1.5, rounds by at most u, so key[q] - key[p] > reach - u >
+    r (1 + 2**-40)(1 - u)**2. The rounded difference of the two keys is at
+    least (1 - u) times that, its rounded square (1 - u) times the square,
+    and adding the other non-negative squares in floating point never
+    lowers the sum: the pair's h in the difference form is at least
+    h (1 + 2**-40)**2 (1 - u)**9, above h, so its chord distance lies past
+    ``limit + M`` and, by the bound of :func:`_chord_rings`, its haversine
+    distance past ``limit``. A limit that reaches most pairs gathers most
+    of them, the band's slow side (``tools/kernel_shapes.py`` times it).
     """
     n = len(cloud)
-    if not limit + _CHORD_MARGIN_M < _CHORD_REACH_M:
-        return None
     axis, order, half_units = cloud._band_order
     key = half_units[axis]
-    reach = math.sqrt(_haversine_of(limit + _CHORD_MARGIN_M)) * (1.0 + 2.0**-40) + 2.0**-50
+    reach = math.sqrt(_near_h(limit)) * (1.0 + 2.0**-40) + 2.0**-50
     ends = np.searchsorted(key, key + reach, side="right")
     bounds = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(ends - np.arange(1, n + 1), out=bounds[1:])  # a window: the later points up to its end
-    if 3 * int(bounds[-1]) > n * (n - 1) // 2:
-        return None
     return order, half_units, bounds
 
 
@@ -540,10 +500,10 @@ def _band_pairs_within(radians, limit: float, order: np.ndarray, half_units: np.
     # The band's pairs within ``limit``, gathered BLOCK_ELEMENTS candidates
     # at a time. Candidate k of window p is the pair of sorted positions
     # (p, p + 1 + k - bounds[p]); its h is the difference form's (see
-    # _chord_rings for its bound), and it goes back to the cloud's indices
-    # (min, max) before _decided_within.
+    # _chord_rings for its bound). Those at most the h of limit + M go back
+    # to the cloud's indices (min, max) before _decided_within.
     x, y, z = half_units
-    h_near = _haversine_of(limit + _CHORD_MARGIN_M)
+    h_near = _near_h(limit)
     total = int(bounds[-1])
     for k0 in range(0, total, BLOCK_ELEMENTS):
         k1 = min(k0 + BLOCK_ELEMENTS, total)

@@ -113,8 +113,6 @@ def _count_rings(blocks, delta_d: float, span: float, total: int) -> tuple[np.nd
     occupied = [np.empty(0, dtype=np.int64)] * 2  # the sparse count's rings and counts
     pending: list[np.ndarray] = []  # ring indices not merged yet
     for rings in blocks:
-        if len(rings) == 0:
-            continue
         largest = max(largest, float(rings.max()))
         _check_ring_limit(largest, delta_d)
         indices = rings.astype(np.int64)

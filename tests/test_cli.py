@@ -329,6 +329,58 @@ def test_unreadable_input_exits_1_with_one_error_line(runner, tmp_path, args, me
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["disambiguate", "--algorithm", "dbscan", "--epsilon", "5", "--min-pts", "2.5", "--input", "{doc}", "--output", "{out}"],
+         "Invalid value for '--min-pts': '2.5' is not a valid integer."),
+        (["disambiguate", "--input", "{doc}"], "Missing option '--output'."),
+        (["clusters", "--algorithm", "nosuch", "--input", "{doc}", "--output", "{out}"],
+         "Invalid value for '--algorithm': 'nosuch' is not one of " + ", ".join(map(repr, ALGORITHMS)) + "."),
+        (["evaluate", "--workers", "two", "--cell", "omd", "--corpus", "{corpus}", "--output", "{out}"],
+         "Invalid value for '--workers': 'two' is not a valid integer."),
+        (["evaluate", "--grid", "nope", "--corpus", "{corpus}", "--output", "{out}"],
+         "Invalid value for '--grid': 'nope' is not 'table1'."),
+        (["kfunction", "--bogus", "--input", "{doc}", "--output", "{out}"], "No such option '--bogus'."),
+        (["nosuch", "--output", "{out}"], "No such command 'nosuch'."),
+    ],
+    ids=["min-pts-2.5", "missing-output", "unknown-algorithm", "workers-two", "unknown-grid", "unknown-option", "unknown-command"],
+)
+def test_a_command_line_that_does_not_parse_exits_1_with_one_error_line(
+    runner, corpus_dir, doc_path, tmp_path, args, message
+):
+    # click's own message, as every other input error is given: the same
+    # min_pts of 2.5 in an evaluate --cell exits 1 too
+    paths = {"doc": doc_path, "corpus": corpus_dir, "out": tmp_path / "out"}
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0_and_no_command_lists_the_commands(runner):
+    for args in (["--help"], ["evaluate", "--help"]):
+        assert runner.invoke(main, args).exit_code == 0
+    bare = runner.invoke(main, [])
+    assert bare.exit_code == 1
+    assert bare.output.startswith("Usage: ")
+    assert all(f"\n  {name} " in bare.output for name in main.commands)
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["--cell", "dbscan:epsilon=2000,min_pts=1"] * 2, "dbscan:epsilon=2000,min_pts=1"),
+        (["--grid", "table1", "--cell", "densityk:delta_d=100.0"], "densityk:delta_d=100.0"),
+    ],
+    ids=["two-cells", "grid-and-cell"],
+)
+def test_a_repeated_cell_exits_1_before_the_corpus_is_read(runner, tmp_path, args, key):
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    result = runner.invoke(main, ["evaluate", *args, "--corpus", str(missing), "--output", str(out)])
+    assert (result.exit_code, result.output) == (1, f"error: cell {key} is given twice\n")
+    assert not out.exists()
+
+
 class TestEvaluateCommand:
     def test_explicit_cells(self, runner, corpus_dir, tmp_path):
         out = tmp_path / "report.json"

@@ -21,7 +21,7 @@ from densityk import (
     table1_grid,
     to_point_cloud,
 )
-from densityk import baselines, clustering, geo
+from densityk import baselines, clustering, evaluation, geo
 from densityk.clustering import DisambiguationResult
 from densityk.evaluation import ALGORITHMS, report_to_csv, report_to_dict
 from densityk.synth import SynthSpec, synth_generate
@@ -185,6 +185,27 @@ class TestEvaluateCorpus:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             evaluate_corpus(planted_corpus(), [AlgorithmConfig("omd")], workers=workers)
+
+    @pytest.mark.parametrize(
+        "configs, key",
+        [
+            ([AlgorithmConfig("dbscan", (("epsilon", 2000), ("min_pts", 1))), AlgorithmConfig("centroid")] * 2,
+             "dbscan:epsilon=2000,min_pts=1"),
+            (table1_grid() + [AlgorithmConfig("densityk", (("delta_d", 100.0),))], "densityk:delta_d=100.0"),
+        ],
+    )
+    def test_a_repeated_cell_is_refused_before_any_run(self, monkeypatch, configs, key):
+        # the report holds one cell a key: the first key given twice is named
+        monkeypatch.setattr(evaluation, "_evaluate_cell", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError) as refused:
+            evaluate_corpus(planted_corpus(), configs)
+        assert str(refused.value) == f"cell {key} is given twice"
+
+    def test_keys_are_compared_as_written(self):
+        # 2000 and 2000.0 are one value but two keys, so two cells
+        configs = [AlgorithmConfig("dbscan", (("epsilon", e), ("min_pts", 1))) for e in (2000, 2000.0)]
+        report = evaluate_corpus(planted_corpus(), configs)
+        assert [c.config.key for c in report.cells] == ["dbscan:epsilon=2000,min_pts=1", "dbscan:epsilon=2000.0,min_pts=1"]
 
 
 class TestTable1Grid:

@@ -1,5 +1,7 @@
+import enum
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -133,6 +135,18 @@ json_trees = st.recursive(
 )
 
 
+class Name(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Row(list):
+    pass
+
+
 class TestCanonicalWriter:
     """``to_canonical_json`` writes the bytes of ``json.dumps(sort_keys=True,
     indent=1)`` and raises the TypeError it raises."""
@@ -160,6 +174,17 @@ class TestCanonicalWriter:
         with pytest.raises(TypeError) as theirs:
             json_dumps(place(bad))
         assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [Name("\u00e9\n"), Level.LOW, Row([Level.LOW, Name("a")]), OrderedDict([("b", Row()), ("a", 1)])],
+        ids=["str", "int-enum", "list", "ordered-dict"],
+    )
+    def test_a_subclass_is_written_as_its_base_type(self, value):
+        # the writer looks up exact types first; a subclass takes the
+        # isinstance fallbacks, as json's encoder does
+        assert to_canonical_json(value) == json_dumps(value)
+        assert to_canonical_json([value, {"k": value}]) == json_dumps([value, {"k": value}])
 
     def test_unwritable_key_is_a_type_error(self):
         with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):

@@ -6,14 +6,14 @@ counts the rings that ``geo._rings_within`` yields from its row blocks
 (``kfunction._count_rings``), and DBSCAN, whose ``min_pts=1`` case is the
 pipeline's single linkage, reads the pairs within its epsilon from one
 edge source, ``geo._pairs_within``, in one pass at ``min_pts`` 1 and two
-otherwise: the pairs of a band over the cloud's sort axis
-(``geo._band``), or the row blocks of every pair where that band is wide
-or the limit lies near the reach. The row blocks walk the points in band
+otherwise: past one block, the pairs of a band over the cloud's sort axis
+(``geo._band``), whose windows hold every later point where the limit
+lies near the reach. The curve's row blocks walk the points in band
 order through the chord kernel's centred Gram form
-(``geo._gram_haversines``, read by ``geo._chord_rings`` and
-``geo._chord_pairs_within``), the band through its difference form, both
-with the haversine's decisions, so the band yields exactly the row
-blocks' pairs and every ring is the exact vector's. With the blocks
+(``geo._gram_haversines``, read by ``geo._chord_rings``), the band
+through its difference form, both with the haversine's decisions, so the
+band yields exactly the exact vector's pairs within the limit and every
+ring is the exact vector's. With the blocks
 patched small, clouds of 10-60 points stream through many blocks; at the
 real block size, the pipeline is checked on either side of the 257
 points of one block.
@@ -55,7 +55,6 @@ from densityk.geo import (
     _CHORD_REACH_M,
     _NO_RING,
     _REACH_H,
-    _chord_pairs_within,
     _chord_rings,
     _diameter_bound,
     _gram_haversines,
@@ -278,14 +277,12 @@ def pair_set(blocks) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def row_block_pairs(cloud, limit: float) -> list[tuple[int, int]]:
-    _, order, units = cloud._band_order
-    return pair_set(
-        _chord_pairs_within(cloud._radians, order, units, r0, r1, limit) for r0, r1 in _row_blocks(len(cloud))
-    )
+def exact_pairs(exact, n: int, limit: float) -> list[tuple[int, int]]:
+    # the pairs (i, j), i < j, of the exact vector within the limit
+    return sorted(zip(*(a.tolist() for a in condensed_pairs(np.flatnonzero(exact <= limit), n))))
 
 
-# limits at and past the reach, where the band gives way to the row blocks
+# limits at and past the reach, where the band's windows hold every later point
 PAST_REACH = [_CHORD_REACH_M - _CHORD_MARGIN_M, _CHORD_REACH_M, math.pi * EARTH_RADIUS_M]
 DEG_PER_M = math.degrees(1.0 / EARTH_RADIUS_M)
 # a chain 10 m a link along the prime meridian, astride 40 points on the
@@ -305,59 +302,56 @@ class TestBand:
         st.integers(0, 2**32 - 1),
         st.booleans(),
     )
-    # coincident points: a band of every pair, so the row blocks serve
+    # coincident points: a band of every pair
     @example(([(10.0, 20.0)] * 12, 100.0), 0.0, PAST_REACH[0], 0, True)
     @example((TIED_CHAIN, 1.0), -math.inf, PAST_REACH[0], 1, True)
     @example((TIED_CHAIN, 1.0), 0.5, PAST_REACH[0], 3, False)
     @example((ANTIPODES, 1.0), 0.5, PAST_REACH[0], 1, False)
     @example((ANTIPODES, 1.0), None, PAST_REACH[1], 0, True)
-    def test_band_pairs_equal_row_block_pairs(self, case, choice, past, seed, patched):
+    def test_band_pairs_equal_exact_pairs(self, case, choice, past, seed, patched):
         # The band's pairs within a limit at, next to and half the margin
-        # off a pair's distance (one of the shortest quarter, so that the
-        # band falls on either side of the switch), or at and past the
-        # reach, are the row blocks' pairs, with blocks of 16 entries and
+        # off a pair's distance (one of the shortest quarter, where a band
+        # holds few of the pairs), or at and past the reach, where it holds
+        # them all, are the exact vector's, with blocks of 16 entries and
         # of the real size; and past one (patched) block the edge source
         # yields them.
         coords, _ = case
         cloud = make_cloud(coords)
         n = len(cloud)
-        exact = np.sort(condensed_distances(cloud))
-        pair = float(exact[int(np.random.default_rng(seed).integers(len(exact))) // 4])
+        exact = condensed_distances(cloud)
+        pair = float(np.sort(exact)[int(np.random.default_rng(seed).integers(len(exact))) // 4])
         limit = past if choice is None else near(pair, choice)
+        want = exact_pairs(exact, n, limit)
         with small_blocks() if patched else contextlib.nullcontext():
-            want = row_block_pairs(cloud, limit)
             band = geo._band(cloud, limit)
-            if band is not None:
-                assert limit + _CHORD_MARGIN_M < _CHORD_REACH_M
-                blocks = list(geo._band_pairs_within(cloud._radians, limit, *band))
-                assert len(blocks) == -(-int(band[2][-1]) // geo.BLOCK_ELEMENTS)
-                assert pair_set(blocks) == want
+            if limit + _CHORD_MARGIN_M >= _CHORD_REACH_M:
+                assert int(band[2][-1]) == n * (n - 1) // 2
+            blocks = list(geo._band_pairs_within(cloud._radians, limit, *band))
+            assert len(blocks) == -(-int(band[2][-1]) // geo.BLOCK_ELEMENTS)
+            assert pair_set(blocks) == want
             if patched:
                 assert n > geo._ONE_BLOCK_N
                 assert pair_set(geo._pairs_within(cloud, limit)()) == want
 
-    def test_a_wide_band_takes_the_row_blocks(self):
+    def test_a_wide_band_yields_the_exact_pairs(self):
         # a regional cloud at a limit that reaches most of its pairs: the
-        # band would gather more than a third of them, so the edge source
-        # reads every row block
+        # band gathers more than a third of them, and the edge source
+        # yields the exact vector's pairs all the same
         rng = np.random.default_rng(8)
         cloud = make_cloud(np.column_stack((rng.uniform(44.7, 45.3, 300), rng.uniform(6.6, 7.4, 300))).tolist())
         n = len(cloud)
         assert n > geo._ONE_BLOCK_N
-        assert geo._band(cloud, 5_000.0) is not None
-        assert geo._band(cloud, 50_000.0) is None
+        assert 3 * int(geo._band(cloud, 50_000.0)[2][-1]) > n * (n - 1) // 2
         blocks = list(geo._pairs_within(cloud, 50_000.0)())
-        assert len(blocks) == len(list(_row_blocks(n)))
-        assert pair_set(blocks) == row_block_pairs(cloud, 50_000.0)
+        assert pair_set(blocks) == exact_pairs(condensed_distances(cloud), n, 50_000.0)
 
     @pytest.mark.parametrize("min_pts", [1, 5])
     def test_band_labels_equal_union_find(self, min_pts):
-        # at the real block size, on a cloud whose edge source is the band
+        # at the real block size, on a cloud past one block
         doc, n = synth_cloud_document(20, 29, seed=4)
         cloud = to_point_cloud(doc)
         assert n == 600 > geo._ONE_BLOCK_N
         epsilon = 300_000.0
-        assert geo._band(cloud, epsilon) is not None
         want = union_find_dbscan_groups(condensed_distances(cloud).tolist(), n, epsilon, min_pts)
         assert groups_of(_dbscan_groups(cloud, epsilon, min_pts)) == want
 
@@ -389,9 +383,7 @@ class TestBand:
         doc, n = synth_cloud_document(100, 29, seed=3)
         cloud = to_point_cloud(doc)
         epsilon = 300_000.0
-        band = geo._band(cloud, epsilon)
-        assert band is not None
-        candidates = int(band[2][-1])
+        candidates = int(geo._band(cloud, epsilon)[2][-1])
         assert candidates > 3 * geo.BLOCK_ELEMENTS
         blocks = list(geo._pairs_within(cloud, epsilon)())
         assert len(blocks) == -(-candidates // geo.BLOCK_ELEMENTS)
@@ -428,11 +420,6 @@ def gram_clouds(draw):
     return coords, delta_d
 
 
-def exact_pairs(exact, n: int, limit: float) -> list[tuple[int, int]]:
-    # the pairs (i, j), i < j, of the exact vector within the limit
-    return sorted(zip(*(a.tolist() for a in condensed_pairs(np.flatnonzero(exact <= limit), n))))
-
-
 class TestChordKernel:
     @settings(max_examples=120, deadline=None)
     @given(gram_clouds(), st.sampled_from([None] + LIMITS), st.integers(0, 2**32 - 1))
@@ -440,8 +427,8 @@ class TestChordKernel:
     def test_rings_and_pairs_equal_the_exact_vector(self, case, bound, seed):
         # Past one (patched) block, each pair's ring, the ring counts on
         # either side of the span rule with and without upper_bound, and
-        # the edge source's pairs within a limit, from the band or from
-        # every row block, are those of the exact vector.
+        # the edge source's pairs within a limit, from the band, are those
+        # of the exact vector.
         coords, delta_d = case
         cloud = make_cloud(coords)
         n = len(cloud)
@@ -466,7 +453,6 @@ class TestChordKernel:
             for limit in [near(pair, choice) for choice in LIMITS] + PAST_REACH[:1]:
                 want = exact_pairs(exact, n, limit)
                 assert pair_set(geo._pairs_within(cloud, limit)()) == want
-                assert row_block_pairs(cloud, limit) == want
 
     def stress_cloud(self, seed: int) -> list[tuple[float, float]]:
         # global scatter, tight groups, antipodes of some points, and pairs

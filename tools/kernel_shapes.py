@@ -1,5 +1,6 @@
-"""Pass one, the density curve of one cloud past one row block, timed on
-eight cloud shapes at two revisions, interleaved.
+"""The two passes of the density pipeline past one row block, timed at two
+revisions, interleaved: pass one, the density curve, on eight cloud
+shapes, and pass two, the pairs within a limit, on nine.
 
     python3 tools/kernel_shapes.py BASE [HEAD] [--rounds N]
 
@@ -26,6 +27,20 @@ before any timing. The shapes, each seeded:
 - 1,200 points uniform on the sphere and 500 within 1 km of one centre;
 - 250 points uniform, each twice, and the antipodes of 500 of them,
   nudged by up to half a metre, 1,000 points.
+
+Pass two drains the edge source, ``geo._pairs_within(cloud, limit)()``,
+on the same kind of built cloud; its pair counts are checked equal on
+every shape before any timing. The second table gives each shape's median
+milliseconds at each revision, their ratio and the number of pairs. The
+shapes, each seeded:
+
+- the ``large-docs`` document on seeds 42 and 7 at 2 km, about its
+  pipeline threshold;
+- the uniform 4,000 points above at 3,000, 8,000 and 20,000 km, limits
+  that reach some, most and all of the pairs;
+- 3,000 points uniform in a box of 0.1 by 0.1 degrees at 45 N (11 by
+  8 km) at 1, 5 and 20 km;
+- 10,000 points uniform on the sphere at 300 km.
 """
 
 from __future__ import annotations
@@ -87,10 +102,26 @@ def shapes() -> dict[str, list[tuple[float, float]]]:
     return clouds
 
 
+def pass_two_shapes(clouds: dict[str, list[tuple[float, float]]]) -> dict[str, tuple[list[tuple[float, float]], float]]:
+    """The nine pass-two shapes, by name: the cloud, as (lat, lon) lists,
+    and the limit in meters, over :func:`shapes`' ``clouds`` and two more."""
+    import numpy as np
+
+    rng = np.random.default_rng(25)
+    box = list(zip(rng.uniform(45.0, 45.1, 3000).tolist(), rng.uniform(7.0, 7.1, 3000).tolist()))
+    uniform = _uniform(rng, 10_000)
+    cases = {f"large-docs seed {seed} at 2 km": (clouds[f"large-docs seed {seed}"], 2_000.0) for seed in (42, 7)}
+    cases.update({f"uniform 4,000 at {km:,} km": (clouds["uniform 4,000"], km * 1e3) for km in (3_000, 8_000, 20_000)})
+    cases.update({f"box 3,000 at {km} km": (box, km * 1e3) for km in (1, 5, 20)})
+    cases["uniform 10,000 at 300 km"] = (uniform, 300e3)
+    return cases
+
+
 def _worker(src: str) -> None:
     # Serves one revision: builds the shapes, then answers "time NAME" with
     # pass one's milliseconds, "share NAME" with its fallback share and
-    # "curve NAME" with a digest of its curve, one line each.
+    # "curve NAME" with a digest of its curve, and "drain NAME" with pass
+    # two's milliseconds and "pairs NAME" with its pair count, one line each.
     sys.path.insert(0, src)
     import hashlib
 
@@ -101,17 +132,30 @@ def _worker(src: str) -> None:
 
     # the curve source; it yielded distances, as _distances_within, before it yielded rings
     source = getattr(geo, "_rings_within", None) or geo._distances_within
-    clouds = {}
-    for name, coords in shapes().items():
-        clouds[name] = PointCloud(tuple(CloudPoint(GeoPoint(a, b), f"p{k}", "m") for k, (a, b) in enumerate(coords)))
+
+    def cloud_of(coords):
+        return PointCloud(tuple(CloudPoint(GeoPoint(a, b), f"p{k}", "m") for k, (a, b) in enumerate(coords)))
+
+    coords = shapes()
+    clouds = {name: cloud_of(points) for name, points in coords.items()}
+    cases = {name: (cloud_of(points), limit) for name, (points, limit) in pass_two_shapes(coords).items()}
 
     def pass_one(cloud):
         return _blocked_k_function(len(cloud), DELTA_D, *source(cloud, DELTA_D, None))
 
+    def pass_two(cloud, limit):
+        return sum(len(i) for i, _ in geo._pairs_within(cloud, limit)())
+
     exact = geo._pair_distances
-    print(json.dumps(list(clouds)), flush=True)
+    print(json.dumps([list(clouds), list(cases)]), flush=True)
     for line in sys.stdin:
         command, name = line.rstrip("\n").split(" ", 1)
+        if command in ("drain", "pairs"):
+            start = time.perf_counter()
+            pairs = pass_two(*cases[name])
+            answer = (time.perf_counter() - start) * 1e3 if command == "drain" else pairs
+            print(json.dumps(answer), flush=True)
+            continue
         cloud = clouds[name]
         if command == "time":
             start = time.perf_counter()
@@ -155,7 +199,7 @@ class _Worker:
         self.process = subprocess.Popen(
             [sys.executable, __file__, "--worker", src], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env
         )
-        self.names = json.loads(self.process.stdout.readline())
+        self.names, self.cases = json.loads(self.process.stdout.readline())
 
     def ask(self, command: str, name: str):
         self.process.stdin.write(f"{command} {name}\n")
@@ -189,12 +233,21 @@ def main(argv: list[str]) -> int:
                 if digests[0] != digests[1]:
                     print(f"{name}: the curves differ", file=sys.stderr)
                     return 1
+            cases = workers[0].cases
+            pairs = {}
+            for case in cases:
+                counts = [w.ask("pairs", case) for w in workers]
+                if counts[0] != counts[1]:
+                    print(f"{case}: the pair counts differ, {counts[0]} and {counts[1]}", file=sys.stderr)
+                    return 1
+                pairs[case] = counts[0]
             shares = {name: [w.ask("share", name) for w in workers] for name in names}
-            times = {name: ([], []) for name in names}
+            times = {name: ([], []) for name in names + cases}
             for r in range(rounds):
-                for name in names:
-                    for k in (0, 1) if r % 2 == 0 else (1, 0):
-                        times[name][k].append(workers[k].ask("time", name))
+                for command, group in (("time", names), ("drain", cases)):
+                    for name in group:
+                        for k in (0, 1) if r % 2 == 0 else (1, 0):
+                            times[name][k].append(workers[k].ask(command, name))
         finally:
             for w in workers:
                 w.close()
@@ -205,6 +258,12 @@ def main(argv: list[str]) -> int:
         ms = [statistics.median(times[name][k]) for k in (0, 1)]
         share = shares[name]
         print(f"{name:<30}{ms[0]:>11.1f} ms{ms[1]:>11.1f} ms{ms[1] / ms[0]:>8.2f}{share[0]:>12.2e}{share[1]:>12.2e}")
+    print()
+    print(f"pass two, the pairs within a limit, median of {rounds} rounds, OPENBLAS_NUM_THREADS=1")
+    print(f"{'shape':<30}{base[:12]:>14}{head_label[:12]:>14}{'ratio':>8}{'pairs':>14}")
+    for case in cases:
+        ms = [statistics.median(times[case][k]) for k in (0, 1)]
+        print(f"{case:<30}{ms[0]:>11.2f} ms{ms[1]:>11.2f} ms{ms[1] / ms[0]:>8.2f}{pairs[case]:>14,}")
     return 0
 
 
