@@ -322,13 +322,16 @@ def document_to_json(doc: DocumentInput) -> str:
 
 def to_canonical_json(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``, byte for
-    byte, for every acyclic value json writes, and the same ``TypeError``
+    byte, for every acyclic value json writes, and json's own ``TypeError``
     for one it does not: the one canonical form of a report or document.
 
     ``indent`` turns json's C encoder off, and its pure-Python encoder took
-    almost twice this writer's time on a result. The writer checks each value's
-    type in json's order, sorts each object's items as json does and
-    escapes strings with json's own C escaper.
+    almost twice this writer's time on a result. The writer itself writes
+    only values of the exact types str, int, float, bool, None, list, tuple
+    and dict, sorting each object's items as json does and escaping strings
+    with json's own C escaper. json writes every value the writer does not
+    handle itself: one of any other type, and a dict with a key that is not
+    a str, keys that do not sort or a value json refuses.
     """
     return _canonical(payload, "\n") + "\n"
 
@@ -341,8 +344,7 @@ def _json_float(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-# the writer of each exact scalar type json writes (a subclass takes
-# _canonical's isinstance checks, in json's order)
+# the writer of each exact scalar type json writes
 _SCALARS = {
     str: _json_string,
     int: repr,
@@ -361,17 +363,13 @@ def _canonical(value, pad: str) -> str:
     write = _CONTAINERS.get(value.__class__)
     if write is not None:
         return write(value, pad)
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, (list, tuple)):
-        return _json_array(value, pad)
-    if isinstance(value, dict):
-        return _json_object(value, pad)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return _json_dumps(value, pad)
+
+
+def _json_dumps(value, pad: str) -> str:
+    # json's text of ``value`` at ``pad``: with ASCII escaping every newline
+    # json writes is structural
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", pad)
 
 
 def _json_array(value: list | tuple, pad: str) -> str:
@@ -382,27 +380,17 @@ def _json_array(value: list | tuple, pad: str) -> str:
 
 
 def _json_object(value: dict, pad: str) -> str:
-    # sorted on the original keys, then coerced, as json does: {10: 0, 9: 0} writes "9" first
     if not value:
         return "{}"
     inner = pad + " "
-    items = [f"{_json_string(_json_key(key))}: {_canonical(item, inner)}" for key, item in sorted(value.items())]
+    try:
+        items = [f"{_json_string(key)}: {_canonical(item, inner)}" for key, item in sorted(value.items())]
+    except TypeError:  # a key that is no str, keys that do not sort or a value json refuses
+        return _json_dumps(value, pad)
     return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
 
 
 _CONTAINERS = {dict: _json_object, list: _json_array, tuple: _json_array}
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True or key is False or key is None:
-        return _SCALARS[key.__class__](key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def dedupe_candidates(

@@ -299,12 +299,12 @@ def _gram_haversines(units: np.ndarray, r0: int, r1: int) -> tuple[np.ndarray, n
 
 
 def _ring_indices(values: np.ndarray, spacing: float) -> np.ndarray:
-    # The ring of ``spacing`` of each distance x, ceil(x / spacing) as a
-    # float: x falls in ring m iff (m-1)*spacing < x <= m*spacing, and 0
-    # gives 0, which counts in ring 1. A ring past the float range is inf,
-    # past every ring limit.
+    # The ring of ``spacing`` of each distance x, max(ceil(x / spacing), 1)
+    # as a float: x falls in ring m iff (m-1)*spacing < x <= m*spacing, and
+    # 0 in ring 1. A ring past the float range is inf, past every ring limit.
     with np.errstate(over="ignore"):
-        return np.ceil(values / spacing)
+        rings = np.ceil(values / spacing)
+    return np.maximum(rings, 1.0, out=rings)
 
 
 def _ring_blocks(values: np.ndarray, spacing: float):
@@ -386,7 +386,9 @@ def _chord_rings(
     (2e-5 + 1e-8) / spacing: a chord distance further than M from every
     ring edge and from the bound decides as d does. The distance from a
     ring value x to its ceiling is exact, except below x = 1/2, where the
-    nearer edge is 0 and a distance of 0 counts in ring 1 all the same.
+    nearer edge is 0 and a distance of 0 counts in ring 1 all the same; an
+    x within M of 0 always takes the haversine, so every trusted ring is
+    at least 1, as :func:`_ring_indices` makes every ring.
     M is 1 mm, 50 times the bound at k = 4, and covers k up to 500. Past
     179 degrees both errors grow without bound (the haversine's to over
     1 m at the antipode), and such pairs take the haversine.

@@ -10,7 +10,8 @@ ring's area:
 
 Rings containing no pair are skipped, so every emitted density is
 positive. Exact duplicates (pair distance 0) are counted in the first
-ring, i.e. the first ring is effectively [0, delta_d].
+ring, i.e. the first ring is effectively [0, delta_d]: ``geo._ring_indices``,
+which makes every ring index, puts them there.
 
 The cluster distance is read off the discretized curve with a 2-sigma
 rule: past the density peak, the first sampled distance whose density
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPointsError
-from .geo import _NO_RING, DistanceList, _ring_blocks, _ring_indices
+from .geo import DistanceList, _ring_blocks, _ring_indices
 from .params import DELTA_D
 
 DEFAULT_DELTA_D_M = 100.0
@@ -83,19 +84,21 @@ def _check_ring_limit(ring: float, delta_d: float) -> None:
 def _check_ring_area(ring: float, n_points: int, delta_d: float) -> None:
     # a density divides by n times a ring's area; should that overflow, the
     # density reads 0 (a factor 2 of headroom covers the order of rounding).
-    # ring is the largest ring index; distance 0 counts in ring 1.
-    d = max(ring, 1.0) * delta_d
+    # ring is the largest ring index.
+    d = ring * delta_d
     if not math.isfinite(2.0 * n_points * math.pi * d * d):
         raise ValueError(f"delta_d {delta_d} is too large: the area of the ring at {d} m overflows")
 
 
 def _count_rings(blocks, delta_d: float, span: float, total: int) -> tuple[np.ndarray, np.ndarray, int, float]:
     """The rings that ``blocks`` yields, an array of ring indices at a time
-    (``ceil(d / delta_d)`` of each distance d as a float, see
+    (``max(ceil(d / delta_d), 1)`` of each distance d as a float, see
     ``geo._ring_indices``, or ``geo._NO_RING`` for an entry that is none):
     the occupied rings, ascending, how many distances fall in each, how
     many distances there were and the largest ring index (0.0 for none).
-    Ring 0, a distance of 0, counts in ring 1.
+    Every ring index is at least 1, so the dense count's slot 0 stays
+    empty and the sparse count drops ``_NO_RING``'s entries, which sort
+    first, with one ``searchsorted``.
 
     When the ``span`` rings from ring 1 on are at most a quarter as many as
     the ``total`` distances to come, each block is added into one array
@@ -125,26 +128,13 @@ def _count_rings(blocks, delta_d: float, span: float, total: int) -> tuple[np.nd
         del rings, indices  # no block outlives the count
     if dense is not None:
         rings = np.flatnonzero(dense[:-1])
-        occupied = [rings, dense[rings]]
-    elif pending:
-        _merge_rings(pending, occupied)
-    rings, counts = _fold_ring_zero(*occupied)
+        counts = dense[rings]
+    else:
+        if pending:
+            _merge_rings(pending, occupied)
+        start = int(np.searchsorted(occupied[0], 1))  # past _NO_RING; an int: a float would copy the rings
+        rings, counts = occupied[0][start:], occupied[1][start:]
     return rings, counts, int(counts.sum()), largest
-
-
-def _fold_ring_zero(rings: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the sorted occupied rings and their counts without _NO_RING, and with
-    # ring 0's count, that of distance 0, in ring 1
-    start = int(np.searchsorted(rings, int(_NO_RING) + 1))  # an int: a float would copy rings
-    rings, counts = rings[start:], counts[start:]
-    if len(rings) == 0 or rings[0] != 0:
-        return rings, counts
-    if len(rings) > 1 and rings[1] == 1:
-        counts[1] += counts[0]
-        return rings[1:], counts[1:]
-    rings = rings.copy()
-    rings[0] = 1
-    return rings, counts
 
 
 def _merge_rings(pending: list[np.ndarray], occupied: list[np.ndarray]) -> None:
@@ -256,8 +246,7 @@ def compute_circular_k_function(
     last_ring = float(_ring_indices(values[-1:], delta_d)[0])
     _check_ring_limit(last_ring, delta_d)
     _check_ring_area(last_ring, n_points, delta_d)
-    last_ring = max(int(last_ring), 1)
-    d = np.arange(1, last_ring + 1, dtype=np.float64) * delta_d
+    d = np.arange(1, int(last_ring) + 1, dtype=np.float64) * delta_d
     cumulative = np.searchsorted(values, d, side="right")
     keep = cumulative > 0
     d = d[keep]

@@ -134,6 +134,22 @@ class TestOmd:
         assert chosen_ids(omd(doc, measure="hull_area")) == {"a": "a_e0", "b": "b_e0", "c": "c_e0"}
         assert chosen_ids(omd(doc)) == {"a": "a_e0", "b": "b_e1", "c": "c_e1"}
 
+    def test_two_mentions_have_no_hull_and_pick_the_first_combination(self):
+        # two points span no area, whichever candidates they are, while the
+        # mean pairwise distance picks a later combination
+        doc = make_document("pair", {"a": [(0, 0), (10, 10)], "b": [(10, 10.1), (0, 0.05)]})
+        assert chosen_ids(omd(doc, measure="hull_area")) == {"a": "a_e0", "b": "b_e0"}
+        assert chosen_ids(omd(doc)) == {"a": "a_e0", "b": "b_e1"}
+
+    def test_a_selection_of_two_distinct_points_has_no_hull(self):
+        # the first combination holds three candidates on two distinct
+        # points, so its hull collapses, area 0; the later ones span triangles
+        doc = make_document(
+            "collapse",
+            {"a": [(5, 5), (0, 0)], "b": [(5, 5), (1, 0)], "c": [(6, 6), (0, 1)]},
+        )
+        assert chosen_ids(omd(doc, measure="hull_area")) == {"a": "a_e0", "b": "b_e0", "c": "c_e0"}
+
     def test_result_has_single_rank1_cluster(self):
         doc = make_document("omd5", {"a": [(0, 0)], "b": [(1, 1)]})
         result = omd(doc)

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import json
 import math
@@ -5,6 +6,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,9 @@ from densityk import (
     result_to_dict,
     to_canonical_json,
 )
+from densityk.cli import main
+from densityk.corpus import DocumentInput, PlaceMention, document_to_json
+from densityk.evaluation import run_algorithm, score_document, table1_grid
 from test_clustering import planted_document
 
 
@@ -158,6 +163,9 @@ class TestCanonicalWriter:
     @example([math.nan, math.inf, -math.inf, -0.0, 2**70, np.float64(1.25), "\ud800\x00\u00e9"])
     @example({1: 0, "a": 0})
     @example({None: 0, True: 1})
+    @example({"a": [{2: [0.5], 1: {"k": "v"}}]})  # json writes a dict of int keys at depth 3
+    @example({"a": [OrderedDict([("b", [1.5, {"c": None}]), ("a", "x")])]})  # and a dict subclass
+    @example({"a": [{Name("b"): [1], "a": {Name("c"): 2}}]})  # str-subclass keys stay with the writer
     def test_same_text_as_json(self, value):
         assert written(to_canonical_json, value) == written(json_dumps, value)
 
@@ -190,3 +198,77 @@ class TestCanonicalWriter:
         with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
             to_canonical_json({(1,): 0})
 
+
+def refuse_hand_off(value, pad):
+    raise AssertionError(f"handed to json: {value!r}")
+
+
+def anchored(doc: DocumentInput) -> DocumentInput:
+    # the document with its first mention cut to its true candidate: an
+    # anchor, so that DTUR resolves it
+    first, *rest = doc.mentions
+    keep = tuple(c for c in first.candidates if c.entry_id == doc.ground_truth[first.name])
+    return DocumentInput(doc.doc_id, (PlaceMention(first.name, keep), *rest), doc.ground_truth)
+
+
+class TestNothingReachesJson:
+    """Every output the program writes holds only the types the writer
+    writes itself, so json writes none of it: a value of another type that
+    leaks into an output (a NumPy scalar, say) fails here rather than
+    quietly slowing the writer."""
+
+    @pytest.fixture(autouse=True)
+    def no_hand_off(self, monkeypatch):
+        monkeypatch.setattr("densityk.corpus._json_dumps", refuse_hand_off)
+
+    def test_the_hand_off_is_refused(self):
+        with pytest.raises(AssertionError, match="handed to json"):
+            to_canonical_json({"a": [np.float64(1.0)]})
+        with pytest.raises(AssertionError, match="handed to json"):
+            to_canonical_json({"a": [{1: 0}]})
+        assert to_canonical_json({"a": [{Name("b"): 1}]}) == json_dumps({"a": [{"b": 1}]})
+
+    def test_documents(self, default_corpus):
+        for doc in default_corpus:
+            assert document_to_json(doc) == json_dumps(json.loads(document_to_json(doc)))
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            ["--algorithm", "densityk"],
+            ["--algorithm", "densityk", "--upper-bound", "5e5"],
+            ["--algorithm", "dbscan", "--epsilon", "2000", "--min-pts", "5"],
+            ["--algorithm", "kdist", "--k", "5", "--min-pts", "1"],
+            ["--algorithm", "omd"],
+            ["--algorithm", "centroid"],
+            ["--algorithm", "dtur"],
+        ],
+        ids=["densityk", "densityk-bound", "dbscan", "kdist", "omd", "centroid", "dtur"],
+    )
+    def test_cli_results_and_clusters(self, algorithm, default_corpus, tmp_path):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(document_to_json(anchored(default_corpus[0])))
+        for command in ("disambiguate", "clusters"):
+            out = tmp_path / f"{command}.json"
+            result = CliRunner().invoke(main, [command, "--input", str(doc_path), "--output", str(out), *algorithm])
+            assert result.exit_code == 0, (result.output, result.exception)
+            assert out.read_text() == json_dumps(json.loads(out.read_text()))
+
+    def test_table1_report(self, default_corpus, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        # the last document has no anchor, so DTUR's cell reports an error
+        for doc in [anchored(default_corpus[0]), anchored(default_corpus[1]), default_corpus[2]]:
+            (corpus_dir / f"{doc.doc_id}.json").write_text(document_to_json(doc))
+        out = tmp_path / "report.json"
+        result = CliRunner().invoke(main, ["evaluate", "--corpus", str(corpus_dir), "--output", str(out), "--grid", "table1"])
+        assert result.exit_code == 0, (result.output, result.exception)
+        assert out.read_text() == json_dumps(json.loads(out.read_text()))
+
+    def test_scored_results(self, default_corpus):
+        # a result beside its score, as the benchmark checks its outputs
+        doc = anchored(default_corpus[0])
+        for config in table1_grid():
+            result = run_algorithm(doc, config)
+            payload = {"result": result_to_dict(result), "score": dataclasses.asdict(score_document(result, doc))}
+            assert to_canonical_json(payload) == json_dumps(payload)

@@ -44,6 +44,12 @@ class TestComputeKFunction:
         kf = compute_k_function(dl([0.0, 0.0, 50.0], 3), 3, delta_d=100.0)
         assert kf.distances_m.tolist() == [100.0]
 
+    def test_samples_pair_each_distance_with_its_density(self):
+        kf = compute_k_function(dl([30, 40, 50, 5000, 5010, 5020], 4), 4, delta_d=100.0)
+        assert kf.samples == list(zip(kf.distances_m.tolist(), kf.densities.tolist()))
+        assert [d for d, _ in kf.samples] == [100.0, 5000.0, 5100.0]
+        assert all(type(d) is float and type(k) is float for d, k in kf.samples)
+
     def test_all_densities_positive(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

@@ -159,7 +159,7 @@ def chord_rings_by_pair(cloud, delta_d, upper_bound):
 
 def exact_rings(exact, delta_d, upper_bound):
     # the ring of each distance of the exact vector, _NO_RING past the bound
-    rings = np.ceil(exact / delta_d)
+    rings = np.maximum(np.ceil(exact / delta_d), 1.0)
     if upper_bound is not None:
         rings[exact > upper_bound] = _NO_RING
     return rings
@@ -449,7 +449,7 @@ class TestChordKernel:
                 assert rings.tobytes() == want_rings.tobytes()
                 assert counts.tobytes() == want_counts.tobytes()
                 assert added == len(in_bound)
-                assert farthest == (math.ceil(in_bound.max() / delta_d) if len(in_bound) else 0.0)
+                assert farthest == (max(math.ceil(in_bound.max() / delta_d), 1) if len(in_bound) else 0.0)
             for limit in [near(pair, choice) for choice in LIMITS] + PAST_REACH[:1]:
                 want = exact_pairs(exact, n, limit)
                 assert pair_set(geo._pairs_within(cloud, limit)()) == want
