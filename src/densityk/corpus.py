@@ -192,10 +192,39 @@ def _require(obj: dict, key: str, kind: type | None, *place):
     raise DocumentParseError(f"{_place(*place)}: '{key}' must be {_TYPE_NAMES[kind]}")
 
 
+def _candidate(craw, name: str, doc_id: str, mraw: dict) -> CandidateEntry:
+    # the candidate ``craw`` of mention ``name``, each field checked in
+    # document order: the first fault is raised
+    if not isinstance(craw, dict):
+        raise DocumentParseError(f"{_place(doc_id, mraw)}: each candidate must be a JSON object")
+    entry_id = _require(craw, "entry_id", str, doc_id, mraw)
+    if "lat" not in craw or "lon" not in craw:
+        missing = "lon" if "lat" in craw else "lat"
+        raise DocumentParseError(f"{_place(doc_id, mraw, entry_id)}: missing field '{missing}'")
+    lat, lon = craw["lat"], craw["lon"]
+    if isinstance(lat, bool) or isinstance(lon, bool):
+        raise DocumentSchemaError(f"{_place(doc_id, mraw, entry_id)}: boolean coordinate")
+    if not (isinstance(lat, (int, float)) and isinstance(lon, (int, float))):
+        # float() takes "45.5"
+        raise DocumentSchemaError(f"{_place(doc_id, mraw, entry_id)}: coordinates must be numbers")
+    try:
+        location = GeoPoint(float(lat), float(lon))
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
+        raise DocumentSchemaError(f"{_place(doc_id, mraw, entry_id)}: {exc}") from exc
+    cname = craw.get("name", name)
+    if not isinstance(cname, str):
+        raise DocumentParseError(f"{_place(doc_id, mraw, entry_id)}: 'name' must be a string")
+    source = craw.get("source", "")
+    if not isinstance(source, str):
+        raise DocumentParseError(f"{_place(doc_id, mraw, entry_id)}: 'source' must be a string")
+    return CandidateEntry(entry_id, cname, location, source)
+
+
 def document_from_dict(raw: dict) -> DocumentInput:
     """Build and validate a DocumentInput from already-parsed JSON.
 
-    Each field is checked once, in document order, and the first fault is
+    A well-formed candidate passes one combined type test. Everything else
+    is checked field by field, in document order, and the first fault is
     raised; the text that says where it lies is built only then.
     """
     _expect(raw, dict, "document")
@@ -212,29 +241,25 @@ def document_from_dict(raw: dict) -> DocumentInput:
             raise DocumentSchemaError(f"{_place(doc_id, mraw)}: candidate list is empty")
         candidates = []
         for craw in cands_raw:
-            if not isinstance(craw, dict):
-                raise DocumentParseError(f"{_place(doc_id, mraw)}: each candidate must be a JSON object")
-            entry_id = _require(craw, "entry_id", str, doc_id, mraw)
-            if "lat" not in craw or "lon" not in craw:
-                missing = "lon" if "lat" in craw else "lat"
-                raise DocumentParseError(f"{_place(doc_id, mraw, entry_id)}: missing field '{missing}'")
-            lat, lon = craw["lat"], craw["lon"]
-            if isinstance(lat, bool) or isinstance(lon, bool):
-                raise DocumentSchemaError(f"{_place(doc_id, mraw, entry_id)}: boolean coordinate")
-            if not (isinstance(lat, (int, float)) and isinstance(lon, (int, float))):
-                # float() takes "45.5"
-                raise DocumentSchemaError(f"{_place(doc_id, mraw, entry_id)}: coordinates must be numbers")
-            try:
-                location = GeoPoint(float(lat), float(lon))
-            except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
-                raise DocumentSchemaError(f"{_place(doc_id, mraw, entry_id)}: {exc}") from exc
-            cname = craw.get("name", name)
-            if not isinstance(cname, str):
-                raise DocumentParseError(f"{_place(doc_id, mraw, entry_id)}: 'name' must be a string")
-            source = craw.get("source", "")
-            if not isinstance(source, str):
-                raise DocumentParseError(f"{_place(doc_id, mraw, entry_id)}: 'source' must be a string")
-            candidates.append(CandidateEntry(entry_id, cname, location, source))
+            # a well-formed candidate passes one combined type test; any
+            # other, and one whose point GeoPoint refuses, takes _candidate's
+            # checks, which raise its first fault
+            if craw.__class__ is dict:
+                entry_id, lat, lon = craw.get("entry_id"), craw.get("lat"), craw.get("lon")
+                cname, source = craw.get("name", name), craw.get("source", "")
+                if (
+                    entry_id.__class__ is str
+                    and lat.__class__ is float
+                    and lon.__class__ is float
+                    and cname.__class__ is str
+                    and source.__class__ is str
+                ):
+                    try:
+                        candidates.append(CandidateEntry(entry_id, cname, GeoPoint(lat, lon), source))
+                        continue
+                    except ValueError:
+                        pass
+            candidates.append(_candidate(craw, name, doc_id, mraw))
         mentions.append(PlaceMention(name, tuple(candidates)))
 
     ground_truth = raw.get("ground_truth")
@@ -328,12 +353,16 @@ def to_canonical_json(payload: dict) -> str:
     ``indent`` turns json's C encoder off, and its pure-Python encoder took
     almost twice this writer's time on a result. The writer itself writes
     only values of the exact types str, int, float, bool, None, list, tuple
-    and dict, sorting each object's items as json does and escaping strings
-    with json's own C escaper. json writes every value the writer does not
-    handle itself: one of any other type, and a dict with a key that is not
-    a str, keys that do not sort or a value json refuses.
+    and dict, appending their pieces to one list, sorting each object's
+    items as json does and escaping strings with json's own C escaper. json
+    writes every value the writer does not handle itself: one of any other
+    type, and a dict with a key that is not a str, keys that do not sort or
+    a value json refuses.
     """
-    return _canonical(payload, "\n") + "\n"
+    out: list[str] = []
+    _write(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -344,53 +373,87 @@ def _json_float(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-# the writer of each exact scalar type json writes
+# the text of each exact scalar type json writes
 _SCALARS = {
     str: _json_string,
-    int: repr,
+    int: int.__repr__,
     float: _json_float,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
 
 
-def _canonical(value, pad: str) -> str:
-    # the JSON text of ``value`` on a line that starts with ``pad`` (a
-    # newline and one space a level)
-    write = _SCALARS.get(value.__class__)
-    if write is not None:
-        return write(value)
-    write = _CONTAINERS.get(value.__class__)
-    if write is not None:
-        return write(value, pad)
-    return _json_dumps(value, pad)
+def _layout(depth: int) -> tuple[str, str, str, str, str, str]:
+    # the text around the items of a container on a line indented ``depth``
+    # levels: the line's own break (a newline and one space a level), the
+    # openings of a list and of a dict with the break before their first
+    # item, the comma and break before each later item, and the closings
+    # of a list and of a dict
+    pad = "\n" + " " * depth
+    inner = pad + " "
+    return pad, "[" + inner, "{" + inner, "," + inner, pad + "]", pad + "}"
+
+
+# each depth's _layout, added on demand; keyed by depth, so that writers in
+# two threads that add the same depth add the same text
+_LAYOUTS = {0: _layout(0)}
+
+
+def _write(value, depth: int, out: list[str]) -> None:
+    # appends the pieces of the JSON text of ``value``, on a line indented
+    # ``depth`` levels, to ``out``; a container appends its exact str and
+    # int items itself
+    cls = value.__class__
+    if cls is not dict and cls is not list and cls is not tuple:
+        write = _SCALARS.get(cls)
+        out.append(_json_dumps(value, _LAYOUTS[depth][0]) if write is None else write(value))
+        return
+    if not value:
+        out.append("{}" if cls is dict else "[]")
+        return
+    pad, open_list, open_dict, comma, close_list, close_dict = _LAYOUTS[depth]
+    if depth + 1 not in _LAYOUTS:
+        _LAYOUTS[depth + 1] = _layout(depth + 1)
+    append = out.append
+    if cls is not dict:
+        sep = open_list
+        for item in value:
+            append(sep)
+            sep = comma
+            if item.__class__ is str:
+                append(_json_string(item))
+            elif item.__class__ is int:
+                append(int.__repr__(item))
+            else:
+                _write(item, depth + 1, out)
+        append(close_list)
+        return
+    start = len(out)
+    sep = open_dict
+    try:
+        for key in sorted(value):
+            item = value[key]
+            append(sep)
+            sep = comma
+            append(_json_string(key))
+            append(": ")
+            if item.__class__ is str:
+                append(_json_string(item))
+            elif item.__class__ is int:
+                append(int.__repr__(item))
+            else:
+                _write(item, depth + 1, out)
+    except TypeError:  # a key that is no str, keys that do not sort or a value json refuses
+        del out[start:]
+        append(_json_dumps(value, pad))
+        return
+    append(close_dict)
 
 
 def _json_dumps(value, pad: str) -> str:
     # json's text of ``value`` at ``pad``: with ASCII escaping every newline
     # json writes is structural
     return json.dumps(value, sort_keys=True, indent=1).replace("\n", pad)
-
-
-def _json_array(value: list | tuple, pad: str) -> str:
-    if not value:
-        return "[]"
-    inner = pad + " "
-    return f"[{inner}{(',' + inner).join([_canonical(item, inner) for item in value])}{pad}]"
-
-
-def _json_object(value: dict, pad: str) -> str:
-    if not value:
-        return "{}"
-    inner = pad + " "
-    try:
-        items = [f"{_json_string(key)}: {_canonical(item, inner)}" for key, item in sorted(value.items())]
-    except TypeError:  # a key that is no str, keys that do not sort or a value json refuses
-        return _json_dumps(value, pad)
-    return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
-
-
-_CONTAINERS = {dict: _json_object, list: _json_array, tuple: _json_array}
 
 
 def dedupe_candidates(

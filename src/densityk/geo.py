@@ -22,7 +22,7 @@ if TYPE_CHECKING:
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeoPoint:
     """A WGS84 latitude/longitude location in decimal degrees.
 
@@ -33,13 +33,21 @@ class GeoPoint:
     lat: float
     lon: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.lat) or not math.isfinite(self.lon):
-            raise ValueError(f"non-finite coordinate: ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range [-90, 90]: {self.lat}")
-        lon = ((self.lon + 180.0) % 360.0) - 180.0
-        object.__setattr__(self, "lon", lon)
+    def __init__(self, lat: float, lon: float) -> None:
+        # a valid point passes one chained comparison (False for NaN) and
+        # one finiteness test; each field is set once
+        if -90.0 <= lat <= 90.0 and math.isfinite(lon):
+            _set_field(self, "lat", lat)
+            _set_field(self, "lon", ((lon + 180.0) % 360.0) - 180.0)
+            return
+        if not math.isfinite(lat) or not math.isfinite(lon):
+            raise ValueError(f"non-finite coordinate: ({lat}, {lon})")
+        raise ValueError(f"latitude out of range [-90, 90]: {lat}")
+
+
+# sets a field of a frozen dataclass; reading an instance's __dict__ instead
+# would give each point a dict object of its own
+_set_field = object.__setattr__
 
 
 @dataclass(frozen=True)

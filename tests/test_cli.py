@@ -130,6 +130,14 @@ class TestDisambiguateCommand:
         )
         assert result.exit_code == 1
 
+    def test_an_interrupted_run_exits_1(self, runner):
+        # Ctrl-C: click turns the KeyboardInterrupt into Abort, after a bare
+        # newline for the terminal's ^C
+        with mock.patch("densityk.cli.load_document_file", side_effect=KeyboardInterrupt):
+            result = runner.invoke(main, ["disambiguate", "--input", "x", "--output", "y"])
+        assert result.exit_code == 1
+        assert result.stderr.endswith("\nerror: aborted\n")
+
     def test_string_coordinate_exits_1(self, runner, tmp_path):
         raw = json.loads(document_to_json(make_document("s", {"a": [(1.0, 2.0), (3.0, 4.0)]})))
         raw["mentions"][0]["candidates"][1]["lon"] = "45.5"

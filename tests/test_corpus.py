@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -526,10 +527,18 @@ def _fields(raw):
     return found
 
 
-# what a mutation puts in place of a field: a value of every JSON type, and
-# the coordinates the schema rejects
-ODD_VALUES = [None, True, False, 0, 7, 1.5, math.nan, math.inf, 10**400, "", "x", "45.5", [], [1], {}, {"k": 1}]
+class Label(str):
+    """A str subclass: a field of this type takes the parser's ordered
+    checks, not its one type test for a well-formed candidate."""
+
+
+# what a mutation puts in place of a field: a value of every JSON type, a
+# str subclass and a negative zero; the coordinates the schema rejects; and
+# coordinates it takes on both sides of the parser's one type test (exact
+# floats): ints, -0.0, the poles and longitudes that normalise
+ODD_VALUES = [None, True, False, 0, 7, 1.5, -0.0, math.nan, math.inf, 10**400, "", "x", Label("x"), "45.5", [], [1], {}, {"k": 1}]
 BAD_COORDINATES = [True, "45.5", math.nan, -math.inf, 10**400, -(10**400), 90.5, -95, None, []]
+GOOD_COORDINATES = [0, -7, 90, -0.0, 90.0, -90.0, 180.0, -180.0, 540.0, 1e-20]
 BAD_TRUTHS = [[], "alpha", {"alpha": 1}, {"alpha": ["a1"]}, {"zeta": "a1"}, {"alpha": "b1"}, {"alpha": "zz"}]
 
 
@@ -537,7 +546,11 @@ BAD_TRUTHS = [[], "alpha", {"alpha": 1}, {"alpha": ["a1"]}, {"zeta": "a1"}, {"al
 def mutated_documents(draw):
     """A valid document with one or two faults: a dropped key or a value of
     another type at any level, a bad coordinate, an empty candidate list, a
-    repeated mention name or entry id, or a bad ground truth."""
+    repeated mention name or entry id, or a bad ground truth; or with one or
+    two changes the parser must take: coordinates at the edges of their
+    range, or ints, or a longitude of +-1e308; a mention or candidate that
+    is an OrderedDict; or an entry id, name or source that is a str
+    subclass."""
     raw = doc_fixture()
     if draw(st.booleans()):
         del raw["ground_truth"]
@@ -545,7 +558,8 @@ def mutated_documents(draw):
         # the mentions and candidates an earlier mutation left objects
         mentions = [node for node, key in _fields(raw) if key == "candidates"]
         cands = [node for node, key in _fields(raw) if key == "entry_id"]
-        kind = draw(st.sampled_from(["drop", "retype", "coordinate", "empty", "repeat-name", "repeat-id", "truth"]))
+        kinds = ["drop", "retype", "coordinate", "good", "ordered", "subclass", "empty", "repeat-name", "repeat-id", "truth"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "drop":
             dicts = [(node, key) for node, key in _fields(raw) if isinstance(node, dict)]
             if dicts:
@@ -556,6 +570,19 @@ def mutated_documents(draw):
             node[key] = draw(st.sampled_from(ODD_VALUES))
         elif kind == "coordinate" and cands:
             draw(st.sampled_from(cands))[draw(st.sampled_from(["lat", "lon"]))] = draw(st.sampled_from(BAD_COORDINATES))
+        elif kind == "good" and cands:
+            cand = draw(st.sampled_from(cands))
+            cand["lat"] = draw(st.sampled_from(GOOD_COORDINATES))
+            cand["lon"] = draw(st.sampled_from(GOOD_COORDINATES + [1e308, -1e308]))
+        elif kind == "ordered":
+            places = [(node, key) for node, key in _fields(raw) if isinstance(node, list) and isinstance(node[key], dict)]
+            if places:
+                node, key = draw(st.sampled_from(places))
+                node[key] = OrderedDict(node[key])
+        elif kind == "subclass" and cands:
+            cand = draw(st.sampled_from(cands))
+            key = draw(st.sampled_from(["entry_id", "name", "source"]))
+            cand[key] = Label(cand.get(key, ""))
         elif kind == "empty" and mentions:
             draw(st.sampled_from(mentions))["candidates"] = []
         elif kind == "repeat-name" and len(mentions) > 1:

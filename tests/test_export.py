@@ -199,6 +199,40 @@ class TestCanonicalWriter:
             to_canonical_json({(1,): 0})
 
 
+def nested(levels: int):
+    # ``levels`` of alternating dicts and lists, each with scalars beside
+    # the next level
+    value = "leaf"
+    for k in range(levels):
+        value = [k, value, 0.5] if k % 2 else {"a": k, "b": value, "c": None}
+    return value
+
+
+class TestWriterEdges:
+    """Depths past any the writer has met before, and dicts that json
+    writes after the writer appended some of their pieces."""
+
+    @pytest.mark.parametrize("levels", [40, 200])
+    def test_deep_nesting_is_json_s_text(self, levels):
+        value = nested(levels)
+        assert to_canonical_json(value) == json_dumps(value)
+        assert to_canonical_json({"x": [value, value]}) == json_dumps({"x": [value, value]})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [1, {"b": {2: 0, 1: "x"}}]},  # an int key after the opening: json writes the dict
+            {"a": 1, "b": {"c": [2, {5: 1}], "d": "x"}},
+            {"a": [1, {"b": {1: 0, "x": 0}}]},  # keys that do not sort: json's TypeError
+            {"a": {"b": [np.int64(1)]}},  # a value json refuses, two dicts deep
+            {"a": "x", "b": [{"c": 1, "d": {"e": [np.int64(1)]}}], "f": 2},
+        ],
+    )
+    def test_a_dict_handed_to_json_leaves_no_pieces(self, value):
+        assert written(to_canonical_json, value) == written(json_dumps, value)
+        assert written(to_canonical_json, [value, value]) == written(json_dumps, [value, value])
+
+
 def refuse_hand_off(value, pad):
     raise AssertionError(f"handed to json: {value!r}")
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densityk import (
@@ -58,6 +60,65 @@ class TestGeoPoint:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             GeoPoint(float("nan"), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(-90, 90), st.floats(-90.0, 90.0)),
+        st.one_of(st.integers(-(10**9), 10**9), st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    @example(-0.0, -0.0)
+    @example(90, -180)
+    @example(-90.0, 540.0)
+    @example(0.0, 1e-20)
+    @example(0.0, -1e-20)
+    @example(0.0, 1e308)
+    def test_lat_is_kept_and_lon_normalised_bit_for_bit(self, lat, lon):
+        point = GeoPoint(lat, lon)
+        assert point.lat is lat
+        assert struct.pack("<d", point.lon) == struct.pack("<d", ((lon + 180.0) % 360.0) - 180.0)
+
+    @pytest.mark.parametrize(
+        "lat, lon, message",
+        [
+            (math.nan, 0.0, "non-finite coordinate: (nan, 0.0)"),
+            (0.0, math.nan, "non-finite coordinate: (0.0, nan)"),
+            (math.inf, 0, "non-finite coordinate: (inf, 0)"),
+            (0, -math.inf, "non-finite coordinate: (0, -inf)"),
+            (95.0, math.nan, "non-finite coordinate: (95.0, nan)"),  # the first check first
+            (-90.5, 3.0, "latitude out of range [-90, 90]: -90.5"),
+            (91, 0.0, "latitude out of range [-90, 90]: 91"),
+            (1e308, 0.0, "latitude out of range [-90, 90]: 1e+308"),
+        ],
+    )
+    def test_what_it_refuses_and_why(self, lat, lon, message):
+        with pytest.raises(ValueError) as refused:
+            GeoPoint(lat, lon)
+        assert str(refused.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats().filter(lambda x: not -90.0 <= x <= 90.0) | st.integers().filter(lambda x: abs(x) > 90),
+        st.floats(),
+    )
+    def test_any_bad_latitude_is_refused(self, lat, lon):
+        finite = math.isfinite(lat) and math.isfinite(lon)
+        with pytest.raises(ValueError) as refused:
+            GeoPoint(lat, lon)
+        expected = f"latitude out of range [-90, 90]: {lat}" if finite else f"non-finite coordinate: ({lat}, {lon})"
+        assert str(refused.value) == expected
+
+    def test_a_dataclass_still(self):
+        point = GeoPoint(lat=10.0, lon=190.0)
+        assert point == GeoPoint(10.0, -170.0)
+        assert hash(point) == hash((10.0, -170.0))
+        assert repr(point) == "GeoPoint(lat=10.0, lon=-170.0)"
+        assert dataclasses.replace(point, lat=20) == GeoPoint(20, -170.0)
+        assert dataclasses.replace(point, lon=270.0).lon == -90.0
+        with pytest.raises(ValueError, match="latitude out of range"):
+            dataclasses.replace(point, lat=-91.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.lat = 0.0
+        assert [f.name for f in dataclasses.fields(GeoPoint)] == ["lat", "lon"]
 
 
 class TestHaversine:
