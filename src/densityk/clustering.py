@@ -48,6 +48,12 @@ class MentionOutcome:
         return self.status is OutcomeStatus.RESOLVED
 
 
+# the two failures, one object each for every result: outcomes are frozen
+# and compare by value
+_NO_CANDIDATE = MentionOutcome(OutcomeStatus.NO_CANDIDATE_IN_ANY_CLUSTER)
+_AMBIGUOUS = MentionOutcome(OutcomeStatus.AMBIGUOUS_IN_TOP_CLUSTER)
+
+
 @dataclass(frozen=True)
 class DisambiguationResult:
     """Per-mention outcomes plus the ranked clusters that produced them."""
@@ -79,12 +85,12 @@ def _component_labels(
         label = np.arange(n)
     while True:
         li, lj = label[ii], label[jj]
-        differ = li != lj
-        if not differ.any():
+        differ = (li != lj).nonzero()[0]
+        if not len(differ):
             return label
-        li, lj = li[differ], lj[differ]
+        li, lj = li.take(differ), lj.take(differ)
         np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
-        while not np.array_equal(jumped := label[label], label):
+        while np.count_nonzero((jumped := label[label]) != label):
             label = jumped
 
 
@@ -139,11 +145,11 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
     EPSILON.check(epsilon)
     MIN_PTS.check(min_pts)
     pairs = geo._pairs_within(cloud, epsilon)
-    label = np.arange(n)
+    label = np.arange(n + 1)  # and n, the label of noise, its own root
     if min_pts == 1:
         for ii, jj in pairs():
             label = _component_labels(ii, jj, n, label)
-        return label
+        return label[:n]
     degree = np.ones(n, dtype=np.intp)  # each point lies within epsilon of itself
     kept, held = [], 0  # the first pass's blocks, while they are few
     for ii, jj in pairs():
@@ -154,14 +160,14 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
         elif kept:
             kept.clear()
     core = degree >= min_pts
-    joins = np.where(core, label, n)  # the point whose cluster each point joins
+    joins = np.where(core, label[:n], n)  # the point whose cluster each point joins
     for ii, jj in kept if held <= geo.BLOCK_ELEMENTS else pairs():
-        i_border, j_border = core[jj] & ~core[ii], core[ii] & ~core[jj]
-        np.minimum.at(joins, ii[i_border], jj[i_border])
-        np.minimum.at(joins, jj[j_border], ii[j_border])
-        linked = core[ii] & core[jj]
+        i_core, j_core = core[ii], core[jj]
+        border = i_core != j_core  # a pair of a core point and a point that joins it
+        np.minimum.at(joins, np.where(i_core, jj, ii)[border], np.where(i_core, ii, jj)[border])
+        linked = i_core & j_core
         label = _component_labels(ii[linked], jj[linked], n, label)
-    return np.append(label, n)[joins]
+    return label.take(joins)
 
 
 def _mean_pairwise(members: tuple[CloudPoint, ...]) -> float:
@@ -205,14 +211,14 @@ def disambiguate(doc: DocumentInput, ranked: list[Cluster]) -> DisambiguationRes
             if c.entry_id in rank_of_entry
         ]
         if not ranks:
-            outcomes[mention.name] = MentionOutcome(OutcomeStatus.NO_CANDIDATE_IN_ANY_CLUSTER)
+            outcomes[mention.name] = _NO_CANDIDATE
             continue
         top = min(rank for rank, _ in ranks)
         in_top = [entry_id for rank, entry_id in ranks if rank == top]
         if len(in_top) == 1:
             outcomes[mention.name] = MentionOutcome(OutcomeStatus.RESOLVED, entry_id=in_top[0])
         else:
-            outcomes[mention.name] = MentionOutcome(OutcomeStatus.AMBIGUOUS_IN_TOP_CLUSTER)
+            outcomes[mention.name] = _AMBIGUOUS
     return DisambiguationResult(
         doc_id=doc.doc_id, outcomes=outcomes, ranked_clusters=tuple(ranked)
     )
@@ -264,47 +270,51 @@ def _resolve(
     form one cluster and the others are noise (see
     ``baselines._resolve_selection``).
 
-    A cluster's spread only breaks ties in size, so it is computed only for
-    clusters of two or more points whose size another cluster shares (a
-    singleton's is 0), from its members' pairs (see
-    ``geo._member_distances``).
-    Entry ids are unique, so the smallest one settles every remaining tie.
+    The points are grouped by label with one stable argsort, so each
+    cluster's members come in ascending order, and the clusters are ranked
+    with one ``np.lexsort``. A cluster's spread only breaks ties in size, so
+    it is computed only for clusters of two or more points whose size
+    another cluster shares (a singleton's is 0), from its members' pairs
+    (see ``geo._member_distances``). Entry ids are unique, so the smallest
+    one settles every remaining tie. The ranked clusters are built in one
+    ``map`` of ``Cluster`` over the member tuples, sliced from one tuple of
+    the grouped points, and their ranks. A mention resolves from the ranks
+    of its run of points; the two failures are the shared outcomes
+    ``_NO_CANDIDATE`` and ``_AMBIGUOUS``.
     """
     n = len(cloud)
-    by_cluster = np.argsort(labels, kind="stable")  # members ascending, noise last
-    counts = np.bincount(labels, minlength=n + 1)[:n]
-    roots = np.flatnonzero(counts)  # one label per cluster
-    sizes = counts[roots]
-    starts = np.cumsum(sizes) - sizes
-    clustered = by_cluster[: sizes.sum()]  # every point but the noise
-    smallest_id = np.minimum.reduceat(cloud._id_ranks[clustered], starts)
+    by_cluster = labels.argsort(kind="stable")  # members ascending, noise last
+    counts = np.bincount(labels, minlength=n + 1)
+    roots = counts[:n].nonzero()[0]  # one label per cluster
+    sizes = counts.take(roots)
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    clustered = by_cluster[: n - counts[n]]  # every point but the noise
+    smallest_id = np.minimum.reduceat(cloud._id_ranks.take(clustered), starts)
     spreads = np.zeros(len(roots))
-    for k in np.flatnonzero((sizes > 1) & (np.bincount(sizes)[sizes] > 1)).tolist():
-        spreads[k] = np.mean(geo._member_distances(cloud, by_cluster[starts[k] : starts[k] + sizes[k]]))
+    for k in ((sizes > 1) & (np.bincount(sizes).take(sizes) > 1)).nonzero()[0].tolist():
+        spreads[k] = np.mean(geo._member_distances(cloud, clustered[starts[k] : ends[k]]))
     order = np.lexsort((smallest_id, spreads, -sizes))
     unclustered = len(order) + 1  # the rank of a noise point: past every cluster's
     rank_of_label = np.full(n + 1, unclustered)
-    rank_of_label[roots[order]] = np.arange(1, len(order) + 1)
-    point_rank = rank_of_label[labels].tolist()
-    grouped = [cloud.points[i] for i in clustered.tolist()]
-    ranked = tuple(
-        Cluster(tuple(grouped[start : start + size]), rank)
-        for rank, (start, size) in enumerate(zip(starts[order].tolist(), sizes[order].tolist()), 1)
-    )
+    rank_of_label[roots.take(order)] = np.arange(1, unclustered)
+    # each cluster's members, in rank order: a slice of the grouped points
+    grouped = tuple(map(cloud.points.__getitem__, clustered.tolist()))
+    members = map(grouped.__getitem__, map(slice, starts.take(order).tolist(), ends.take(order).tolist()))
+    ranked = tuple(map(Cluster, members, range(1, unclustered)))
 
+    point_rank = rank_of_label.take(labels).tolist()
     outcomes: dict[str, MentionOutcome] = {}
     end = 0
     for mention in doc.mentions:  # the cloud holds each mention's points in one run
-        start, end = end, end + len(mention.candidates)
+        candidates = mention.candidates
+        start, end = end, end + len(candidates)
         ranks = point_rank[start:end]
         top = min(ranks, default=unclustered)
         if top == unclustered:
-            outcomes[mention.name] = MentionOutcome(OutcomeStatus.NO_CANDIDATE_IN_ANY_CLUSTER)
+            outcomes[mention.name] = _NO_CANDIDATE
         elif ranks.count(top) == 1:
-            chosen = mention.candidates[ranks.index(top)].entry_id
-            outcomes[mention.name] = MentionOutcome(OutcomeStatus.RESOLVED, entry_id=chosen)
+            outcomes[mention.name] = MentionOutcome(OutcomeStatus.RESOLVED, candidates[ranks.index(top)].entry_id)
         else:
-            outcomes[mention.name] = MentionOutcome(OutcomeStatus.AMBIGUOUS_IN_TOP_CLUSTER)
-    return DisambiguationResult(
-        doc_id=doc.doc_id, outcomes=outcomes, ranked_clusters=ranked, diagnostics=diagnostics
-    )
+            outcomes[mention.name] = _AMBIGUOUS
+    return DisambiguationResult(doc.doc_id, outcomes, ranked, diagnostics)

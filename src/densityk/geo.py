@@ -462,10 +462,17 @@ def _pairs_within(cloud: PointCloud, limit: float):
     keeps (see :func:`condensed_distances`), found once; past one block
     those of the band of ``limit`` (:func:`_band`), decided through the
     chord kernel and found anew on each call. Both yield the same pairs.
+
+    A one-block cloud's pairs are read off the layout in which
+    :func:`_condensed` writes its vector: of m = n(n-1)/2, the pair at
+    position p is (n-1-``_LOWER_A``[m-1-p], n-1-``_LOWER_B``[m-1-p]), two
+    gathers from the module's table, in the order of the positions.
     """
     n = len(cloud)
     if n <= _ONE_BLOCK_N:
-        pairs = (condensed_pairs(np.flatnonzero(condensed_distances(cloud) <= limit), n),)
+        # m-1-p for each position p of a pair within the limit
+        back = (n * (n - 1) // 2 - 1) - (condensed_distances(cloud) <= limit).nonzero()[0]
+        pairs = (((n - 1) - _LOWER_A.take(back), (n - 1) - _LOWER_B.take(back)),)
         return lambda: pairs
     band = _band(cloud, limit)
     return lambda: _band_pairs_within(cloud._radians, limit, *band)
@@ -566,12 +573,21 @@ def _member_distances(cloud: PointCloud, members: np.ndarray) -> np.ndarray:
     """``condensed_distances`` of the cloud's points at the ascending
     indices ``members``, the same values in the same order: gathered from
     the vector a one-block cloud keeps, or computed from a larger cloud's
-    arrays."""
+    arrays.
+
+    A one-block cloud gathers its members' pairs in ``np.triu_indices``
+    order, taken from the module's lower-triangle table as
+    :func:`_pairs_within` takes them, so that ``np.mean`` of the result
+    keeps its bits; no index table is built per call."""
     n = len(cloud)
     if n > _ONE_BLOCK_N:
         return _condensed(*(a[members] for a in cloud._radians))
-    i, j = np.triu_indices(len(members), 1)
-    return condensed_distances(cloud)[condensed_index(members[i], members[j], n)]
+    # the lower triangle's pairs of the members read backwards, taken in
+    # reverse order (see _LOWER_A)
+    m = len(members) * (len(members) - 1) // 2
+    back = members[::-1]
+    i, j = back.take(_LOWER_A[:m][::-1]), back.take(_LOWER_B[:m][::-1])
+    return condensed_distances(cloud).take(condensed_index(i, j, n))
 
 
 def _diameter_bound(radians) -> float:

@@ -25,7 +25,7 @@ from densityk import (
     to_canonical_json,
     with_cluster_distance,
 )
-from densityk import geo
+from densityk import clustering, geo
 from densityk.clustering import (
     DisambiguationResult,
     MentionOutcome,
@@ -289,6 +289,53 @@ class TestResolveFromLabels:
         assert groups_of(labels) == union_find_dbscan_groups(distances.tolist(), n, epsilon, min_pts)
         want = disambiguate(doc, rank_clusters(dbscan(cloud, epsilon, min_pts)))
         assert _resolve(doc, cloud, labels) == want
+
+    def test_past_one_block_with_noise_and_ties(self):
+        # more than 257 points at min_pts 5: groups of 5, 6 (two pairs of
+        # them mirrored about the equator, so tied in size and spread), 7
+        # and 9 points within about 200 m, groups of 3 that stay noise, and
+        # scattered single points; one mention holds noise alone, another
+        # two points of the largest group
+        rng = np.random.default_rng(28)
+
+        def group(size, centre=None):
+            lat, lon = centre or (float(rng.uniform(-70, 70)), float(rng.uniform(-180, 180)))
+            return [(lat + float(dy), lon + float(dx)) for dy, dx in rng.uniform(-0.001, 0.001, (size, 2))]
+
+        groups = [group(size) for size in [5] * 30 + [7] * 6 + [9] * 3 + [3] * 10]
+        for _ in range(2):
+            six = group(6)
+            groups += [six, [(-lat, lon) for lat, lon in six]]
+        singles = [(float(lat), float(lon)) for lat, lon in zip(rng.uniform(-80, 80, 60), rng.uniform(-180, 180, 60))]
+        largest = groups[36]
+        mentions = {"noise": singles[:3], "tied": largest[:2]}
+        rest = singles[3:] + largest[2:] + [xy for g in groups if g is not largest for xy in g]
+        order = rng.permutation(len(rest)).tolist()
+        for k, start in enumerate(range(0, len(rest), 9)):
+            mentions[f"m{k}"] = [rest[i] for i in order[start : start + 9]]
+        doc = make_document("past-one-block", mentions)
+        cloud = to_point_cloud(doc)
+        n = len(cloud)
+        assert n > geo._ONE_BLOCK_N
+        labels = _dbscan_groups(cloud, 1_000.0, 5)
+        assert int(np.count_nonzero(labels == n)) >= 60 + 30  # the singles and the groups of 3
+        sizes = np.bincount(np.bincount(labels)[:n])
+        assert sizes[5] == 30 and sizes[6] == 4 and sizes[7] == 6 and sizes[9] == 3
+
+        got = _resolve(doc, cloud, labels)
+        assert got == disambiguate(doc, rank_clusters(dbscan(cloud, 1_000.0, 5)))
+        assert got.outcomes["noise"] is clustering._NO_CANDIDATE
+        assert got.outcomes["tied"] is clustering._AMBIGUOUS
+        assert {o.status for o in got.outcomes.values()} == set(OutcomeStatus)
+
+    def test_shared_failures_equal_fresh_outcomes(self):
+        for shared, status in (
+            (clustering._NO_CANDIDATE, OutcomeStatus.NO_CANDIDATE_IN_ANY_CLUSTER),
+            (clustering._AMBIGUOUS, OutcomeStatus.AMBIGUOUS_IN_TOP_CLUSTER),
+        ):
+            fresh = MentionOutcome(status)
+            assert shared == fresh and hash(shared) == hash(fresh)
+            assert shared.status is status and shared.entry_id is None and not shared.resolved
 
 
 class TestRankClusters:

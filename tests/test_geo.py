@@ -19,6 +19,7 @@ from densityk import (
     pairwise_distances,
     spherical_centroid,
 )
+from densityk import geo
 from densityk.geo import (
     BLOCK_ELEMENTS,
     _condensed,
@@ -298,6 +299,81 @@ class TestCondensedDistances:
         assert np.array_equal(got.values, expected.values)
         assert got.n_points == n and got.upper_bound is None
         assert np.array_equal(condensed_distances(cloud), before)
+
+
+# the limits the one-block edge source is checked at (see TestOneBlockEdgeSource)
+LIMITS = ["zero", "a pair's", "a recurring distance", "half the circle", "the largest distance", "past the circle"]
+
+
+class TestOneBlockEdgeSource:
+    """A one-block cloud's pairs within a limit and its members' distances,
+    read off the module's lower-triangle table, against the kept vector's
+    positions mapped by ``condensed_pairs`` and a fresh vector of the
+    members' points."""
+
+    @staticmethod
+    def cloud_and_limits(n: int, seed: int):
+        # a coincident pair (distance 0, and with it distances that recur)
+        # and, from three points on, an antipodal one (h clipped to 1)
+        rng = np.random.default_rng(seed)
+        coords = random_coords(rng, n)
+        coords[-1] = coords[0]
+        if n > 2:
+            coords[1] = (-coords[0][0], coords[0][1] + 180.0)
+        cloud = make_cloud(coords)
+        vector = condensed_distances(cloud)
+        values, counts = np.unique(vector, return_counts=True)
+        recurring = values[(counts > 1) & (values > 0)]
+        limits = {
+            "zero": 0.0,
+            "a pair's": float(vector[int(rng.integers(len(vector)))]),
+            "a recurring distance": float(recurring[int(rng.integers(len(recurring)))]) if len(recurring) else 0.0,
+            "half the circle": math.pi * EARTH_RADIUS_M,
+            "the largest distance": geo._MAX_DISTANCE_M,
+            "past the circle": 4e7,
+        }
+        return cloud, vector, limits
+
+    def test_the_one_block_limit_is_257_points(self):
+        assert geo._ONE_BLOCK_N == 257 == ONE_BLOCK_N
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 256, 257]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(LIMITS),
+    )
+    @example(257, 0, "a recurring distance")
+    @example(257, 1, "the largest distance")
+    @example(2, 2, "zero")
+    def test_pairs_within_are_the_vector_positions_pairs(self, n, seed, which):
+        cloud, vector, limits = self.cloud_and_limits(n, seed)
+        limit = limits[which]
+        blocks = list(geo._pairs_within(cloud, limit)())
+        assert len(blocks) == 1
+        ((i, j),) = blocks
+        assert i.dtype == j.dtype == np.intp
+        assert bool(np.all(i < j)) and bool(np.all(j < n))
+        want_i, want_j = condensed_pairs(np.flatnonzero(vector <= limit), n)
+        got = set(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(i)
+        assert got == set(zip(want_i.tolist(), want_j.tolist()))
+        if which == "past the circle":
+            assert len(got) == n * (n - 1) // 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 256, 257]), st.integers(0, 2**32 - 1))
+    @example(257, 0)
+    def test_member_distances_equal_a_fresh_vector_of_the_members(self, n, seed):
+        cloud, _, _ = self.cloud_and_limits(n, seed)
+        rng = np.random.default_rng(seed + 1)
+        for size in (0, 1, 2, n):
+            members = np.sort(rng.choice(n, size, replace=False))
+            got = geo._member_distances(cloud, members)
+            want = condensed_distances([cloud.points[k].location for k in members.tolist()])
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestSphericalCentroid:
     def test_single_point(self):
