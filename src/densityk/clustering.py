@@ -15,7 +15,7 @@ from . import geo
 from .corpus import CloudPoint, DocumentInput, PointCloud, to_point_cloud
 from .errors import EmptyInputError
 from .geo import condensed_distances
-from .kfunction import DEFAULT_DELTA_D_M, KFunction, _blocked_k_function
+from .kfunction import DEFAULT_DELTA_D_M, KFunction, _blocked_k_function, with_cluster_distance
 from .params import DELTA_D, EPSILON, MIN_PTS, UPPER_BOUND
 
 
@@ -251,7 +251,7 @@ def densityk_pipeline(
         raise EmptyInputError(f"document {doc.doc_id!r} has no candidates")
     if n == 1:
         return _resolve(doc, cloud, np.zeros(1, dtype=np.intp))
-    kf = _blocked_k_function(n, delta_d, *geo._rings_within(cloud, delta_d, upper_bound), derive=True)
+    kf = with_cluster_distance(_blocked_k_function(n, delta_d, *geo._rings_within(cloud, delta_d, upper_bound)))
     labels = _dbscan_groups(cloud, kf.cluster_distance, 1)
     return _resolve(doc, cloud, labels, kf)
 

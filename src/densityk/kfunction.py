@@ -188,16 +188,12 @@ def compute_k_function(
     return _blocked_k_function(n_points, delta_d, _ring_blocks(values, delta_d), largest, len(values))
 
 
-def _blocked_k_function(
-    n_points: int, delta_d: float, blocks, largest: float, total: int, derive: bool = False
-) -> KFunction:
+def _blocked_k_function(n_points: int, delta_d: float, blocks, largest: float, total: int) -> KFunction:
     """The annular curve of the distances whose ring indices ``blocks``
     yields, an array at a time (see :func:`_count_rings`); no distance
     exceeds ``largest`` and there are at most ``total`` of them
     (``geo._rings_within`` gives the pipeline's three).
-    The pipeline and :func:`compute_k_function` count through here. With
-    ``derive`` the curve is built with its cluster distance, as
-    :func:`with_cluster_distance` would fill it in.
+    The pipeline and :func:`compute_k_function` count through here.
 
     The checks come in one order: the point count and ``delta_d``, the ring
     limit on each block before its ring indices are cast, an empty list,
@@ -225,8 +221,7 @@ def _blocked_k_function(
         area *= np.pi
         area *= n_points
         np.divide(2.0 * counts[ring], area, out=area)
-    del counts  # gone before the threshold's temporaries come
-    return KFunction(delta_d, d, densities, _cluster_distance(d, densities) if derive else None)
+    return KFunction(delta_d, d, densities)
 
 
 def compute_circular_k_function(
@@ -262,19 +257,15 @@ def derive_cluster_distance(kf: KFunction) -> float:
     of all sampled densities; if no sample past the peak satisfies that,
     d0 itself (everything within the densest ring clusters together).
     """
-    return _cluster_distance(kf.distances_m, kf.densities)
-
-
-def _cluster_distance(distances_m: np.ndarray, ks: np.ndarray) -> float:
-    # derive_cluster_distance of the curve of samples (distances_m, ks)
+    ks = kf.densities
     if len(ks) == 0:
         raise InsufficientPointsError("density curve has no samples")
     threshold = float(np.mean(ks) + 2.0 * np.std(ks))
     peak = int(np.argmax(ks))  # first index of the max, i.e. smallest such d
     past_peak = np.nonzero(ks[peak + 1 :] <= threshold)[0]
     if len(past_peak) == 0:
-        return float(distances_m[peak])
-    return float(distances_m[peak + 1 + past_peak[0]])
+        return float(kf.distances_m[peak])
+    return float(kf.distances_m[peak + 1 + past_peak[0]])
 
 
 def with_cluster_distance(kf: KFunction) -> KFunction:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,3 +80,16 @@ def unique_ring_counts(values: np.ndarray, delta_d: float) -> tuple[np.ndarray, 
 @pytest.fixture(scope="session")
 def default_corpus() -> list[DocumentInput]:
     return synth_generate(SynthSpec())
+
+
+@pytest.fixture
+def source_repository(tmp_path) -> Path:
+    """A git repository of this checkout's ``src`` alone, committed, in
+    ``tmp_path``: the timing tools run there time its HEAD against its
+    working tree. Skips without git."""
+    if shutil.which("git") is None:
+        pytest.skip("needs git")
+    shutil.copytree(Path(__file__).parents[1] / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "src"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path, check=True, capture_output=True)
+    return tmp_path

@@ -1,0 +1,37 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).parents[1] / "tools"
+USAGE = {
+    "kernel_shapes.py": "usage: python3 tools/kernel_shapes.py BASE [HEAD] [--rounds N]\n",
+    "request_phases.py": "usage: python3 tools/request_phases.py BASE [HEAD] [--rounds N]\n",
+    "grid_cells.py": "usage: python3 tools/grid_cells.py BASE [HEAD] [--rounds N] [--seed S]\n",
+    "src_lines.py": "usage: python3 tools/src_lines.py BASE [HEAD]\n",
+}
+# every tool's: a missing, a non-integer and a zero --rounds, an unknown option, three revisions
+WRONG = [[], ["HEAD", "--rounds"], ["HEAD", "--rounds", "x"], ["HEAD", "--rounds", "0"], ["HEAD", "--bogus"], ["A", "B", "C"]]
+MORE_WRONG = {
+    "kernel_shapes.py": [["HEAD", "--seed", "7"]],
+    "request_phases.py": [["HEAD", "--rounds", "-1"], ["HEAD", "--seed", "7"]],
+    "grid_cells.py": [["HEAD", "--seed"], ["HEAD", "--seed", "1.5"]],
+    "src_lines.py": [],
+}
+
+
+def _run(tool, args, cwd):
+    return subprocess.run([sys.executable, str(TOOLS / tool), *args], cwd=cwd, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("tool", USAGE)
+def test_a_wrong_command_line_is_the_usage_line_and_an_unknown_revision_is_gits_message(tool, source_repository):
+    # each exits 2 with one line on stderr and nothing on stdout
+    for args in WRONG + MORE_WRONG[tool]:
+        run = _run(tool, args, source_repository)
+        assert (run.returncode, run.stderr, run.stdout) == (2, USAGE[tool], ""), args
+    for args in (["nosuchrev"], ["HEAD", "nosuchrev"]):
+        run = _run(tool, args, source_repository)
+        assert run.returncode == 2 and run.stdout == "", args
+        assert run.stderr.startswith("fatal: ") and "nosuchrev" in run.stderr and run.stderr.count("\n") == 1, run.stderr

@@ -4,12 +4,9 @@ shapes, and pass two, the pairs within a limit, on nine.
 
     python3 tools/kernel_shapes.py BASE [HEAD] [--rounds N]
 
-Run it inside the repository. BASE and HEAD are git revisions; without
-HEAD the working tree's ``src`` is timed. Each revision's ``src`` runs in
-its own worker process with ``OPENBLAS_NUM_THREADS=1`` in that process's
-environment, so a gain is not hidden BLAS threads. Every round times each
-shape once in each worker, the workers in turn, so drift in the machine
-falls on both alike. The table gives each shape's median milliseconds
+Run it inside the repository; ``tools/revisions.py`` sets out BASE, HEAD,
+the two workers and the interleaved rounds. Every round times each shape
+once in each worker. The table gives each shape's median milliseconds
 over the rounds at each revision, their ratio, and the share of the
 cloud's pairs that fell back to the exact haversine at each revision
 (those the chord kernel did not decide).
@@ -45,17 +42,12 @@ shapes, each seeded:
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import os
 import statistics
-import subprocess
 import sys
-import tarfile
-import tempfile
 import time
-from pathlib import Path
+
+import revisions
 
 DELTA_D = 100.0
 EARTH_RADIUS_M = 6_371_000.0
@@ -118,10 +110,10 @@ def pass_two_shapes(clouds: dict[str, list[tuple[float, float]]]) -> dict[str, t
 
 
 def _worker(src: str) -> None:
-    # Serves one revision: builds the shapes, then answers "time NAME" with
-    # pass one's milliseconds, "share NAME" with its fallback share and
-    # "curve NAME" with a digest of its curve, and "drain NAME" with pass
-    # two's milliseconds and "pairs NAME" with its pair count, one line each.
+    # Serves one revision: builds the shapes, prints their names, then
+    # answers "time NAME" with pass one's milliseconds, "share NAME" with its
+    # fallback share and "curve NAME" with a digest of its curve, and "drain
+    # NAME" with pass two's milliseconds and "pairs NAME" with its pair count.
     sys.path.insert(0, src)
     import hashlib
 
@@ -129,9 +121,6 @@ def _worker(src: str) -> None:
     from densityk.corpus import CloudPoint, PointCloud
     from densityk.geo import GeoPoint
     from densityk.kfunction import _blocked_k_function
-
-    # the curve source; it yielded distances, as _distances_within, before it yielded rings
-    source = getattr(geo, "_rings_within", None) or geo._distances_within
 
     def cloud_of(coords):
         return PointCloud(tuple(CloudPoint(GeoPoint(a, b), f"p{k}", "m") for k, (a, b) in enumerate(coords)))
@@ -141,27 +130,25 @@ def _worker(src: str) -> None:
     cases = {name: (cloud_of(points), limit) for name, (points, limit) in pass_two_shapes(coords).items()}
 
     def pass_one(cloud):
-        return _blocked_k_function(len(cloud), DELTA_D, *source(cloud, DELTA_D, None))
+        return _blocked_k_function(len(cloud), DELTA_D, *geo._rings_within(cloud, DELTA_D, None))
 
     def pass_two(cloud, limit):
         return sum(len(i) for i, _ in geo._pairs_within(cloud, limit)())
 
     exact = geo._pair_distances
-    print(json.dumps([list(clouds), list(cases)]), flush=True)
-    for line in sys.stdin:
-        command, name = line.rstrip("\n").split(" ", 1)
+
+    def answer(request: str):
+        command, name = request.split(" ", 1)
         if command in ("drain", "pairs"):
             start = time.perf_counter()
             pairs = pass_two(*cases[name])
-            answer = (time.perf_counter() - start) * 1e3 if command == "drain" else pairs
-            print(json.dumps(answer), flush=True)
-            continue
+            return (time.perf_counter() - start) * 1e3 if command == "drain" else pairs
         cloud = clouds[name]
         if command == "time":
             start = time.perf_counter()
             pass_one(cloud)
-            answer = (time.perf_counter() - start) * 1e3
-        elif command == "share":
+            return (time.perf_counter() - start) * 1e3
+        if command == "share":
             fell_back = []
 
             def counted(*args, **kwargs):
@@ -174,95 +161,41 @@ def _worker(src: str) -> None:
             finally:
                 geo._pair_distances = exact
             n = len(cloud)
-            answer = sum(fell_back) / (n * (n - 1) // 2)
-        else:
-            kf = pass_one(cloud)
-            answer = hashlib.sha256(kf.distances_m.tobytes() + kf.densities.tobytes()).hexdigest()
-        print(json.dumps(answer), flush=True)
+            return sum(fell_back) / (n * (n - 1) // 2)
+        kf = pass_one(cloud)
+        return hashlib.sha256(kf.distances_m.tobytes() + kf.densities.tobytes()).hexdigest()
 
-
-def _export(revision: str | None, into: Path) -> str:
-    # the revision's src directory, unpacked into ``into``, or the working tree's
-    git = subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True, capture_output=True, text=True)
-    top = Path(git.stdout.strip())
-    if revision is None:
-        return str(top / "src")
-    archive = subprocess.run(["git", "-C", str(top), "archive", "--format=tar", revision, "src"], check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
-    return str(into / "src")
-
-
-class _Worker:
-    def __init__(self, src: str):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        self.process = subprocess.Popen(
-            [sys.executable, __file__, "--worker", src], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env
-        )
-        self.names, self.cases = json.loads(self.process.stdout.readline())
-
-    def ask(self, command: str, name: str):
-        self.process.stdin.write(f"{command} {name}\n")
-        self.process.stdin.flush()
-        return json.loads(self.process.stdout.readline())
-
-    def close(self) -> None:
-        self.process.stdin.close()
-        self.process.wait()
+    revisions.serve([list(clouds), list(cases)], answer)
 
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
         _worker(argv[1])
         return 0
-    rounds = 15
-    if "--rounds" in argv:
-        at = argv.index("--rounds")
-        rounds = int(argv[at + 1])
-        del argv[at : at + 2]
-    if len(argv) not in (1, 2):
-        print("usage: python3 tools/kernel_shapes.py BASE [HEAD] [--rounds N]", file=sys.stderr)
-        return 2
-    base, head = argv[0], argv[1] if len(argv) == 2 else None
-    with tempfile.TemporaryDirectory() as scratch:
-        workers = [_Worker(_export(rev, Path(scratch) / str(k))) for k, rev in enumerate((base, head))]
-        try:
-            names = workers[0].names
-            for name in names:
-                digests = [w.ask("curve", name) for w in workers]
-                if digests[0] != digests[1]:
-                    print(f"{name}: the curves differ", file=sys.stderr)
-                    return 1
-            cases = workers[0].cases
-            pairs = {}
-            for case in cases:
-                counts = [w.ask("pairs", case) for w in workers]
-                if counts[0] != counts[1]:
-                    print(f"{case}: the pair counts differ, {counts[0]} and {counts[1]}", file=sys.stderr)
-                    return 1
-                pairs[case] = counts[0]
-            shares = {name: [w.ask("share", name) for w in workers] for name in names}
-            times = {name: ([], []) for name in names + cases}
-            for r in range(rounds):
-                for command, group in (("time", names), ("drain", cases)):
-                    for name in group:
-                        for k in (0, 1) if r % 2 == 0 else (1, 0):
-                            times[name][k].append(workers[k].ask(command, name))
-        finally:
-            for w in workers:
-                w.close()
+    base, head, (rounds,) = revisions.command_line(__file__, argv, {"--rounds N": 15})
+    with revisions.workers(__file__, base, head) as workers:
+        names, cases = workers[0].first
+        for name in names:
+            revisions.agree([w.ask(f"curve {name}") for w in workers], f"{name}: the curves differ")
+        pairs = {}
+        for case in cases:
+            counts = [w.ask(f"pairs {case}") for w in workers]
+            pairs[case] = revisions.agree(counts, f"{case}: the pair counts differ, {counts[0]} and {counts[1]}")
+        shares = {name: [w.ask(f"share {name}") for w in workers] for name in names}
+        requests = [f"time {name}" for name in names] + [f"drain {case}" for case in cases]
+        times = revisions.rounds(workers, rounds, requests)
     head_label = head or "working tree"
     print(f"pass one at delta_d {DELTA_D:g} m, median of {rounds} rounds, OPENBLAS_NUM_THREADS=1")
     print(f"{'shape':<30}{base[:12]:>14}{head_label[:12]:>14}{'ratio':>8}{'fallback':>12}{'fallback':>12}")
     for name in names:
-        ms = [statistics.median(times[name][k]) for k in (0, 1)]
+        ms = [statistics.median(times[f"time {name}"][k]) for k in (0, 1)]
         share = shares[name]
         print(f"{name:<30}{ms[0]:>11.1f} ms{ms[1]:>11.1f} ms{ms[1] / ms[0]:>8.2f}{share[0]:>12.2e}{share[1]:>12.2e}")
     print()
     print(f"pass two, the pairs within a limit, median of {rounds} rounds, OPENBLAS_NUM_THREADS=1")
     print(f"{'shape':<30}{base[:12]:>14}{head_label[:12]:>14}{'ratio':>8}{'pairs':>14}")
     for case in cases:
-        ms = [statistics.median(times[case][k]) for k in (0, 1)]
+        ms = [statistics.median(times[f"drain {case}"][k]) for k in (0, 1)]
         print(f"{case:<30}{ms[0]:>11.2f} ms{ms[1]:>11.2f} ms{ms[1] / ms[0]:>8.2f}{pairs[case]:>14,}")
     return 0
 

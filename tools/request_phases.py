@@ -3,13 +3,11 @@ timed at two revisions, interleaved.
 
     python3 tools/request_phases.py BASE [HEAD] [--rounds N]
 
-Run it inside the repository. BASE and HEAD are git revisions; without
-HEAD the working tree's ``src`` is timed. Each revision's ``src`` runs in
-its own worker process with ``OPENBLAS_NUM_THREADS=1`` in that process's
-environment. The requests are the default synthetic corpus of seed 42:
-100 documents of 5 mentions of 6 to 16 candidates, each sent as its
-canonical JSON bytes, the shape of the benchmark's ``small-docs``
-workload.
+Run it inside the repository; ``tools/revisions.py`` sets out BASE, HEAD,
+the two workers and the interleaved rounds. The requests are the default
+synthetic corpus of seed 42: 100 documents of 5 mentions of 6 to 16
+candidates, each sent as its canonical JSON bytes, the shape of the
+benchmark's ``small-docs`` workload.
 
 A request is ``densityk_pipeline`` split at its stages, each timed with
 ``time.perf_counter`` (a profiler's hooks inflate the short phases):
@@ -25,25 +23,20 @@ A request is ``densityk_pipeline`` split at its stages, each timed with
 
 Before any timing each worker checks that the split request writes the
 pipeline's own text for every document, and the two workers' texts are
-checked equal. Every round times each document once in each worker, the
-workers in turn, and takes each phase's mean over the documents; the table
-gives each phase's median microseconds over the rounds at each revision
-and their ratio.
+checked equal. Every round times each document once in each worker and
+takes each phase's mean over the documents; the table gives each phase's
+median microseconds over the rounds at each revision and their ratio.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-from kernel_shapes import _export
+import revisions
 
 DELTA_D = 100.0
 SEED = 42
@@ -53,13 +46,13 @@ PHASES = ["json.loads", "document_from_dict", "cloud", "curve", "linkage", "_res
 def _worker(src: str) -> None:
     # Serves one revision: builds the requests, prints a digest of their
     # texts, then answers each "round" line with the phases' mean
-    # microseconds per request, one JSON line each.
+    # microseconds per request.
     sys.path.insert(0, src)
     from densityk import geo
     from densityk.clustering import _dbscan_groups, _resolve, densityk_pipeline
     from densityk.corpus import document_from_dict, document_to_json, load_document, to_canonical_json, to_point_cloud
     from densityk.export import result_to_dict
-    from densityk.kfunction import _blocked_k_function
+    from densityk.kfunction import _blocked_k_function, with_cluster_distance
     from densityk.synth import SynthSpec, synth_generate
 
     payloads = [document_to_json(doc).encode() for doc in synth_generate(SynthSpec(seed=SEED))]
@@ -73,7 +66,7 @@ def _worker(src: str) -> None:
         t2 = clock()
         cloud = to_point_cloud(doc)
         t3 = clock()
-        kf = _blocked_k_function(len(cloud), DELTA_D, *geo._rings_within(cloud, DELTA_D, None), derive=True)
+        kf = with_cluster_distance(_blocked_k_function(len(cloud), DELTA_D, *geo._rings_within(cloud, DELTA_D, None)))
         t4 = clock()
         labels = _dbscan_groups(cloud, kf.cluster_distance, 1)
         t5 = clock()
@@ -93,62 +86,24 @@ def _worker(src: str) -> None:
         if text != to_canonical_json(result_to_dict(densityk_pipeline(load_document(payload), DELTA_D))):
             raise SystemExit(f"{src}: the split request writes another text than the pipeline")
         digest.update(text.encode())
-    print(json.dumps(digest.hexdigest()), flush=True)
-    for _ in sys.stdin:
+
+    def answer(_):
         spent = [0.0] * len(PHASES)
         for payload in payloads:
             request(payload, spent)
-        print(json.dumps([s / len(payloads) * 1e6 for s in spent]), flush=True)
+        return [s / len(payloads) * 1e6 for s in spent]
 
-
-class _Worker:
-    def __init__(self, src: str):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        self.process = subprocess.Popen(
-            [sys.executable, __file__, "--worker", src],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        self.digest = json.loads(self.process.stdout.readline())
-
-    def round(self) -> list[float]:
-        self.process.stdin.write("round\n")
-        self.process.stdin.flush()
-        return json.loads(self.process.stdout.readline())
-
-    def close(self) -> None:
-        self.process.stdin.close()
-        self.process.wait()
+    revisions.serve(digest.hexdigest(), answer)
 
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
         _worker(argv[1])
         return 0
-    rounds = 15
-    if "--rounds" in argv:
-        at = argv.index("--rounds")
-        rounds = int(argv[at + 1])
-        del argv[at : at + 2]
-    if len(argv) not in (1, 2):
-        print("usage: python3 tools/request_phases.py BASE [HEAD] [--rounds N]", file=sys.stderr)
-        return 2
-    base, head = argv[0], argv[1] if len(argv) == 2 else None
-    with tempfile.TemporaryDirectory() as scratch:
-        workers = [_Worker(_export(rev, Path(scratch) / str(k))) for k, rev in enumerate((base, head))]
-        try:
-            if workers[0].digest != workers[1].digest:
-                print("the two revisions write different texts", file=sys.stderr)
-                return 1
-            times = ([], [])
-            for r in range(rounds):
-                for k in (0, 1) if r % 2 == 0 else (1, 0):
-                    times[k].append(workers[k].round())
-        finally:
-            for w in workers:
-                w.close()
+    base, head, (rounds,) = revisions.command_line(__file__, argv, {"--rounds N": 15})
+    with revisions.workers(__file__, base, head) as workers:
+        revisions.agree([w.first for w in workers], "the two revisions write different texts")
+        times = revisions.rounds(workers, rounds, ["round"])["round"]
     head_label = head or "working tree"
     print(f"one small-docs request by phase, seed {SEED}, mean over 100 documents, median of {rounds} rounds")
     print(f"{'phase':<22}{base[:12]:>14}{head_label[:12]:>14}{'ratio':>8}")

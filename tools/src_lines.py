@@ -94,10 +94,14 @@ def _cell(added: int, removed: int) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
+    if len(argv) not in (1, 2) or any(arg.startswith("-") for arg in argv):
         print("usage: python3 tools/src_lines.py BASE [HEAD]", file=sys.stderr)
         return 2
-    changes = line_changes(*argv)
+    try:
+        changes = line_changes(*argv)
+    except subprocess.CalledProcessError as error:
+        print(" ".join(error.stderr.split()), file=sys.stderr)  # git's message, on one line
+        return 2
     rows = [(Path(path).name, counts) for path, counts in sorted(changes.items())]
     total = {kind: [sum(c[kind][k] for _, c in rows) for k in (0, 1)] for kind in KINDS}
     rows.append(("total", total))
