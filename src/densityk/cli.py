@@ -16,7 +16,7 @@ import click
 
 from .baselines import AVG_PAIRWISE, DEFAULT_COMBINATION_CAP, HULL_AREA
 from .corpus import load_corpus, load_document_file
-from .errors import DensityKError, DocumentParseError, DocumentSchemaError, InsufficientPointsError
+from .errors import DensityKError, DocumentParseError, DocumentSchemaError
 from .evaluation import (
     ALGORITHMS,
     GRID_PRESETS,
@@ -33,7 +33,7 @@ from .export import (
     result_to_dict,
     to_canonical_json,
 )
-from .kfunction import DEFAULT_DELTA_D_M
+from .kfunction import DEFAULT_DELTA_D_M, _check_curve_args
 from .params import WORKERS
 from .synth import SynthSpec, synth_generate, write_corpus
 
@@ -210,8 +210,8 @@ def kfunction(input_path, output_path, delta_d, upper_bound) -> None:
 
     def curve(doc):
         kf = run_algorithm(doc, config).diagnostics
-        if kf is None:  # a single candidate: no pair, no curve
-            raise InsufficientPointsError("need at least 2 points, got 1")
+        if kf is None:  # a single candidate: no pair, no curve, refused by the curve's own check
+            _check_curve_args(1, delta_d)
         return kf
 
     kf = _on_document(input_path, curve)

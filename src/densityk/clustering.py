@@ -64,15 +64,10 @@ class DisambiguationResult:
     diagnostics: KFunction | None = None
 
 
-def _component_labels(
-    ii: np.ndarray, jj: np.ndarray, n: int, label: np.ndarray | None = None
-) -> np.ndarray:
+def _component_labels(ii: np.ndarray, jj: np.ndarray, label: np.ndarray) -> np.ndarray:
     """The smallest point index in each point's connected component of the
-    graph on n points with edges (ii[k], jj[k]).
-
-    ``label``, when given, holds such labels for edges already joined (it
-    is updated in place): the result is then the components of those edges
-    and these together.
+    graph with edges (ii[k], jj[k]) and the edges already joined into
+    ``label``, such labels (``np.arange`` before any), updated in place.
 
     Every label is a root (a point labelled with itself) at the start of a
     round. Each edge whose ends carry different roots hooks the larger root
@@ -81,8 +76,6 @@ def _component_labels(
     Vishkin 1982). A label never exceeds its point's index, so a component's
     one root is its smallest index.
     """
-    if label is None:
-        label = np.arange(n)
     while True:
         li, lj = label[ii], label[jj]
         differ = (li != lj).nonzero()[0]
@@ -133,11 +126,10 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
     call, from the edge source ``geo._pairs_within``. They are joined by
     whole-array operations (:func:`_component_labels`): at
     ``min_pts`` 1 in one pass, otherwise in two, the first counting each
-    point's neighbours. The second pass reads the first's blocks again
-    where they hold at most ``geo.BLOCK_ELEMENTS`` pairs in all, and
-    otherwise asks the source anew, so no more than a block's worth of
-    pairs is held. The labels do not depend on the order in which the
-    pairs come.
+    point's neighbours. Each pass asks the source, which keeps a one-block
+    cloud's pairs and finds a larger cloud's anew, so no more than a
+    block's worth of pairs is held. The labels do not depend on the order
+    in which the pairs come.
     """
     n = len(cloud)
     if n == 0:
@@ -148,25 +140,19 @@ def _dbscan_groups(cloud: PointCloud, epsilon: float, min_pts: int) -> np.ndarra
     label = np.arange(n + 1)  # and n, the label of noise, its own root
     if min_pts == 1:
         for ii, jj in pairs():
-            label = _component_labels(ii, jj, n, label)
+            label = _component_labels(ii, jj, label)
         return label[:n]
     degree = np.ones(n, dtype=np.intp)  # each point lies within epsilon of itself
-    kept, held = [], 0  # the first pass's blocks, while they are few
     for ii, jj in pairs():
         degree += np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n)
-        held += len(ii)
-        if held <= geo.BLOCK_ELEMENTS:
-            kept.append((ii, jj))
-        elif kept:
-            kept.clear()
     core = degree >= min_pts
     joins = np.where(core, label[:n], n)  # the point whose cluster each point joins
-    for ii, jj in kept if held <= geo.BLOCK_ELEMENTS else pairs():
+    for ii, jj in pairs():
         i_core, j_core = core[ii], core[jj]
         border = i_core != j_core  # a pair of a core point and a point that joins it
         np.minimum.at(joins, np.where(i_core, jj, ii)[border], np.where(i_core, ii, jj)[border])
         linked = i_core & j_core
-        label = _component_labels(ii[linked], jj[linked], n, label)
+        label = _component_labels(ii[linked], jj[linked], label)
     return label.take(joins)
 
 

@@ -1,5 +1,7 @@
 """Spherical geometry primitives: great-circle distance, pairwise distance
-lists, and spherical centroids.
+lists and spherical centroids, and the pair layer that serves a point
+cloud's distances: the edge source (:func:`_pairs_within`), the curve
+source (:func:`_rings_within`), the chord kernel and the band.
 
 All distances are haversine distances on a sphere of radius
 ``EARTH_RADIUS_M`` (6,371,000 m), in meters.
@@ -114,7 +116,7 @@ def _haversine_arc(dphi, dlam, cos_ab, out=None) -> np.ndarray:
 # the largest distance _haversine_arc returns, for h clipped to 1
 _MAX_DISTANCE_M = 2.0 * EARTH_RADIUS_M * math.asin(1.0)
 
-# Elements of one block, the step of every block-at-a-time pass. It
+# Elements of one block, the step of every pass over pairs or distances. It
 # bounds a block's temporaries to about 0.5 MB each, whatever the number
 # of points; smaller blocks stay in cache and ran faster than blocks of a
 # few 10^5 elements (2-vCPU Xeon with AVX-512, numpy 2.4).
@@ -316,10 +318,12 @@ def _ring_indices(values: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def _ring_blocks(values: np.ndarray, spacing: float):
-    # the ring indices of the distances ``values``, BLOCK_ELEMENTS at a
-    # time, each made as it is read, so that none outlives its count
+    # the curve source of the stored distances ``values`` (see _rings_within):
+    # their ring indices, BLOCK_ELEMENTS at a time and each made as it is
+    # read so that none outlives its count, their largest and their number
     starts = range(0, len(values), BLOCK_ELEMENTS)
-    return (_ring_indices(values[start : start + BLOCK_ELEMENTS], spacing) for start in starts)
+    blocks = (_ring_indices(values[start : start + BLOCK_ELEMENTS], spacing) for start in starts)
+    return blocks, float(values.max()) if len(values) else 0.0, len(values)
 
 
 def _cloud_pairs(order: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -550,9 +554,10 @@ def _rings_within(cloud: PointCloud, spacing: float, upper_bound: float | None):
     distance d as a float and ``_NO_RING`` for an entry that is none. No
     distance lies past ``largest``, and there are at most ``total`` of
     them. A one-block cloud's rings are those of the vector it keeps,
-    filtered once, made as they are read; a larger cloud's come from its row blocks in band order
-    through the chord kernel, each pair's exact ring (see
-    :func:`_chord_rings`), found as they are read, never stored.
+    filtered once, made as they are read (:func:`_ring_blocks`); a larger
+    cloud's come from its row blocks in band order through the chord
+    kernel, each pair's exact ring (see :func:`_chord_rings`), found as
+    they are read, never stored.
     """
     n = len(cloud)
     if n > _ONE_BLOCK_N:
@@ -565,8 +570,7 @@ def _rings_within(cloud: PointCloud, spacing: float, upper_bound: float | None):
             largest = min(largest, upper_bound)
         return blocks, largest, n * (n - 1) // 2
     distances = condensed_distances(cloud)
-    in_bound = distances if upper_bound is None else distances[distances <= upper_bound]
-    return _ring_blocks(in_bound, spacing), float(in_bound.max()) if len(in_bound) else 0.0, len(in_bound)
+    return _ring_blocks(distances if upper_bound is None else distances[distances <= upper_bound], spacing)
 
 
 def _member_distances(cloud: PointCloud, members: np.ndarray) -> np.ndarray:
@@ -576,18 +580,12 @@ def _member_distances(cloud: PointCloud, members: np.ndarray) -> np.ndarray:
     arrays.
 
     A one-block cloud gathers its members' pairs in ``np.triu_indices``
-    order, taken from the module's lower-triangle table as
-    :func:`_pairs_within` takes them, so that ``np.mean`` of the result
-    keeps its bits; no index table is built per call."""
+    order, so that ``np.mean`` of the result keeps its bits."""
     n = len(cloud)
     if n > _ONE_BLOCK_N:
         return _condensed(*(a[members] for a in cloud._radians))
-    # the lower triangle's pairs of the members read backwards, taken in
-    # reverse order (see _LOWER_A)
-    m = len(members) * (len(members) - 1) // 2
-    back = members[::-1]
-    i, j = back.take(_LOWER_A[:m][::-1]), back.take(_LOWER_B[:m][::-1])
-    return condensed_distances(cloud).take(condensed_index(i, j, n))
+    i, j = np.triu_indices(len(members), 1)
+    return condensed_distances(cloud).take(condensed_index(members.take(i), members.take(j), n))
 
 
 def _diameter_bound(radians) -> float:

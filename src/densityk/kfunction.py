@@ -18,12 +18,12 @@ rule: past the density peak, the first sampled distance whose density
 falls to at most mean + 2 * std of all sampled densities.
 
 Every annular curve is counted by one function, ``_count_rings``, through
-``_blocked_k_function``, from ring indices that come an array at a time:
-those of the slices of a stored list (:func:`compute_k_function`) or the
-pipeline's source, ``geo._rings_within``. The rings go into one array
-indexed by ring when they are few beside the distances; otherwise the
-occupied rings are merged as the blocks come, so memory follows the
-occupied rings.
+``_blocked_k_function``, from ring indices that come an array at a time
+from a curve source: a stored list's, ``geo._ring_blocks``
+(:func:`compute_k_function`), or the pipeline's, ``geo._rings_within``.
+The rings go into one array indexed by ring when they are few beside the
+distances; otherwise the occupied rings are merged as the blocks come, so
+memory follows the occupied rings.
 """
 
 from __future__ import annotations
@@ -183,9 +183,7 @@ def compute_k_function(
     slices of ``geo.BLOCK_ELEMENTS`` distances, so no copy of them is made.
     ``cluster_distance`` is left unset; see :func:`derive_cluster_distance`.
     """
-    values = distances.values
-    largest = float(values.max()) if len(values) else 0.0
-    return _blocked_k_function(n_points, delta_d, _ring_blocks(values, delta_d), largest, len(values))
+    return _blocked_k_function(n_points, delta_d, *_ring_blocks(distances.values, delta_d))
 
 
 def _blocked_k_function(n_points: int, delta_d: float, blocks, largest: float, total: int) -> KFunction:

@@ -158,7 +158,7 @@ class TestComponents:
         ii = np.array([min(e) for e in edges], dtype=np.int64)
         jj = np.array([max(e) for e in edges], dtype=np.int64)
         smallest = {i: g[0] for g in groups for i in g}
-        assert _component_labels(ii, jj, n).tolist() == [smallest[i] for i in range(n)]
+        assert _component_labels(ii, jj, np.arange(n)).tolist() == [smallest[i] for i in range(n)]
         assert groups_of(_dbscan_groups(vector_cloud(graph_distances(n, edges), n), 1.5, 1)) == groups
 
     @pytest.mark.parametrize("min_pts", range(1, 7))

@@ -356,25 +356,26 @@ class TestBand:
         assert groups_of(_dbscan_groups(cloud, epsilon, min_pts)) == want
 
     @pytest.mark.parametrize("epsilon", [300_000.0, 1.5e7])
-    def test_dbscan_asks_the_source_again_only_past_one_block_of_pairs(self, epsilon):
-        # at min_pts > 1 the second pass reads the first pass's blocks again
-        # while they hold at most BLOCK_ELEMENTS pairs, and past that asks
-        # the edge source anew; the labels are union-find's either way
+    def test_both_dbscan_passes_ask_the_edge_source(self, epsilon):
+        # at min_pts > 1 each of the two passes asks the edge source, which
+        # holds nothing between them past one block; at min_pts 1 the one
+        # pass asks once; the labels are union-find's either way
         doc, n = synth_cloud_document(20, 29, seed=4)
         cloud = to_point_cloud(doc)
+        assert n > geo._ONE_BLOCK_N
         pairs_within, calls = geo._pairs_within, []
 
         def counted(cloud, limit):
             source = pairs_within(cloud, limit)
             return lambda: calls.append(limit) or source()
 
-        with mock.patch.object(geo, "_pairs_within", counted):
-            labels = _dbscan_groups(cloud, epsilon, 3)
-        held = sum(len(ii) for ii, _ in pairs_within(cloud, epsilon)())
-        assert (held <= geo.BLOCK_ELEMENTS) == (epsilon < 1e6)
-        assert len(calls) == (1 if held <= geo.BLOCK_ELEMENTS else 2)
-        want = union_find_dbscan_groups(condensed_distances(cloud).tolist(), n, epsilon, 3)
-        assert groups_of(labels) == want
+        for min_pts, asked in ((3, 2), (1, 1)):
+            calls.clear()
+            with mock.patch.object(geo, "_pairs_within", counted):
+                labels = _dbscan_groups(cloud, epsilon, min_pts)
+            assert calls == [epsilon] * asked
+            want = union_find_dbscan_groups(condensed_distances(cloud).tolist(), n, epsilon, min_pts)
+            assert groups_of(labels) == want
 
     def test_band_gathers_in_blocks_beside_the_distance_vector(self):
         # a band of more candidate pairs than one block holds is gathered a

@@ -35,3 +35,35 @@ def test_a_wrong_command_line_is_the_usage_line_and_an_unknown_revision_is_gits_
         run = _run(tool, args, source_repository)
         assert run.returncode == 2 and run.stdout == "", args
         assert run.stderr.startswith("fatal: ") and "nosuchrev" in run.stderr and run.stderr.count("\n") == 1, run.stderr
+
+
+@pytest.mark.parametrize("tool", ["request_phases.py", "kernel_shapes.py"])
+def test_a_worker_that_dies_ends_in_one_line_naming_its_revision(tool, source_repository):
+    # a working tree without the curve source: request_phases.py's worker
+    # dies building its inputs, kernel_shapes.py's at its first request;
+    # its traceback comes first, then the tool's one line, exit 1
+    geo = source_repository / "src" / "densityk" / "geo.py"
+    geo.write_text(geo.read_text() + "\ndel _rings_within\n")
+    run = _run(tool, ["HEAD", "--rounds", "1"], source_repository)
+    assert (run.returncode, run.stdout) == (1, ""), run.stderr
+    *worker, last = run.stderr.splitlines()
+    assert last == "the worker of the working tree ended without a reply"
+    assert worker[-1].startswith("AttributeError: ") and "_rings_within" in worker[-1]
+    assert "JSONDecodeError" not in run.stderr
+
+
+def test_a_request_to_a_worker_that_has_exited_ends_in_the_same_line(tmp_path, monkeypatch, capsys):
+    # a worker that answers once and exits: the next request's pipe breaks
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import revisions
+
+    tool = tmp_path / "once.py"
+    tool.write_text("import sys\nprint('[]', flush=True)\nsys.stdin.readline()\nprint('1', flush=True)\n")
+    worker = revisions.Worker(str(tool), "src", [], "HEAD abc")
+    with worker.process:  # closes the worker's pipes on leaving
+        assert (worker.first, worker.ask("a")) == ([], 1)
+        worker.process.wait()
+        with pytest.raises(SystemExit) as ended:
+            worker.ask("b")
+    assert ended.value.code == 1
+    assert capsys.readouterr().err == "the worker of HEAD abc ended without a reply\n"

@@ -14,7 +14,8 @@ revisions whose answers about their outputs differ, with exit 1
 (:func:`agree`). Every round asks each worker each request in turn, the
 first worker alternating round by round, so drift in the machine falls on
 both alike (:func:`rounds`). A wrong command line exits 2 with the usage
-line, an unknown revision with git's message, each on one line.
+line, an unknown revision with git's message, each on one line; a worker
+that dies exits 1 with one line naming its revision (:class:`Worker`).
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ def _export(revision: str | None, into: Path) -> str:
 
 
 class Worker:
-    """One revision's worker: ``first`` is the line it printed once its
-    inputs were built."""
+    """One revision's worker, named ``revision`` where it fails: ``first``
+    is the line it printed once its inputs were built. A worker that ends
+    without a reply, or whose pipe breaks, exits 1 with one line naming
+    its revision, after whatever the worker itself printed."""
 
-    def __init__(self, tool: str, src: str, args: list[str]):
+    def __init__(self, tool: str, src: str, args: list[str], revision: str):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         self.process = subprocess.Popen(
             [sys.executable, tool, "--worker", src, *args],
@@ -88,14 +91,33 @@ class Worker:
             text=True,
             env=env,
         )
-        self.first = json.loads(self.process.stdout.readline())
+        self.revision = revision
+        self.first = self._reply()
+
+    def _reply(self):
+        line = self.process.stdout.readline()
+        if not line:
+            self._ended()
+        return json.loads(line)
+
+    def _ended(self):
+        with contextlib.suppress(BrokenPipeError):  # a request left unsent
+            self.process.stdin.close()
+        self.process.wait()
+        print(f"the worker of {self.revision} ended without a reply", file=sys.stderr)
+        raise SystemExit(1)
 
     def ask(self, request: str):
-        self.process.stdin.write(f"{request}\n")
-        self.process.stdin.flush()
-        return json.loads(self.process.stdout.readline())
+        try:
+            self.process.stdin.write(f"{request}\n")
+            self.process.stdin.flush()
+        except BrokenPipeError:
+            self._ended()
+        return self._reply()
 
     def close(self) -> None:
+        # every request was flushed, and a pipe that broke was closed by
+        # _ended, so closing a dead worker's pipe leaves nothing to write
         self.process.stdin.close()
         self.process.wait()
 
@@ -104,12 +126,13 @@ class Worker:
 def workers(tool: str, base: str, head: str | None, *args):
     """The workers of ``base`` and ``head``, each started with ``args``,
     closed on leaving. Both revisions are exported before either starts."""
+    names = [f"BASE {base}", f"HEAD {head}" if head else "the working tree"]
     with tempfile.TemporaryDirectory() as scratch:
         sources = [_export(revision, Path(scratch) / str(k)) for k, revision in enumerate((base, head))]
         started: list[Worker] = []
         try:
-            for src in sources:
-                started.append(Worker(tool, src, [str(arg) for arg in args]))
+            for src, name in zip(sources, names):
+                started.append(Worker(tool, src, [str(arg) for arg in args], name))
             yield started
         finally:
             for worker in started:
