@@ -122,11 +122,12 @@ _MAX_DISTANCE_M = 2.0 * EARTH_RADIUS_M * math.asin(1.0)
 # few 10^5 elements (2-vCPU Xeon with AVX-512, numpy 2.4).
 BLOCK_ELEMENTS = 1 << 16
 
-# The most points whose pairs condensed_distances computes in one block.
-# One row block evaluates both triangles and keeps one; gathering the pairs
-# halves that work, but on a larger cloud the gathers cost more than they
-# save: the whole vector of 1,705 points gathered took 91 ms, its row blocks
-# 70 ms (same host).
+# The most points whose pairs make one row block, (n-1)^2 <= BLOCK_ELEMENTS:
+# the size of the pair table below. Up to it condensed_distances reads the
+# pairs from the table, with no index arrays made per call (55 points took
+# 67 us against 70 us with np.triu_indices' indices, same host), and a
+# cloud keeps its vector; a row block of more points has fewer rows, so
+# its _lower is a prefix of the table.
 _ONE_BLOCK_N = math.isqrt(BLOCK_ELEMENTS) + 1
 
 # The pairs (a, b), a > b, of the lower triangle in row-major order: (1, 0),
@@ -142,12 +143,13 @@ def condensed_distances(points: Sequence[GeoPoint] | PointCloud) -> np.ndarray:
     order (row-major upper triangle), in meters.
 
     ``points`` is a sequence of GeoPoints or a ``PointCloud``, whose radian
-    arrays are built once per cloud. The values are bit-identical to the
+    arrays are built once per cloud. Each pair is evaluated once, on its
+    two points' coordinates gathered by pair index, bit-identical to the
     upper triangle of the full n-by-n evaluation of the same formula, which
-    is never held. Up to the 257 points whose pairs fit one row block, each
-    pair is evaluated once, on coordinates gathered by pair index; beyond,
-    row blocks of at most about ``BLOCK_ELEMENTS`` entries are evaluated in
-    turn, so memory is the result plus one block.
+    is never held. Up to the 257 points whose pairs make one row block, the
+    pairs are read from a fixed table; beyond, they are gathered one row
+    block of at most about ``BLOCK_ELEMENTS`` entries at a time, so memory
+    is the result plus one block's index and coordinate arrays.
 
     A cloud of up to those 257 points computes its vector once and keeps
     it: every call returns that same read-only array. A larger cloud's
@@ -163,12 +165,21 @@ def condensed_distances(points: Sequence[GeoPoint] | PointCloud) -> np.ndarray:
 def _condensed(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
     # condensed_distances of the points with these radian arrays
     n = len(lat)
-    if n > _ONE_BLOCK_N:
-        return _condensed_row_blocks(lat, lon, cos_lat)
-    # the pairs alone, gathered; the points are read backwards (see _LOWER_A)
     m = n * (n - 1) // 2
     out = np.empty(m, dtype=np.float64)
-    _pair_distances((lat[::-1], lon[::-1], cos_lat[::-1]), _LOWER_A[:m], _LOWER_B[:m], out=out[::-1])
+    if n <= _ONE_BLOCK_N:
+        # the points read backwards (see _LOWER_A) need no index arrays
+        _pair_distances((lat[::-1], lon[::-1], cos_lat[::-1]), _LOWER_A[:m], _LOWER_B[:m], out=out[::-1])
+        return out
+    pos = 0
+    for r0, r1 in _row_blocks(n):
+        # the block's pairs, its entries with column past row (those
+        # outside _lower), as contiguous index arrays for the gathers
+        row, col = np.arange(r0, r1)[:, None], np.arange(r0 + 1, n)
+        pairs = col > row
+        i, j = (np.broadcast_to(x, pairs.shape)[pairs] for x in (row, col))
+        _pair_distances((lat, lon, cos_lat), i, j, out=out[pos : pos + len(i)])
+        pos += len(i)
     return out
 
 
@@ -196,34 +207,13 @@ def _lower(rows: int, cols: int) -> np.ndarray:
     return _LOWER_A[:m] * cols + _LOWER_B[:m]
 
 
-def _haversine_block(radians, r0: int, r1: int) -> np.ndarray:
-    # the haversine distances of row block (r0, r1)
-    lat, lon, cos_lat = radians
-    rows, cols = slice(r0, r1), slice(r0 + 1, None)
-    return _haversine_arc(
-        lat[rows, None] - lat[None, cols],
-        lon[rows, None] - lon[None, cols],
-        cos_lat[rows, None] * cos_lat[None, cols],
-    )
-
-
-def _condensed_row_blocks(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray) -> np.ndarray:
-    n = len(lat)
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    pos = 0
-    for r0, r1 in _row_blocks(n):
-        block = _haversine_block((lat, lon, cos_lat), r0, r1)
-        upper = np.delete(block, _lower(*block.shape))
-        out[pos : pos + len(upper)] = upper
-        pos += len(upper)
-    return out
-
-
 def _pair_distances(radians, i: np.ndarray, j: np.ndarray, out=None) -> np.ndarray:
-    # _haversine_arc on the pairs (i[k], j[k]) alone, bit for bit the row
-    # blocks' values, on coordinates gathered into four pair-sized buffers
-    # (mode="clip" keeps take from buffering its out: the indices are in
-    # range); the distances are returned in ``out``, or else in a buffer
+    # _haversine_arc on the pairs (i[k], j[k]) alone, the one exact distance
+    # of a pair: it reads that pair's coordinates only, so it gives the
+    # full matrix's entry bit for bit in any order of any pairs. They are
+    # gathered into four pair-sized buffers (mode="clip" keeps take from
+    # buffering its out: the indices are in range); the distances are
+    # returned in ``out``, or else in a buffer
     lat, lon, cos_lat = radians
     dphi, spare = lat.take(i), lat.take(j)
     np.subtract(dphi, spare, out=dphi)
@@ -576,8 +566,9 @@ def _rings_within(cloud: PointCloud, spacing: float, upper_bound: float | None):
 def _member_distances(cloud: PointCloud, members: np.ndarray) -> np.ndarray:
     """``condensed_distances`` of the cloud's points at the ascending
     indices ``members``, the same values in the same order: gathered from
-    the vector a one-block cloud keeps, or computed from a larger cloud's
-    arrays.
+    the vector a one-block cloud keeps, or, for a larger cloud, evaluated
+    anew on the members' radian arrays by ``condensed_distances``' own
+    pair evaluator, whose value for a pair reads that pair's points alone.
 
     A one-block cloud gathers its members' pairs in ``np.triu_indices``
     order, so that ``np.mean`` of the result keeps its bits."""
@@ -592,10 +583,13 @@ def _diameter_bound(radians) -> float:
     # A bound, at most _MAX_DISTANCE_M, on the distances whose rings
     # _chord_rings gives the pairs of these points. No two points are
     # further apart than twice the farthest from point 0, whose distances
-    # are row block (0, 1). Below 179 degrees the kernel's distances lie
-    # within 2e-5 m of the true arcs (see _chord_rings), which the margin
-    # covers; beyond, the bound is the whole sphere's.
-    bound = 2.0 * float(_haversine_block(radians, 0, 1).max()) + _CHORD_MARGIN_M
+    # come from its coordinate differences to every other point. Below 179
+    # degrees the kernel's distances lie within 2e-5 m of the true arcs
+    # (see _chord_rings), which the margin covers; beyond, the bound is the
+    # whole sphere's.
+    lat, lon, cos_lat = radians
+    farthest = float(_haversine_arc(lat[0] - lat[1:], lon[0] - lon[1:], cos_lat[0] * cos_lat[1:]).max())
+    bound = 2.0 * farthest + _CHORD_MARGIN_M
     return bound if bound < _CHORD_REACH_M else _MAX_DISTANCE_M
 
 

@@ -29,6 +29,7 @@ _FIELDS = (
     Param("context_radius", float, POSITIVE_FINITE),
     Param("min_decoy_separation", float, NON_NEGATIVE),
     Param("min_decoy_distance_from_context", float, NON_NEGATIVE),
+    Param("seed", int, NON_NEGATIVE),
 )
 _LEAST_DECOYS = Param("decoys_per_mention[0]", int, NON_NEGATIVE)
 

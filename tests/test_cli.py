@@ -694,6 +694,7 @@ class TestSynthCommand:
             ["--n-docs", "-1"],
             ["--mentions", "0"],
             ["--context-radius", "-5"],
+            ["--seed", "-5"],  # numpy's generator takes no negative seed
             ["--decoy-distance", "2.1e7"],  # no point lies 21,000 km from the context
             # no two points lie 21,000 km apart: refused before any decoy is drawn
             ["--n-docs", "1", "--mentions", "1", "--decoys-min", "2", "--decoys-max", "2", "--decoy-separation", "2.1e7"],

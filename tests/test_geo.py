@@ -23,7 +23,6 @@ from densityk import geo
 from densityk.geo import (
     BLOCK_ELEMENTS,
     _condensed,
-    _condensed_row_blocks,
     _pair_distances,
     _radian_arrays,
 )
@@ -225,17 +224,46 @@ class TestPairwiseDistances:
 ONE_BLOCK_N = math.isqrt(BLOCK_ELEMENTS) + 1
 
 
+def with_edge_pairs(coords: list[tuple[float, float]]) -> list[GeoPoint]:
+    """The points of ``coords`` with an antipodal pair (h clipped to 1),
+    the first point and the last, and past two points a coincident pair
+    (h = 0) half-way down, so that it falls in a later row block."""
+    n = len(coords)
+    lat, lon = coords[0]
+    coords[-1] = (-lat, lon + 180.0)
+    if n > 2:
+        coords[-2] = coords[n // 2 - 1]
+    return [GeoPoint(*xy) for xy in coords]
+
+
+def assert_upper_triangle_bits(pts: list[GeoPoint]) -> None:
+    # condensed_distances is the matrix's upper triangle, bit for bit
+    expected = haversine_matrix(pts)[np.triu_indices(len(pts), 1)]
+    got = condensed_distances(pts)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestCondensedDistances:
     @pytest.mark.parametrize(
         "n", [2, ONE_BLOCK_N - 1, ONE_BLOCK_N, ONE_BLOCK_N + 1, 4 * ONE_BLOCK_N]
     )
     def test_bit_identical_to_matrix_upper_triangle(self, n):
-        rng = np.random.default_rng(n)
-        pts = [GeoPoint(lat, lon) for lat, lon in random_coords(rng, n)]
-        expected = haversine_matrix(pts)[np.triu_indices(n, 1)]
-        got = condensed_distances(pts)
-        assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert_upper_triangle_bits(with_edge_pairs(random_coords(np.random.default_rng(n), n)))
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 40])
+    def test_bit_identical_in_small_row_blocks(self, monkeypatch, n):
+        # blocks of 16 entries: up to 5 points the pair table serves; 6
+        # points make a block of 3 rows and a short last one of 2 (where 8
+        # would fit), and 40 points a block of each of their first 31 rows
+        monkeypatch.setattr(geo, "BLOCK_ELEMENTS", 16)
+        monkeypatch.setattr(geo, "_ONE_BLOCK_N", 5)
+        blocks = list(geo._row_blocks(n))
+        if n == 6:
+            assert blocks == [(0, 3), (3, 5)]
+        if n == 40:
+            assert blocks[:32] == [(r, r + 1) for r in range(31)] + [(31, 33)]
+        assert_upper_triangle_bits(with_edge_pairs(random_coords(np.random.default_rng(n), n)))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 300])
     def test_index_and_pairs_follow_triu_order(self, n):
@@ -254,11 +282,9 @@ class TestCondensedDistances:
         if n > 2:
             coords[1] = (-coords[0][0], coords[0][1] + 180.0)
         radians = _radian_arrays([GeoPoint(*xy) for xy in coords])
-        gathered = _condensed(*radians)  # the one-block branch: the pairs gathered
-        blocked = _condensed_row_blocks(*radians)
-        assert np.array_equal(gathered.view(np.int64), blocked.view(np.int64))
+        gathered = _condensed(*radians)  # the one-block branch: the points read backwards
         forward = _pair_distances(radians, *np.triu_indices(n, 1))
-        assert np.array_equal(forward.view(np.int64), blocked.view(np.int64))
+        assert np.array_equal(forward.view(np.int64), gathered.view(np.int64))
 
     @pytest.mark.parametrize("n", [ONE_BLOCK_N, ONE_BLOCK_N + 1])
     def test_cloud_arrays_give_the_same_vector(self, n):

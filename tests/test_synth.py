@@ -90,6 +90,8 @@ class TestStructure:
             ("min_decoy_separation", math.nan),
             ("min_decoy_distance_from_context", -1.0),
             ("min_decoy_distance_from_context", math.inf),
+            ("seed", -5),
+            ("seed", 1.5),
         ],
     )
     def test_spec_validates_itself(self, field, value):

@@ -60,10 +60,10 @@ def test_a_request_to_a_worker_that_has_exited_ends_in_the_same_line(tmp_path, m
     tool = tmp_path / "once.py"
     tool.write_text("import sys\nprint('[]', flush=True)\nsys.stdin.readline()\nprint('1', flush=True)\n")
     worker = revisions.Worker(str(tool), "src", [], "HEAD abc")
-    with worker.process:  # closes the worker's pipes on leaving
-        assert (worker.first, worker.ask("a")) == ([], 1)
-        worker.process.wait()
-        with pytest.raises(SystemExit) as ended:
-            worker.ask("b")
+    assert (worker.first, worker.ask("a")) == ([], 1)
+    worker.process.wait()
+    with pytest.raises(SystemExit) as ended:
+        worker.ask("b")
+    worker.close()  # a pipe it leaves open fails the test as a ResourceWarning
     assert ended.value.code == 1
     assert capsys.readouterr().err == "the worker of HEAD abc ended without a reply\n"

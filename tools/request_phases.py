@@ -4,10 +4,11 @@ timed at two revisions, interleaved.
     python3 tools/request_phases.py BASE [HEAD] [--rounds N]
 
 Run it inside the repository; ``tools/revisions.py`` sets out BASE, HEAD,
-the two workers and the interleaved rounds. The requests are the default
-synthetic corpus of seed 42: 100 documents of 5 mentions of 6 to 16
-candidates, each sent as its canonical JSON bytes, the shape of the
-benchmark's ``small-docs`` workload.
+the two workers and the interleaved rounds. The requests are the
+benchmark's ``small-docs`` documents of seed 42, each sent as its
+canonical JSON bytes: each worker builds them with ``SmallDocs().setup(42,
+NullTracer())`` from this checkout's ``bench/workloads.py``, which it only
+reads, against its revision's ``densityk``.
 
 A request is ``densityk_pipeline`` split at its stages, each timed with
 ``time.perf_counter`` (a profiler's hooks inflate the short phases):
@@ -35,10 +36,11 @@ import json
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import revisions
 
-DELTA_D = 100.0
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 42
 PHASES = ["json.loads", "document_from_dict", "cloud", "curve", "linkage", "_resolve", "result_to_dict", "writer"]
 
@@ -47,15 +49,18 @@ def _worker(src: str) -> None:
     # Serves one revision: builds the requests, prints a digest of their
     # texts, then answers each "round" line with the phases' mean
     # microseconds per request.
-    sys.path.insert(0, src)
+    sys.path[:0] = [src, str(BENCH)]
     from densityk import geo
     from densityk.clustering import _dbscan_groups, _resolve, densityk_pipeline
-    from densityk.corpus import document_from_dict, document_to_json, load_document, to_canonical_json, to_point_cloud
+    from densityk.corpus import document_from_dict, load_document, to_canonical_json, to_point_cloud
     from densityk.export import result_to_dict
     from densityk.kfunction import _blocked_k_function, with_cluster_distance
-    from densityk.synth import SynthSpec, synth_generate
+    from tracing import NullTracer
+    from workloads import DELTA_D, SmallDocs
 
-    payloads = [document_to_json(doc).encode() for doc in synth_generate(SynthSpec(seed=SEED))]
+    workload = SmallDocs()
+    workload.setup(SEED, NullTracer())
+    payloads = workload.payloads
     clock = time.perf_counter
 
     def request(payload: bytes, spent: list[float]) -> str:

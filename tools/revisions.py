@@ -103,7 +103,7 @@ class Worker:
     def _ended(self):
         with contextlib.suppress(BrokenPipeError):  # a request left unsent
             self.process.stdin.close()
-        self.process.wait()
+        self.close()
         print(f"the worker of {self.revision} ended without a reply", file=sys.stderr)
         raise SystemExit(1)
 
@@ -116,9 +116,11 @@ class Worker:
         return self._reply()
 
     def close(self) -> None:
-        # every request was flushed, and a pipe that broke was closed by
-        # _ended, so closing a dead worker's pipe leaves nothing to write
+        # both pipes, then the process: every request was flushed, and a
+        # pipe that broke was closed by _ended, so closing a dead worker's
+        # pipe leaves nothing to write
         self.process.stdin.close()
+        self.process.stdout.close()
         self.process.wait()
 
 
