@@ -33,7 +33,7 @@ from .geo import (
     haversine,
     spherical_centroid,
 )
-from .params import AVG_PAIRWISE, HULL_AREA, K, MEASURE, MIN_PTS
+from .params import AVG_PAIRWISE, CAP, HULL_AREA, K, MEASURE, MIN_PTS
 
 DEFAULT_COMBINATION_CAP = 10**6
 
@@ -128,6 +128,50 @@ def _grid_totals(blocks: dict, rows: np.ndarray, sizes: list[int]) -> np.ndarray
     return total
 
 
+def _omd_setup(distances: np.ndarray, sizes: list[int]) -> tuple[dict, np.ndarray, np.ndarray, float]:
+    """The blocks, bounds and incumbent of the OMD search over two or more
+    mentions of ``sizes`` candidates, from the condensed distance vector of
+    their candidates, mention after mention.
+
+    ``blocks[a, b]`` holds the distances between mentions a < b, in the order
+    every total adds them. The lower bound of a prefix row over mentions
+    0..j-1 is its partial sum over those pairs, plus ``suffix[x, j]`` for each
+    chosen candidate x (the sum of its nearest distances to the mentions from
+    j on), plus ``pair_floor[j]`` (the sum of the least entries of the blocks
+    between mentions from j on). The incumbent is the best total of "each
+    candidate plus the nearest candidate of every other mention".
+
+    Each mention b takes one gather from the vector: its column against
+    every earlier candidate. The column's row slices are the blocks (a, b),
+    its row minima and argmins are each earlier candidate's nearest distance
+    to b and nearest candidate of b, and a block's column argmins are the
+    nearest candidates of a for b's candidates."""
+    m, n, starts = len(sizes), sum(sizes), np.cumsum([0] + sizes)
+    base = condensed_index(np.arange(n), 0, n)  # the pair (i, j), i < j, sits at base[i] + j
+    nearest = np.zeros((n, m + 1))  # x's nearest distance to each later mention
+    seeds = np.repeat(np.arange(n)[:, None], m, axis=1)  # x's nearest candidate of each mention, x in its own
+    columns = [None]  # mention 0 has no earlier candidates
+    for b in range(1, m):
+        lo, hi = starts[b], starts[b + 1]
+        column = distances[base[:lo, None] + np.arange(lo, hi)]
+        nearest[:lo, b] = column.min(axis=1)
+        seeds[:lo, b] = column.argmin(axis=1) + lo
+        columns.append(column)
+    blocks = {(a, b): columns[b][starts[a]:starts[a + 1]] for a, b in itertools.combinations(range(m), 2)}
+    for (a, b), block in blocks.items():
+        seeds[starts[b]:starts[b + 1], a] = block.argmin(axis=0) + starts[a]
+    # floors[a] adds the least entry of each block (a, b) in b order, as a
+    # running sum from zero: the zeros of nearest before and after add nothing
+    floors = np.zeros(m + 1)
+    floors[:m] = np.cumsum(np.minimum.reduceat(nearest, starts[:-1], axis=0), axis=1)[:, -1]
+    suffix = np.cumsum(nearest[:, ::-1], axis=1)[:, ::-1]
+    pair_floor = np.cumsum(floors[::-1])[::-1]
+    # every seed combination's pair terms in blocks order, summed along them
+    a_of, b_of = np.array(list(blocks)).T
+    seed_terms = distances[base[seeds[:, a_of]] + seeds[:, b_of]]
+    return blocks, suffix, pair_floor, float(np.cumsum(seed_terms, axis=1)[:, -1].min())
+
+
 def _omd_avg_pairwise(doc: DocumentInput, sizes: list[int]) -> int:
     """Index of the first combination minimizing mean pairwise distance.
 
@@ -142,36 +186,8 @@ def _omd_avg_pairwise(doc: DocumentInput, sizes: list[int]) -> int:
     total wins, so ties go to the first combination in C order.
     """
     # one distance vector over every candidate, mention after mention
-    distances = condensed_distances(to_point_cloud(doc))
-    n, starts = sum(sizes), np.cumsum([0] + sizes)
-    blocks = {  # the distances between mentions a < b, in the order every total adds them
-        (a, b): distances[condensed_index(
-            np.arange(starts[a], starts[a + 1])[:, None], np.arange(starts[b], starts[b + 1]), n
-        )]
-        for a, b in itertools.combinations(range(len(sizes)), 2)
-    }
-    # The lower bound of a row over mentions 0..j-1 is its partial sum over those
-    # pairs, plus suffix[x, j] for each chosen candidate x (the sum of its nearest
-    # distances to the mentions from j on), plus pair_floor[j] (the sum of the
-    # least entries of the blocks between mentions from j on).
-    nearest = np.zeros((n, len(sizes) + 1))
-    floors = np.zeros(len(sizes) + 1)
-    for (a, b), block in blocks.items():
-        nearest[starts[a]:starts[a + 1], b] = block.min(axis=1)
-        floors[a] += block.min()
-    suffix = np.cumsum(nearest[:, ::-1], axis=1)[:, ::-1]
-    pair_floor = np.cumsum(floors[::-1])[::-1]
-
-    # incumbent: the best total of "each candidate plus the nearest candidate of
-    # every other mention"
-    seeds = np.empty((n, len(sizes)), dtype=np.intp)
-    for a, size in enumerate(sizes):
-        seeds[starts[a]:starts[a + 1], a] = np.arange(size)
-    for (a, b), block in blocks.items():
-        seeds[starts[a]:starts[a + 1], b] = block.argmin(axis=1)
-        seeds[starts[b]:starts[b + 1], a] = block.argmin(axis=0)
-    seed_totals = sum((block[seeds[:, a], seeds[:, b]] for (a, b), block in blocks.items()), np.zeros(n))
-    bound = float(seed_totals.min())
+    blocks, suffix, pair_floor, bound = _omd_setup(condensed_distances(to_point_cloud(doc)), sizes)
+    starts = np.cumsum([0] + sizes)
 
     best_idx, best_val = 0, math.inf
     # the leaf depth j, the totals under each prefix row, the number of rows,
@@ -217,10 +233,12 @@ def omd(
     order within a mention), keeps the first one minimizing the chosen
     measure: mean pairwise distance of the selection, found by an exact
     branch-and-bound search, or the area of its planar convex hull, found by
-    enumeration. ``cap`` limits the number of combinations, the product of
-    the mentions' candidate counts, and is checked before the search.
+    enumeration. ``cap``, at least 1, limits the number of combinations, the
+    product of the mentions' candidate counts, and is checked before the
+    search.
     """
     MEASURE.check(measure)
+    CAP.check(cap)
     if len(doc.mentions) == 0:
         raise EmptyInputError(f"document {doc.doc_id!r} has no mentions")
     _require_candidates(doc)

@@ -71,6 +71,6 @@ EPSILON = Param("epsilon", float, POSITIVE, required=True)
 MIN_PTS = Param("min_pts", int, AT_LEAST_ONE, required=True)
 K = Param("k", int, AT_LEAST_ONE, required=True)
 MEASURE = Param("measure", str, one_of(AVG_PAIRWISE, HULL_AREA))
-CAP = Param("cap", int)  # checked against the document's combination count
+CAP = Param("cap", int, AT_LEAST_ONE)  # then checked against the document's combination count
 RADIUS = Param("radius", float, NON_NEGATIVE)  # dedupe_candidates'
 WORKERS = Param("workers", int, AT_LEAST_ONE)  # evaluate_corpus'

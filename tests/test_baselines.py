@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densityk import (
@@ -31,7 +31,7 @@ from densityk import (
     to_point_cloud,
 )
 from densityk import baselines
-from densityk.baselines import _neighbour_matrix, _omd_avg_pairwise
+from densityk.baselines import _neighbour_matrix, _omd_avg_pairwise, _omd_setup
 from densityk.geo import BLOCK_ELEMENTS, condensed_distances, condensed_index
 from densityk.synth import SynthSpec, synth_generate
 from conftest import make_cloud, make_document, random_coords
@@ -82,6 +82,22 @@ class TestOmd:
             omd(doc, cap=10**6)
         with pytest.raises(ValueError, match="^measure must be one of"):  # the measure is checked before the cap
             omd(doc, measure="nope", cap=10**6)
+
+    @pytest.mark.parametrize("cap", [0, -3, 0.5, math.nan])
+    def test_a_cap_below_one_is_an_error_before_the_document_is_read(self, cap):
+        # a NaN cap used to compare false against every count, so no cap held
+        for doc in (make_document("omd6", {"a": [(0, 0)], "b": [(1, 1)]}), make_document("omd7", {})):
+            with pytest.raises(ValueError, match=f"^cap must be >= 1, got {cap}$"):
+                omd(doc, cap=cap)
+        with pytest.raises(ValueError, match=f"^omd cap must be >= 1, got {cap}$"):
+            AlgorithmConfig("omd", (("cap", cap),))
+
+    def test_a_cap_of_one_admits_one_combination(self):
+        single = make_document("omd8", {"a": [(0, 0)], "b": [(1, 1)]})
+        assert chosen_ids(omd(single, cap=1)) == {"a": "a_e0", "b": "b_e0"}
+        double = make_document("omd9", {"a": [(0, 0)], "b": [(1, 1), (2, 2)]})
+        with pytest.raises(CombinationExplosionError, match="^document 'omd9': 2 combinations exceed cap 1$"):
+            omd(double, cap=1)
 
     def test_cap_is_a_limit_not_a_truncation(self):
         doc = make_document("omd5", {f"m{i}": [(0, j) for j in range(4)] for i in range(5)})
@@ -376,6 +392,7 @@ class TestOmdBranchAndBound:
         monkeypatch.setattr(baselines, "np", counter)
         assert self.chosen(doc) == gathered_omd_index(doc)
         assert 0 < sum(counter.evaluated) < n_combos / 100
+        assert counter.evaluated == [900]  # the seed incumbent leaves one leaf of 30 x 30 totals
 
 
 def sphere_document(rng, sizes: list[int], doc_id: str = "omd-sphere", tied: bool = False):
@@ -431,6 +448,94 @@ class TestOmdFlatPass:
                 doc = make_document(f"omd-blocks{trial}", spots)
             assert self.chosen(doc) == gathered_omd_index(doc), (trial, sizes)
         assert many_blocks >= 20  # half the documents or more fill three blocks or more
+
+
+def per_pair_setup(distances, sizes: list[int]):
+    """OMD's blocks, bounds and incumbent by the per-pair formulas the set-up
+    replaced: each mention pair gathers its block through ``condensed_index``
+    and takes its own minima and argmins, and the seed totals add one gathered
+    term per pair to a vector of zeros, in ``blocks`` order."""
+    n, starts = sum(sizes), np.cumsum([0] + sizes)
+    blocks = {
+        (a, b): distances[condensed_index(
+            np.arange(starts[a], starts[a + 1])[:, None], np.arange(starts[b], starts[b + 1]), n
+        )]
+        for a in range(len(sizes))
+        for b in range(a + 1, len(sizes))
+    }
+    nearest = np.zeros((n, len(sizes) + 1))
+    floors = np.zeros(len(sizes) + 1)
+    for (a, b), block in blocks.items():
+        nearest[starts[a]:starts[a + 1], b] = block.min(axis=1)
+        floors[a] += block.min()
+    suffix = np.cumsum(nearest[:, ::-1], axis=1)[:, ::-1]
+    pair_floor = np.cumsum(floors[::-1])[::-1]
+    seeds = np.empty((n, len(sizes)), dtype=np.intp)
+    for a, size in enumerate(sizes):
+        seeds[starts[a]:starts[a + 1], a] = np.arange(size)
+    for (a, b), block in blocks.items():
+        seeds[starts[a]:starts[a + 1], b] = block.argmin(axis=1)
+        seeds[starts[b]:starts[b + 1], a] = block.argmin(axis=0)
+    seed_totals = sum((block[seeds[:, a], seeds[:, b]] for (a, b), block in blocks.items()), np.zeros(n))
+    return blocks, suffix, pair_floor, float(seed_totals.min())
+
+
+# a lattice of whole degrees about the origin: distinct candidates at equal
+# distances, so that an argmin's first tie decides the seeds and the incumbent
+LATTICE = [(float(lat), float(lon)) for lat in (-1, 0, 1) for lon in (-1, 0, 1)]
+# a coordinate on a shared spot or the lattice, so that candidates coincide
+# or tie, or anywhere, so that one candidate is nearest
+COORDINATES = st.one_of(
+    st.sampled_from(SPOTS + LATTICE), st.tuples(st.floats(-89.0, 89.0), st.floats(-179.0, 179.0))
+)
+
+
+class TestOmdSetup:
+    """The set-up's blocks, bounds and incumbent equal the per-pair formulas
+    bit for bit, and the search then chooses the gather enumeration's index."""
+
+    def check(self, mentions: list[list[tuple[float, float]]], chunk: int) -> None:
+        doc = make_document("omd-setup", {f"m{i}": coords for i, coords in enumerate(mentions)})
+        sizes = [len(coords) for coords in mentions]
+        distances = condensed_distances(to_point_cloud(doc))
+        blocks, suffix, pair_floor, bound = _omd_setup(distances, sizes)
+        want_blocks, want_suffix, want_floor, want_bound = per_pair_setup(distances, sizes)
+        assert list(blocks) == list(want_blocks)
+        for pair, block in blocks.items():
+            assert block.shape == want_blocks[pair].shape
+            assert block.tobytes() == want_blocks[pair].tobytes(), pair
+        assert suffix.tobytes() == want_suffix.tobytes()
+        assert pair_floor.tobytes() == want_floor.tobytes()
+        assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
+        with mock.patch.object(baselines, "_CHUNK", chunk):
+            assert _omd_avg_pairwise(doc, sizes) == gathered_omd_index(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(COORDINATES, min_size=1, max_size=5), min_size=2, max_size=6),
+        st.sampled_from([1, 7]),
+    )
+    @example([[SPOTS[0]], SPOTS[:3], SPOTS[1:]], 1)  # a one-candidate mention first
+    @example([SPOTS[:2], [SPOTS[3]], SPOTS[2:]], 7)  # in the middle
+    @example([SPOTS, SPOTS[:2], [SPOTS[1]]], 7)  # and last, as in every grid document
+    @example([[SPOTS[0]] * 3, [SPOTS[1]] * 2], 1)  # two mentions of coincident candidates
+    @example([[SPOTS[2]], [SPOTS[3]]], 1)  # two mentions of one candidate each
+    # ties between distinct candidates that set the incumbent: an earlier
+    # candidate's nearest of a later mention, then a later one's of an earlier
+    @example([[(0.0, 1.0), (1.0, 0.0)], [(0.0, 1.0)], [(1.0, 1.0), (1.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)]], 7)
+    @example([[(1.0, 1.0), (0.0, 0.0)], [(0.0, -1.0), (1.0, 0.0)], [(1.0, -1.0), (0.0, 0.0)], [(1.0, 0.0)]], 1)
+    def test_equals_the_per_pair_formulas(self, mentions, chunk):
+        self.check(mentions, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_grid_shaped_documents(self, chunk):
+        # five or six mentions, so that the seed totals add ten or more terms
+        # and their order shows in the rounding; the last mention has one
+        # candidate, as in every grid document
+        rng = np.random.default_rng(chunk)
+        for _ in range(20):
+            sizes = [int(s) for s in rng.integers(1, 6, size=int(rng.integers(4, 6)))] + [1]
+            self.check([random_coords(rng, size) for size in sizes], chunk)
 
 
 class TestCentroidHeuristic:

@@ -162,7 +162,7 @@ class TestDisambiguateCommand:
 
     @pytest.mark.parametrize(
         "args",
-        [["--algorithm", "omd", "--cap", "0"], ["--algorithm", "dtur"]],
+        [["--algorithm", "omd", "--cap", "1"], ["--algorithm", "dtur"]],
         ids=" ".join,
     )
     def test_exit_2_names_the_document_once(self, runner, doc_path, tmp_path, args):
@@ -221,6 +221,7 @@ COINCIDENT = {f"m{i}": [(10, 20)] for i in range(4)}  # the k=2 auto-epsilon is 
 SPREAD = {f"m{i}": [(10, 20 + i)] for i in range(4)}
 DELTA_D_MESSAGE = "densityk delta_d must be a positive finite number, got -1.0"
 MIN_PTS_MESSAGE = "kdist min_pts must be >= 1, got 0"
+CAP_MESSAGE = "omd cap must be >= 1, got {}"
 
 
 @pytest.mark.parametrize(
@@ -232,6 +233,9 @@ MIN_PTS_MESSAGE = "kdist min_pts must be >= 1, got 0"
         (["kfunction", "--delta-d", "-1"], SPREAD, DELTA_D_MESSAGE),
         (["disambiguate", "--algorithm", "kdist", "--k", "2", "--min-pts", "0"], COINCIDENT, MIN_PTS_MESSAGE),
         (["disambiguate", "--algorithm", "kdist", "--k", "2", "--min-pts", "0"], SPREAD, MIN_PTS_MESSAGE),
+        (["disambiguate", "--algorithm", "omd", "--cap", "0"], SPREAD, CAP_MESSAGE.format(0)),
+        (["disambiguate", "--algorithm", "omd", "--cap", "-1"], SPREAD, CAP_MESSAGE.format(-1)),
+        (["disambiguate", "--algorithm", "omd", "--cap", "-1"], ONE_CANDIDATE, CAP_MESSAGE.format(-1)),
     ],
 )
 def test_bad_value_exits_1_whatever_the_document(runner, tmp_path, args, mentions, message):

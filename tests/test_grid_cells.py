@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).parents[1] / "tools" / "grid_cells.py"
-GROUPS = ["densityk", "dbscan", "kdist", "omd", "centroid", "dtur", "all"]
+GROUPS = ["densityk", "dbscan", "kdist", "omd", "centroid", "dtur", "all", "tail"]
 
 
 def test_one_round_times_every_cell_group_at_both_revisions(source_repository):

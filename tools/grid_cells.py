@@ -18,8 +18,12 @@ checked equal, key by key. Every round times every key once in each
 worker and takes each cell group's mean over its keys; the cell groups
 are the grid's algorithms (densityk, dbscan, kdist, omd, centroid, dtur).
 The table gives each group's median microseconds per operation over the
-rounds at each revision and their ratio, and the last row those of one
-operation of the whole grid.
+rounds at each revision and their ratio, then those of one operation of
+the whole grid (``all``) and the tail: the nearest-rank percentile of one
+round's operation times that the benchmark reports as ``op_tail_ms``
+(``TAIL_PERCENTILE`` of ``bench/run.py``, 99.5 for this workload; taken
+with ``bench/timing.nearest_rank``), median over rounds. The tool's times
+are raw, where the benchmark scales each by the host's speed around it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def _worker(src: str, seed: int) -> None:
     # Serves one revision: builds the inputs, prints the cell groups in
     # order and one digest of the canonical text of each key, then answers
-    # each "round" line with each group's mean microseconds per operation.
+    # each "round" line with each group's mean microseconds per operation,
+    # the mean of all and the round's tail.
     sys.path[:0] = [src, str(BENCH)]
+    from run import TAIL_PERCENTILE
+    from timing import nearest_rank
     from tracing import NullTracer
     from workloads import GridTable1
 
@@ -53,12 +60,14 @@ def _worker(src: str, seed: int) -> None:
     run, clock = workload.run, time.perf_counter
 
     def answer(_):
-        spent = [0.0] * len(groups)
+        spent, times = [0.0] * len(groups), []
         for key, g in zip(keys, group_of):
             t0 = clock()
             run(key)
-            spent[g] += clock() - t0
-        return [s / count * 1e6 for s, count in zip(spent, per_group)] + [sum(spent) / len(keys) * 1e6]
+            times.append(clock() - t0)
+            spent[g] += times[-1]
+        tail = nearest_rank(sorted(times), TAIL_PERCENTILE[workload.name])
+        return [s / count * 1e6 for s, count in zip(spent, per_group)] + [sum(times) / len(keys) * 1e6, tail * 1e6]
 
     revisions.serve([groups, digests], answer)
 
@@ -76,7 +85,7 @@ def main(argv: list[str]) -> int:
     head_label = head or "working tree"
     print(f"one grid-table1 operation by cell group, seed {seed}, mean over the group's keys, median of {rounds} rounds")
     print(f"{'cells':<12}{base[:12]:>14}{head_label[:12]:>14}{'ratio':>8}")
-    for g, name in enumerate([*groups, "all"]):
+    for g, name in enumerate([*groups, "all", "tail"]):
         us = [statistics.median(t[g] for t in times[k]) for k in (0, 1)]
         print(f"{name:<12}{us[0]:>11.1f} us{us[1]:>11.1f} us{us[1] / us[0]:>8.2f}")
     return 0
