@@ -10,7 +10,7 @@ from densityk import evaluate_corpus, table1_grid
 from densityk.synth import SynthSpec, synth_generate
 
 corpus = synth_generate(SynthSpec(n_docs=20, seed=42))
-report = evaluate_corpus(corpus, table1_grid(), workers=4)
+report = evaluate_corpus(corpus, table1_grid())
 
 print(f"{len(corpus)} documents x {len(report.cells)} grid cells\n")
 print(f"{'cell':<34} {'precision':>9} {'err (km)':>9} {'errors':>7}")

@@ -456,6 +456,16 @@ class TestEvaluateCommand:
         assert runner.invoke(main, args + ["--output", str(out_b), "--workers", "4"]).exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_a_document_given_twice_exits_1(self, runner, tmp_path):
+        # two files holding one document would count it twice in every macro average
+        directory, out = tmp_path / "twice", tmp_path / "r.json"
+        directory.mkdir()
+        for name in ("a.json", "b.json"):
+            (directory / name).write_text(document_to_json(planted_doc(doc_id="doc0000")))
+        result = runner.invoke(main, ["evaluate", "--corpus", str(directory), "--output", str(out), "--cell", "centroid"])
+        assert (result.exit_code, result.output) == (1, "error: document 'doc0000' is given twice\n")
+        assert not out.exists()
+
     def test_truthless_document_exits_1(self, runner, tmp_path):
         directory = tmp_path / "nt"
         directory.mkdir()

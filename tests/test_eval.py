@@ -181,6 +181,19 @@ class TestEvaluateCorpus:
         threaded = report_to_dict(evaluate_corpus(docs, configs, workers=4))
         assert serial == threaded
 
+    def test_every_document_runs_on_the_calling_thread(self, monkeypatch):
+        # workers > 1 starts no thread: every document runs in the caller's
+        run, threads = evaluation.run_algorithm, []
+
+        def recorded(doc, config):
+            threads.append(threading.get_ident())
+            return run(doc, config)
+
+        monkeypatch.setattr(evaluation, "run_algorithm", recorded)
+        docs, configs = planted_corpus(), table1_grid()
+        evaluate_corpus(docs, configs, workers=4)
+        assert threads == [threading.get_ident()] * (len(docs) * len(configs))
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -200,6 +213,17 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError) as refused:
             evaluate_corpus(planted_corpus(), configs)
         assert str(refused.value) == f"cell {key} is given twice"
+
+    @pytest.mark.parametrize("other", [False, True], ids=["same-document", "another-document"])
+    def test_a_repeated_doc_id_is_refused_before_any_run(self, monkeypatch, other):
+        # each document counts once in a macro average: the first repeated
+        # doc_id in doc_id order is named, whether the document or its id repeats
+        monkeypatch.setattr(evaluation, "_evaluate_cell", lambda *args: pytest.fail("a cell ran"))
+        docs = planted_corpus()
+        again = make_document("doc1", {"x": [(1.0, 2.0)]}, ground_truth={"x": "x_e0"}) if other else docs[1]
+        with pytest.raises(ValueError) as refused:
+            evaluate_corpus(docs + [again, docs[2]], [AlgorithmConfig("centroid")])
+        assert str(refused.value) == "document 'doc1' is given twice"
 
     def test_keys_are_compared_as_written(self):
         # 2000 and 2000.0 are one value but two keys, so two cells
@@ -544,10 +568,21 @@ class TestOneCloudPerDocument:
         assert sorted(cloud._kdist_epsilons) == [5, 10, 25]
 
     def test_threaded_grid_on_fresh_documents_equals_serial(self):
+        # callers' own threads share one fresh corpus through the whole grid
         configs = table1_grid()
-        serial = evaluate_corpus(synth_generate(SynthSpec()), configs, workers=1)
-        threaded = evaluate_corpus(synth_generate(SynthSpec()), configs, workers=4)
-        assert report_to_dict(threaded) == report_to_dict(serial)
+        serial = report_to_dict(evaluate_corpus(synth_generate(SynthSpec()), configs))
+        docs = synth_generate(SynthSpec())
+        got = []
+
+        def run():
+            got.append(report_to_dict(evaluate_corpus(docs, configs)))
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert got == [serial] * 4
 
 
 class TestReportSerialization:

@@ -16,7 +16,7 @@ WRONG = [[], ["HEAD", "--rounds"], ["HEAD", "--rounds", "x"], ["HEAD", "--rounds
 MORE_WRONG = {
     "kernel_shapes.py": [["HEAD", "--seed", "7"]],
     "request_phases.py": [["HEAD", "--rounds", "-1"], ["HEAD", "--seed", "7"]],
-    "grid_cells.py": [["HEAD", "--seed"], ["HEAD", "--seed", "1.5"]],
+    "grid_cells.py": [["HEAD", "--seed"], ["HEAD", "--seed", "1.5"], ["HEAD", "--seed", "-1"]],
     "src_lines.py": [],
 }
 

@@ -40,7 +40,7 @@ def command_line(tool: str, argv: list[str], options: dict[str, int]) -> tuple[s
     """BASE, HEAD (None for the working tree) and the value of each integer
     option of a tool's arguments ``argv``. ``options`` maps each option's
     usage, such as ``"--rounds N"``, to its default. A wrong command line,
-    or ``--rounds`` below 1, exits 2 with the usage line."""
+    a negative value or ``--rounds`` below 1, exits 2 with the usage line."""
     usage = f"usage: python3 tools/{Path(tool).name} BASE [HEAD]" + "".join(f" [{option}]" for option in options)
     flags = [option.split()[0] for option in options]
     values, revisions = list(options.values()), []
@@ -53,7 +53,7 @@ def command_line(tool: str, argv: list[str], options: dict[str, int]) -> tuple[s
             values[flags.index(arg)] = int(next(args))
         except (ValueError, StopIteration):  # an unknown option, or a missing or non-integer value
             _fail(usage)
-    if len(revisions) not in (1, 2) or values[flags.index("--rounds")] < 1:
+    if len(revisions) not in (1, 2) or min(values) < 0 or values[flags.index("--rounds")] < 1:
         _fail(usage)
     return revisions[0], revisions[1] if len(revisions) == 2 else None, values
 
