@@ -302,10 +302,7 @@ def dtur(doc: DocumentInput) -> DisambiguationResult:
     if not anchors:
         raise NoAnchorsError(f"document {doc.doc_id!r} has no unambiguous mention")
     chosen = []
-    for mention in doc.mentions:
-        if len(mention.candidates) == 1:
-            chosen.append(0)
-            continue
+    for mention in doc.mentions:  # an anchor's one candidate is its own minimum
         scored = (
             (sum(haversine(c.location, a.location) for a in anchors) / len(anchors), c.entry_id, k)
             for k, c in enumerate(mention.candidates)

@@ -15,15 +15,15 @@ from pathlib import Path
 import click
 
 from .baselines import AVG_PAIRWISE, DEFAULT_COMBINATION_CAP, HULL_AREA
-from .corpus import load_corpus, load_document_file
+from .corpus import _write, load_corpus, load_document_file
 from .errors import DensityKError, DocumentParseError, DocumentSchemaError
 from .evaluation import (
     ALGORITHMS,
     GRID_PRESETS,
     AlgorithmConfig,
+    _csv_lines,
     check_cells,
     evaluate_corpus,
-    report_to_csv,
     report_to_dict,
     run_algorithm,
 )
@@ -31,7 +31,6 @@ from .export import (
     _kfunction_csv_pieces,
     clusters_to_geojson,
     result_to_dict,
-    to_canonical_json,
 )
 from .kfunction import DEFAULT_DELTA_D_M, _check_curve_args
 from .params import WORKERS
@@ -53,6 +52,13 @@ def _writing(path: Path):
         yield
     except OSError as exc:
         _fail(1, f"cannot write {path}: {exc}")
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    # to_canonical_json's text, written to ``path`` a piece at a time
+    with _writing(path), path.open("w", encoding="utf-8") as out:
+        _write(payload, 0, out.write)
+        out.write("\n")
 
 
 def _config(algorithm: str, flags: dict) -> AlgorithmConfig:
@@ -126,8 +132,7 @@ def disambiguate(algorithm, input_path, output_path, **flags) -> None:
     payload = result_to_dict(result)
     payload["algorithm"] = config.algorithm
     payload["params"] = config.param_dict
-    with _writing(output_path):
-        output_path.write_text(to_canonical_json(payload), encoding="utf-8")
+    _write_json(output_path, payload)
 
 
 @main.command()
@@ -170,11 +175,11 @@ def evaluate(corpus_path, output_path, grid_name, cells, csv_path, workers) -> N
         report = evaluate_corpus(docs, configs, workers=workers)
     except ValueError as exc:  # a doc_id given twice, or a cell's delta_d past the ring limits of a document
         _fail(1, str(exc))
-    with _writing(output_path):
-        output_path.write_text(to_canonical_json(report_to_dict(report)), encoding="utf-8")
+    _write_json(output_path, report_to_dict(report))
     if csv_path is not None:
-        with _writing(csv_path):
-            csv_path.write_text(report_to_csv(report), encoding="utf-8")
+        # report_to_csv's text, a line at a time
+        with _writing(csv_path), csv_path.open("w", encoding="utf-8") as out:
+            out.writelines(_csv_lines(report))
 
 
 def _parse_cell(text: str) -> AlgorithmConfig:
@@ -228,8 +233,7 @@ def clusters(algorithm, input_path, output_path, **flags) -> None:
     """Export the clusters an algorithm derives for a document as GeoJSON."""
     config = _config(algorithm, flags)
     result = _on_document(input_path, lambda doc: run_algorithm(doc, config))
-    with _writing(output_path):
-        output_path.write_text(to_canonical_json(clusters_to_geojson(result)), encoding="utf-8")
+    _write_json(output_path, clusters_to_geojson(result))
 
 
 @main.command()

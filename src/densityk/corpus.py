@@ -353,14 +353,17 @@ def to_canonical_json(payload: dict) -> str:
     ``indent`` turns json's C encoder off, and its pure-Python encoder took
     almost twice this writer's time on a result. The writer itself writes
     only values of the exact types str, int, float, bool, None, list, tuple
-    and dict, appending their pieces to one list, sorting each object's
-    items as json does and escaping strings with json's own C escaper. json
+    and dict, handing their pieces in order to one append function and
+    never taking one back: here the pieces are joined, while the CLI hands
+    them straight to the open output file. It sorts each dict's keys first,
+    as json does, and escapes strings with json's own C escaper. json
     writes every value the writer does not handle itself: one of any other
-    type, and a dict with a key that is not a str, keys that do not sort or
-    a value json refuses.
+    type, and a dict whose keys are not strs, decided from its sorted keys
+    before any of its pieces is written. Keys that do not sort, and a value
+    json refuses, raise json's own ``TypeError``.
     """
     out: list[str] = []
-    _write(payload, 0, out)
+    _write(payload, 0, out.append)
     out.append("\n")
     return "".join(out)
 
@@ -399,22 +402,21 @@ def _layout(depth: int) -> tuple[str, str, str, str, str, str]:
 _LAYOUTS = {0: _layout(0)}
 
 
-def _write(value, depth: int, out: list[str]) -> None:
-    # appends the pieces of the JSON text of ``value``, on a line indented
-    # ``depth`` levels, to ``out``; a container appends its exact str and
+def _write(value, depth: int, append) -> None:
+    # hands the pieces of the JSON text of ``value``, on a line indented
+    # ``depth`` levels, to ``append``; a container writes its exact str and
     # int items itself
     cls = value.__class__
     if cls is not dict and cls is not list and cls is not tuple:
         write = _SCALARS.get(cls)
-        out.append(_json_dumps(value, _LAYOUTS[depth][0]) if write is None else write(value))
+        append(_json_dumps(value, _LAYOUTS[depth][0]) if write is None else write(value))
         return
     if not value:
-        out.append("{}" if cls is dict else "[]")
+        append("{}" if cls is dict else "[]")
         return
     pad, open_list, open_dict, comma, close_list, close_dict = _LAYOUTS[depth]
     if depth + 1 not in _LAYOUTS:
         _LAYOUTS[depth + 1] = _layout(depth + 1)
-    append = out.append
     if cls is not dict:
         sep = open_list
         for item in value:
@@ -425,28 +427,26 @@ def _write(value, depth: int, out: list[str]) -> None:
             elif item.__class__ is int:
                 append(int.__repr__(item))
             else:
-                _write(item, depth + 1, out)
+                _write(item, depth + 1, append)
         append(close_list)
         return
-    start = len(out)
-    sep = open_dict
-    try:
-        for key in sorted(value):
-            item = value[key]
-            append(sep)
-            sep = comma
-            append(_json_string(key))
-            append(": ")
-            if item.__class__ is str:
-                append(_json_string(item))
-            elif item.__class__ is int:
-                append(int.__repr__(item))
-            else:
-                _write(item, depth + 1, out)
-    except TypeError:  # a key that is no str, keys that do not sort or a value json refuses
-        del out[start:]
+    keys = sorted(value)  # keys that do not sort raise the TypeError of json's own sort
+    if not isinstance(keys[0], str):  # a str sorts only beside strs, so no key is one
         append(_json_dumps(value, pad))
         return
+    sep = open_dict
+    for key in keys:
+        item = value[key]
+        append(sep)
+        sep = comma
+        append(_json_string(key))
+        append(": ")
+        if item.__class__ is str:
+            append(_json_string(item))
+        elif item.__class__ is int:
+            append(int.__repr__(item))
+        else:
+            _write(item, depth + 1, append)
     append(close_dict)
 
 

@@ -301,11 +301,15 @@ def _csv_line(fields) -> str:
 def report_to_csv(report: CorpusReport) -> str:
     """One row per configuration and document; a field is quoted only where
     it holds a comma, a quote, a newline or a carriage return."""
-    header = ("doc_id", "algorithm", "params", "precision", "avg_distance_error_km", "resolved", "failed")
-    lines = [_csv_line(header)]
+    return "".join(_csv_lines(report))
+
+
+def _csv_lines(report: CorpusReport):
+    # report_to_csv's text a line at a time, so a writer holds one line
+    # rather than the whole text
+    yield _csv_line(("doc_id", "algorithm", "params", "precision", "avg_distance_error_km", "resolved", "failed"))
     for cell in report.cells:
         params = ";".join(f"{k}={v}" for k, v in cell.config.params)
         for s in cell.scores:
             scores = (repr(s.precision), repr(s.avg_distance_error_km), s.resolved_count, s.failed_count)
-            lines.append(_csv_line((s.doc_id, cell.config.algorithm, params, *scores)))
-    return "".join(lines)
+            yield _csv_line((s.doc_id, cell.config.algorithm, params, *scores))

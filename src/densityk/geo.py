@@ -124,10 +124,12 @@ BLOCK_ELEMENTS = 1 << 16
 
 # The most points whose pairs make one row block, (n-1)^2 <= BLOCK_ELEMENTS:
 # the size of the pair table below. Up to it condensed_distances reads the
-# pairs from the table, with no index arrays made per call (55 points took
-# 67 us against 70 us with np.triu_indices' indices, same host), and a
-# cloud keeps its vector; a row block of more points has fewer rows, so
-# its _lower is a prefix of the table.
+# pairs from the table, with no index arrays made per call, and a cloud
+# keeps its vector; a row block of more points has fewer rows, so its
+# _lower is a prefix of the table. The table path pays in time and memory:
+# through the row-block loop's index arrays instead, 55 points took 61 us
+# against 46 us, and the small-docs benchmark's peak rose from 155,368 to
+# 182,895 bytes (+18%) (same host, one thread).
 _ONE_BLOCK_N = math.isqrt(BLOCK_ELEMENTS) + 1
 
 # The pairs (a, b), a > b, of the lower triangle in row-major order: (1, 0),

@@ -147,6 +147,10 @@ def _merge_rings(pending: list[np.ndarray], occupied: list[np.ndarray]) -> None:
     rings, counts = _runs(merged)
     del merged
     if len(occupied[0]) == 0:
+        # the first merge's runs are the count; the merge below gives the
+        # same, but on the small-docs benchmark, whose one merge is its
+        # first, it took a request from 684 to 770 us and its peak from
+        # 155,368 to 255,773 bytes (2 vCPUs, one thread)
         occupied[:] = rings, counts
         return
     at = np.searchsorted(occupied[0], rings)

@@ -19,7 +19,8 @@ from densityk import (
     to_canonical_json,
 )
 from densityk.cli import main
-from densityk.corpus import DocumentInput, PlaceMention, document_to_json
+from densityk import corpus
+from densityk.corpus import DocumentInput, PlaceMention, _write, document_to_json
 from densityk.evaluation import run_algorithm, score_document, table1_grid
 from test_clustering import planted_document
 
@@ -152,6 +153,29 @@ class Row(list):
     pass
 
 
+class AppendOnly:
+    """A sink that can only be appended to: it has no len, no del and no
+    indexing, so a writer that takes back a piece fails on it."""
+
+    __slots__ = ("_pieces",)
+
+    def __init__(self):
+        self._pieces = []
+
+    def append(self, piece):
+        self._pieces.append(piece)
+
+    def text(self):
+        return "".join(self._pieces) + "\n"
+
+
+def sink_written(value) -> str:
+    # to_canonical_json's text, written piece by piece into an append-only sink
+    sink = AppendOnly()
+    _write(value, 0, sink.append)
+    return sink.text()
+
+
 class TestCanonicalWriter:
     """``to_canonical_json`` writes the bytes of ``json.dumps(sort_keys=True,
     indent=1)`` and raises the TypeError it raises."""
@@ -169,6 +193,44 @@ class TestCanonicalWriter:
     def test_same_text_as_json(self, value):
         assert written(to_canonical_json, value) == written(json_dumps, value)
 
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    @example({"a": [{2: [0.5], 1: {"k": "v"}}]})
+    @example({"a": [{Name("b"): [1], "a": {Name("c"): 2}}]})
+    def test_an_append_only_sink_gets_the_same_text(self, value):
+        assert written(sink_written, value) == written(to_canonical_json, value)
+
+    @pytest.mark.parametrize(
+        "keys", [{(1,): 0}, {"a": 0, (1,): 0}, {1: 0, "a": 0}, {None: 0, 1: 0}], ids=["tuple", "str-tuple", "int-str", "none-int"]
+    )
+    def test_keys_json_refuses_are_its_type_error(self, keys):
+        # a tuple key, and keys that do not sort, below a dict and a list
+        # the writer has begun
+        value = {"k": [1, keys]}
+        with pytest.raises(TypeError) as theirs:
+            json_dumps(value)
+        for write in (to_canonical_json, sink_written):
+            with pytest.raises(TypeError) as ours:
+                write(value)
+            assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize(
+        "keys", [(2, -1), (0.5, -math.inf), (True, False), (None,), (2, 0.5, False)], ids=["int", "float", "bool", "none", "mixed"]
+    )
+    def test_a_dict_without_str_keys_goes_to_json_whole(self, keys, monkeypatch):
+        inner = {key: [k, "x"] for k, key in enumerate(keys)}
+        handed = []
+        json_writes = corpus._json_dumps
+
+        def spy(value, pad):
+            handed.append(value)
+            return json_writes(value, pad)
+
+        monkeypatch.setattr("densityk.corpus._json_dumps", spy)
+        value = {"a": [inner, {"b": 1}]}
+        assert sink_written(value) == json_dumps(value)
+        assert handed == [inner]
+
     def test_keys_sort_before_they_become_strings(self):
         assert to_canonical_json({10: 0, 9: 0}) == '{\n "9": 0,\n "10": 0\n}\n'
 
@@ -177,11 +239,12 @@ class TestCanonicalWriter:
         "place", [lambda v: v, lambda v: ["a", v], lambda v: {"k": [1, v]}], ids=["top", "in-list", "nested"]
     )
     def test_what_json_cannot_write_is_a_type_error(self, bad, place):
-        with pytest.raises(TypeError) as ours:
-            to_canonical_json(place(bad))
         with pytest.raises(TypeError) as theirs:
             json_dumps(place(bad))
-        assert str(ours.value) == str(theirs.value)
+        for write in (to_canonical_json, sink_written):
+            with pytest.raises(TypeError) as ours:
+                write(place(bad))
+            assert str(ours.value) == str(theirs.value)
 
     @pytest.mark.parametrize(
         "value",
@@ -210,7 +273,7 @@ def nested(levels: int):
 
 class TestWriterEdges:
     """Depths past any the writer has met before, and dicts that json
-    writes after the writer appended some of their pieces."""
+    writes or refuses below dicts and lists the writer has begun."""
 
     @pytest.mark.parametrize("levels", [40, 200])
     def test_deep_nesting_is_json_s_text(self, levels):
